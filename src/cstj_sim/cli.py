@@ -4,6 +4,13 @@ Outputs per run directory: steps.csv (one row per trial and step),
 summary.csv (per-step cross-trial means), config_resolved.txt (the exact
 resolved configuration, re-parseable), and manifest.txt (version, seed,
 output paths, wall-clock duration, and an inline config echo).
+
+The summary.csv means are those of ``sim.summarize_trials``:
+``mean_tracking_error_m`` averages over every trial; ``mean_target_power_db``
+and ``mean_max_pair_interference_db`` are arithmetic means of the dB values
+over the trials where the value exists at that step, blank where it exists in
+none. They are not linear-power means; ``sim.mean_target_power_db`` is one,
+and only the benchmark reports it.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .config import (
     parse_config,
     preset,
 )
-from .sim import ScenarioConfig, StepLog, run_trials
+from .sim import ScenarioConfig, StepLog, TrialSummary, run_trials, summarize_trials
 
 
 def _fmt(value: float) -> str:
@@ -35,7 +42,7 @@ def _fmt(value: float) -> str:
 
 
 def _opt(value) -> str:
-    return "" if value is None else _fmt(value)
+    return "" if value is None or np.isnan(value) else _fmt(value)
 
 
 def emit_csv(logs_by_trial: list[list[StepLog]], out_dir) -> dict[str, Path]:
@@ -72,26 +79,17 @@ def emit_csv(logs_by_trial: list[list[StepLog]], out_dir) -> dict[str, Path]:
                 writer.writerow(row)
 
     summary_path = out_dir / "summary.csv"
-    n_steps = len(logs_by_trial[0]) if logs_by_trial else 0
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["step", "mean_tracking_error_m", "mean_target_power_db", "mean_max_pair_interference_db"]
         )
-        for i in range(n_steps):
-            errors = [logs[i].tracking_error_m for logs in logs_by_trial]
-            powers = [logs[i].target_power_db for logs in logs_by_trial if logs[i].target_power_db is not None]
-            interf = [
-                logs[i].max_interference_db for logs in logs_by_trial if logs[i].max_interference_db is not None
-            ]
-            writer.writerow(
-                [
-                    str(logs_by_trial[0][i].step),
-                    _fmt(np.mean(errors)),
-                    _fmt(np.mean(powers)) if powers else "",
-                    _fmt(np.mean(interf)) if interf else "",
-                ]
-            )
+        if logs_by_trial:
+            means = summarize_trials([TrialSummary.from_logs(logs) for logs in logs_by_trial])
+            for log, error, power, interference in zip(
+                logs_by_trial[0], means.tracking_error_m, means.target_power_db, means.max_interference_db
+            ):
+                writer.writerow([str(log.step), _fmt(error), _opt(power), _opt(interference)])
     return {"steps": steps_path, "summary": summary_path}
 
 
@@ -126,6 +124,16 @@ def _config_epilog() -> str:
     return "\n".join(lines)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cstj-sim",
@@ -146,13 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mode", choices=("cstj", "ct"), default=None, help="controller mode override")
     run_p.add_argument("--agents", type=int, default=None, help="agent count override")
     run_p.add_argument("--steps", type=int, default=None, help="steps-per-trial override")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel trial workers (output independent)")
+    run_p.add_argument("--jobs", type=_positive_int, default=1, help="parallel trial workers (output independent)")
 
     preset_p = sub.add_parser("preset", help="run a named experiment bundle")
     preset_p.add_argument("name", choices=PRESET_NAMES)
     preset_p.add_argument("--out", required=True, help="output directory")
     preset_p.add_argument("--seed", type=int, default=None, help="master seed (default 0 or $CSTJ_SIM_SEED)")
-    preset_p.add_argument("--jobs", type=int, default=1, help="parallel trial workers (output independent)")
+    preset_p.add_argument("--jobs", type=_positive_int, default=1, help="parallel trial workers (output independent)")
     return parser
 
 
@@ -190,11 +198,12 @@ def cmd_run(args) -> int:
 def cmd_preset(args) -> int:
     env_seed = _env_seed()
     seed = args.seed if args.seed is not None else (env_seed if env_seed is not None else 0)
+    configs = preset(args.name, seed=seed)
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     lines = [f"manifest.version = {__version__}", f"manifest.seed = {seed}", f"manifest.preset = {args.name}"]
-    for label, cfg in preset(args.name, seed=seed):
+    for label, cfg in configs:
         paths = _run_one(cfg, out_root / label, args.jobs)
         lines += [f"manifest.path.{label}.{name} = {path}" for name, path in sorted(paths.items())]
     lines.append(f"manifest.duration_s = {time.perf_counter() - start:.3f}")

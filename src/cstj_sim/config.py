@@ -328,6 +328,8 @@ def preset(name: str, seed: int = 0) -> list[tuple[str, ScenarioConfig]]:
     tracking-only baseline on identical scenarios; figure4_sweep varies the
     team size over {2, 4, 6, 8, 10, 12} with a reduced move/power grid.
     """
+    if seed < 0:
+        raise ConfigError("sim.seed: must be >= 0")
     base = default_config()
     if name == "figure3_compare":
         shared = replace(base, n_agents=4, n_steps=50, n_trials=50, seed=seed, ct_power_db=7.0)

@@ -7,6 +7,12 @@ drone position subject to two interference limits: what the agent itself
 would receive from already-committed teammates, and what its transmission
 would add at each committed teammate. Agents decide sequentially in id
 order, so later agents see all earlier commitments.
+
+Both limits are decided for every pair at once, on arrays of linear power:
+received power from each committed sender at each candidate and at each
+teammate, summed over senders in id order, then compared with the dB
+threshold as ``10 log10(total) < limit``. An off transmitter, or a receiver
+outside a cone, contributes NaN in dB and zero in linear power.
 """
 
 from __future__ import annotations
@@ -17,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TargetState
-from .geometry_rf import (
-    AntennaParams,
-    RfParams,
-    aggregate_power_db,
-    db_to_linear,
-    received_power_db,
-    received_power_map,
-)
+from .geometry_rf import AntennaParams, RfParams, db_to_linear, linear_to_db, received_power_map
 from .sensing import SensingParams, detection_prob_at_distance
 
 
@@ -69,9 +68,32 @@ def admissible_set(predicted_target: TargetState, actions, p: SensingParams, thr
     return actions[_tracking_scores(predicted_target, actions, p) > threshold]
 
 
-def _within_limit(contributions_db, limit_db: float) -> bool:
-    total = aggregate_power_db(contributions_db)
-    return total is None or total < limit_db
+def _best_tracking(predicted_target: TargetState, candidates, p: SensingParams) -> np.ndarray:
+    """The first candidate with the highest detection probability."""
+    candidates = np.asarray(candidates, dtype=float)
+    return candidates[int(np.argmax(_tracking_scores(predicted_target, candidates, p)))].copy()
+
+
+def _linear(power_db) -> np.ndarray:
+    """Linear power of dB values; NaN (off or uncovered) counts as zero."""
+    return np.nan_to_num(db_to_linear(power_db))
+
+
+def _sender_sum(linear: np.ndarray) -> np.ndarray:
+    """Sum over the leading sender axis in sender order, ((p0 + p1) + p2) + ...
+
+    ``ndarray.sum`` reduces a contiguous axis of 8 or more terms pairwise, so
+    its bits would depend on the array's shape; accumulating does not.
+    """
+    if len(linear) == 0:
+        return np.zeros(linear.shape[1:])
+    return np.add.accumulate(linear, axis=0)[-1]
+
+
+def _below(total_linear, limit_db: float) -> np.ndarray:
+    """``10 log10(total) < limit`` elementwise; a zero total is always below."""
+    with np.errstate(divide="ignore"):
+        return linear_to_db(total_linear) < limit_db
 
 
 def solve_jamming(
@@ -88,8 +110,10 @@ def solve_jamming(
     Feasibility: (a) the aggregate power the agent would receive at the
     candidate position from committed transmitters stays below the
     interference threshold, and (b) for every committed teammate, the
-    aggregate of this agent's new contribution plus all other committed
-    transmitters stays below it too. Delivered power counts as zero when the
+    aggregate of all other committed transmitters plus this agent's new
+    contribution stays below it too. Each aggregate is a linear power sum,
+    taken in sender (id) order with the new contribution last, and compared
+    with the threshold in dB. Delivered power counts as zero when the
     predicted drone lies outside the candidate's cone or the level is off.
     Ties break toward the lower power level, then the lower candidate index.
 
@@ -100,83 +124,37 @@ def solve_jamming(
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     if len(candidates) == 0:
         raise ValueError("solve_jamming needs a nonempty candidate set")
-    levels = rf.power_levels_db
     limit_db = rf.interference_threshold_db
     aim = predicted_target.position.copy()
     decided = list(decided)
-    transmitting = [r for r in decided if levels[r.power_index] is not None]
+    levels_db = rf.power_db(np.arange(len(rf.power_levels_db)))
+    tx_db = rf.power_db([r.power_index for r in decided])[:, None]
+    tx_pos = np.array([r.chosen_position for r in decided]).reshape(-1, 1, 3)
+    tx_aim = np.array([r.aim_point for r in decided]).reshape(-1, 1, 3)
 
-    # power arriving at each candidate from committed transmitters, id order
-    inbound: list[list[float]] = [[] for _ in range(len(candidates))]
-    for rec in transmitting:
-        contrib = received_power_map(
-            levels[rec.power_index], rec.chosen_position, rec.aim_point, ant, rf, candidates
-        )
-        for k in np.flatnonzero(~np.isnan(contrib)):
-            inbound[int(k)].append(float(contrib[k]))
-    inbound_ok = np.array([_within_limit(vals, limit_db) for vals in inbound])
+    # (sender, candidate + receiver): power from each committed sender at each
+    # candidate, then at each committed teammate; no antenna covers its own apex
+    received = _linear(received_power_map(tx_db, tx_pos, tx_aim, ant, rf, np.vstack([candidates, tx_pos[:, 0]])))
+    inbound_ok = _below(_sender_sum(received[:, : len(candidates)]), limit_db)
+    base = _sender_sum(received[:, len(candidates) :])
+    # (level, receiver, candidate): each teammate's load with this agent's contribution added
+    added = received_power_map(levels_db[:, None, None], candidates, aim, ant, rf, tx_pos)
+    outbound_ok = _below(base[:, None] + _linear(added), limit_db).all(axis=1)
+    feasible = inbound_ok & outbound_ok  # (level, candidate)
 
-    # what each committed receiver already absorbs from its other teammates
-    base_load: dict[int, list[float]] = {}
-    coupling: dict[int, np.ndarray] = {}
-    for rec in decided:
-        vals = []
-        for other in transmitting:
-            if other.agent_id == rec.agent_id:
-                continue
-            c = received_power_db(
-                levels[other.power_index], other.chosen_position, other.aim_point, ant, rf, rec.chosen_position
-            )
-            if c is not None:
-                vals.append(c)
-        base_load[rec.agent_id] = vals
-        # per-candidate gain toward this receiver for a 0 dB transmission
-        coupling[rec.agent_id] = received_power_map(0.0, candidates, aim, ant, rf, rec.chosen_position)
-
-    # delivered power toward the predicted drone for a 0 dB transmission
-    delivery = received_power_map(0.0, candidates, aim, ant, rf, aim)
-
-    best_key = None
-    best = None
-    any_transmitting_feasible = False
-    for k in range(len(candidates)):
-        if not inbound_ok[k]:
-            continue
-        for w, level in enumerate(levels):
-            feasible = True
-            for rec in decided:
-                vals = base_load[rec.agent_id]
-                gain = coupling[rec.agent_id][k]
-                if level is not None and not np.isnan(gain):
-                    vals = vals + [float(level + gain)]
-                if not _within_limit(vals, limit_db):
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            if level is not None:
-                any_transmitting_feasible = True
-            if level is None or np.isnan(delivery[k]):
-                objective_db = None
-                objective_lin = 0.0
-            else:
-                objective_db = float(level + delivery[k])
-                objective_lin = float(db_to_linear(objective_db))
-            key = (objective_lin, -w, -k)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (k, w, objective_db)
-    if any_transmitting_feasible:
-        k, w, objective_db = best
+    if feasible[1:].any():
+        # (level, candidate): power delivered toward the predicted drone
+        delivery = received_power_map(levels_db[:, None], candidates, aim, ant, rf, aim)
+        score = np.where(feasible, _linear(delivery), -1.0)
+        w, k = divmod(int(np.argmax(score)), len(candidates))
+        objective_db = None if np.isnan(delivery[w, k]) else float(delivery[w, k])
         return DecisionRecord(agent_id, candidates[k].copy(), w, aim, objective_db, Fallback.NONE)
 
-    scores = _tracking_scores(predicted_target, candidates, sensing)
-    clear = np.flatnonzero(inbound_ok)
-    if len(clear) > 0:
-        k = int(clear[int(np.argmax(scores[clear]))])
-        return DecisionRecord(agent_id, candidates[k].copy(), 0, aim, None, Fallback.POWER_OFF)
-    k = int(np.argmax(scores))
-    return DecisionRecord(agent_id, candidates[k].copy(), 0, aim, None, Fallback.TRACKING)
+    if inbound_ok.any():
+        position, fallback = _best_tracking(predicted_target, candidates[inbound_ok], sensing), Fallback.POWER_OFF
+    else:
+        position, fallback = _best_tracking(predicted_target, candidates, sensing), Fallback.TRACKING
+    return DecisionRecord(agent_id, position, 0, aim, None, fallback)
 
 
 def sequential_decide(
@@ -201,10 +179,8 @@ def sequential_decide(
     for agent, predicted, actions in zip(agents, predicted_targets, action_sets):
         candidates = admissible_set(predicted, actions, sensing, tracking_threshold)
         if len(candidates) == 0:
-            scores = _tracking_scores(predicted, actions, sensing)
-            k = int(np.argmax(scores))
             record = DecisionRecord(
-                agent.id, np.asarray(actions, dtype=float)[k].copy(), 0,
+                agent.id, _best_tracking(predicted, actions, sensing), 0,
                 predicted.position.copy(), None, Fallback.TRACKING,
             )
         else:
@@ -221,11 +197,10 @@ def ct_decide(
     power_index: int,
 ) -> list[DecisionRecord]:
     """Tracking-only baseline: best-tracking move, fixed power, no constraints."""
-    decisions = []
-    for agent, predicted, actions in zip(agents, predicted_targets, action_sets):
-        actions = np.asarray(actions, dtype=float)
-        k = int(np.argmax(_tracking_scores(predicted, actions, sensing)))
-        decisions.append(
-            DecisionRecord(agent.id, actions[k].copy(), power_index, predicted.position.copy(), None, Fallback.NONE)
+    return [
+        DecisionRecord(
+            agent.id, _best_tracking(predicted, actions, sensing), power_index,
+            predicted.position.copy(), None, Fallback.NONE,
         )
-    return decisions
+        for agent, predicted, actions in zip(agents, predicted_targets, action_sets)
+    ]

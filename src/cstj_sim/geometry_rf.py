@@ -54,9 +54,9 @@ class RfParams:
             raise ValueError("transmit power levels must be strictly increasing")
         object.__setattr__(self, "power_levels_db", (None, *on))
 
-    def level_db(self, index: int):
-        """Power of level ``index`` in dB, or None for the off level."""
-        return self.power_levels_db[index]
+    def power_db(self, index):
+        """Transmit power in dB of level ``index`` (an int or an int array); NaN for off."""
+        return np.array([np.nan, *self.power_levels_db[1:]])[index]
 
 
 def _distance(a, b):

@@ -33,7 +33,7 @@ from .dynamics import (
     step_target,
 )
 from .estimation import Estimate, ci_fuse, eap, init_particles, predict, predicted_state, update
-from .geometry_rf import AntennaParams, RfParams, aggregate_power_db, received_power_db
+from .geometry_rf import AntennaParams, RfParams, aggregate_power_db, received_power_map
 from .sensing import SensingParams, collect
 
 _STREAM_SCENARIO = 0
@@ -146,33 +146,18 @@ def compute_metrics(
     diff = fused.mean.position - true_state.position
     tracking_error = float(np.sqrt((diff * diff).sum()))
 
-    target_contribs = []
-    for rec in decisions:
-        level = rf.power_levels_db[rec.power_index]
-        if level is None:
-            continue
-        c = received_power_db(level, rec.chosen_position, rec.aim_point, ant, rf, true_state.position)
-        if c is not None:
-            target_contribs.append(c)
-    target_power = aggregate_power_db(target_contribs)
-
-    n = len(decisions)
-    pair = np.full((n, n), np.nan)
-    per_agent = []
-    for i, receiver in enumerate(decisions):
-        vals = []
-        for j, sender in enumerate(decisions):
-            if j == i:
-                continue
-            level = rf.power_levels_db[sender.power_index]
-            if level is None:
-                continue
-            c = received_power_db(level, sender.chosen_position, sender.aim_point, ant, rf, receiver.chosen_position)
-            if c is None:
-                continue
-            pair[i, j] = c
-            vals.append(c)
-        per_agent.append(aggregate_power_db(vals))
+    tx_db = rf.power_db([d.power_index for d in decisions])
+    positions = np.array([d.chosen_position for d in decisions]).reshape(-1, 3)
+    aims = np.array([d.aim_point for d in decisions]).reshape(-1, 3)
+    # (receiver, sender), the drone as the last receiver; no antenna covers
+    # its own apex, so the diagonal is NaN
+    receivers = np.vstack([positions, true_state.position])
+    received = received_power_map(tx_db, positions, aims, ant, rf, receivers[:, None])
+    pair = received[:-1]
+    # Each total sums only the present values, so it keeps the bits of
+    # aggregate_power_db over a list of them (numpy sums 8 or more pairwise).
+    target_power = aggregate_power_db(received[-1][~np.isnan(received[-1])])
+    per_agent = [aggregate_power_db(row[~np.isnan(row)]) for row in pair]
     present = [v for v in per_agent if v is not None]
     max_interference = max(present) if present else None
     violation = any(v is not None and v >= rf.interference_threshold_db for v in per_agent)

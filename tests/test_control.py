@@ -15,7 +15,7 @@ from cstj_sim.control import (
 from cstj_sim.dynamics import ActionGrid, AgentState, TargetState, enumerate_actions
 from cstj_sim.geometry_rf import AntennaParams, RfParams, aggregate_power_db, received_power_db
 from cstj_sim.sensing import SensingParams
-from oracles import solve_jamming_reference
+from oracles import cone_contains, solve_jamming_reference
 
 ANT = AntennaParams(100.0, math.radians(80.0))
 RF = RfParams(32.4, 2.5, 6.0206, (None, -10.0, 0.0, 7.0, 10.0), -50.0)
@@ -141,29 +141,45 @@ class TestSolveJamming:
         np.testing.assert_array_equal(rec.chosen_position, [0.0, 0.0, 2.0])  # best tracking
 
     def test_matches_reference_enumeration(self):
+        # up to 11 committed teammates; every other case aims them at the
+        # candidate cluster, so that many cones overlap and some aggregates
+        # run over 8 or more senders, where numpy's plain sum goes pairwise
         rng = np.random.default_rng(2)
-        for _ in range(100):
+        crowded = 0
+        for case in range(200):
             target = _pred(rng.uniform(10, 60, 3))
             n_candidates = int(rng.integers(1, 19))
             center = rng.uniform(10, 60, 3)
             candidates = center + rng.uniform(-6, 6, (n_candidates, 3))
+            aim_low, aim_high = (center - 3, center + 3) if case % 2 else (10, 60)
             decided = []
-            for i in range(int(rng.integers(0, 4))):
+            for i in range(int(rng.integers(0, 12))):
                 decided.append(
                     DecisionRecord(
                         i,
                         center + rng.uniform(-12, 12, 3),
                         int(rng.integers(0, len(RF.power_levels_db))),
-                        rng.uniform(10, 60, 3),
+                        rng.uniform(aim_low, aim_high, 3),
                         None,
                         Fallback.NONE,
                     )
                 )
+            transmitting = [r for r in decided if r.power_index != 0]
+            receivers = [*candidates, *(r.chosen_position for r in decided)]
+            crowded += any(
+                sum(cone_contains(r.chosen_position, r.aim_point, ANT, x) for r in transmitting) >= 8
+                for x in receivers
+            )
             got = solve_jamming(9, candidates, target, decided, ANT, RF, SENSING)
             want = solve_jamming_reference(9, candidates, target, decided, ANT, RF, SENSING)
             assert got.power_index == want.power_index
             assert got.fallback_used is want.fallback_used
             np.testing.assert_allclose(got.chosen_position, want.chosen_position)
+            if want.objective_value_db is None:
+                assert got.objective_value_db is None
+            else:
+                assert got.objective_value_db == pytest.approx(want.objective_value_db, abs=1e-9)
+        assert crowded >= 10  # the sweep must reach sums over 8 or more senders
 
     def test_non_off_decision_recheck_passes_exactly(self):
         rng = np.random.default_rng(3)

@@ -162,6 +162,47 @@ class TestComputeMetrics:
         assert metrics.agent_interference_db[2] == pytest.approx(expected, abs=1e-12)
         assert metrics.violation == (expected >= cfg.rf.interference_threshold_db)
 
+    def test_twelve_agents_match_scalar_loop_exactly(self):
+        # agents around the drone, aimed near it, so that up to 12 senders
+        # reach the drone and several reach each teammate
+        cfg = ScenarioConfig()
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            truth = TargetState(rng.uniform(30, 70, 3), [0, 0, 0])
+            decisions = [
+                DecisionRecord(
+                    i,
+                    truth.position + rng.uniform(-15, 15, 3),
+                    int(rng.integers(0, len(cfg.rf.power_levels_db))),
+                    truth.position + rng.uniform(-3, 3, 3),
+                    None,
+                    Fallback.NONE,
+                )
+                for i in range(12)
+            ]
+            metrics = compute_metrics(truth, self._estimate(truth.position), decisions, cfg.antenna, cfg.rf)
+
+            def power(sender, rx_pos):
+                level = cfg.rf.power_levels_db[sender.power_index]
+                return received_power_db(level, sender.chosen_position, sender.aim_point, cfg.antenna, cfg.rf, rx_pos)
+
+            pair = np.full((12, 12), np.nan)
+            per_agent = []
+            for i, receiver in enumerate(decisions):
+                vals = []
+                for j, sender in enumerate(decisions):
+                    c = power(sender, receiver.chosen_position) if j != i else None
+                    if c is not None:
+                        pair[i, j] = c
+                        vals.append(c)
+                per_agent.append(aggregate_power_db(vals))
+            to_target = [power(d, truth.position) for d in decisions]
+            target = aggregate_power_db([c for c in to_target if c is not None])
+
+            np.testing.assert_array_equal(metrics.pair_interference_db, pair)
+            assert metrics.agent_interference_db == per_agent
+            assert metrics.target_power_db == target
+
 
 class TestMonteCarlo:
     def test_single_trial_equals_summary(self):
