@@ -158,6 +158,7 @@ def format_config(cfg: ScenarioConfig) -> str:
 
 def parse_config_text(text: str, overrides: dict | None = None, fallbacks: dict | None = None) -> ScenarioConfig:
     raw: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -165,7 +166,11 @@ def parse_config_text(text: str, overrides: dict | None = None, fallbacks: dict 
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in key_lines:
+            raise ConfigError(f"line {lineno}: duplicate key {key} (first set on line {key_lines[key]})")
+        key_lines[key] = lineno
+        raw[key] = value.strip()
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError("unknown configuration keys: " + ", ".join(unknown))
@@ -188,8 +193,13 @@ def parse_config_text(text: str, overrides: dict | None = None, fallbacks: dict 
 
 def parse_config(path, overrides: dict | None = None, fallbacks: dict | None = None) -> ScenarioConfig:
     """Parse a config file with optional flag overrides and env fallbacks."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {str(path)!r} is not UTF-8 text: {err.reason}") from None
     return parse_config_text(text, overrides=overrides, fallbacks=fallbacks)
 
 

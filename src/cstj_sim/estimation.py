@@ -99,40 +99,49 @@ def _wrap_difference(d):
 
     On that domain ``np.mod`` shifts by at most one period, and the shift
     alone gives the same floats: subtracting 2 pi from a value in
-    [2 pi, 3 pi] is exact. It takes a third of the time of ``np.mod``.
+    [2 pi, 3 pi] is exact. Each shift is taken as a 0-or-1 multiple of
+    2 pi; a zero shift changes at most the sign of a zero, which the final
+    subtraction from pi discards. ``d`` is left as it is.
     """
-    y = np.pi - d
-    y = np.where(y >= 2.0 * np.pi, y - 2.0 * np.pi, np.where(y < 0.0, y + 2.0 * np.pi, y))
-    return np.pi - y
+    y = np.subtract(np.pi, d)
+    y -= (y >= 2.0 * np.pi) * (2.0 * np.pi)
+    y += (y < 0.0) * (2.0 * np.pi)
+    return np.subtract(np.pi, y, out=y)
 
 
 def _log_measurement_densities(delta, dist, meas, p: SensingParams):
-    """(n_particles, n_meas) log Gaussian densities of each measurement.
+    """(n_meas, n_particles) log Gaussian densities of each measurement.
 
     ``delta`` holds the particle offsets from the sensor and ``dist`` their
     norms. The azimuth residual is wrapped into (-pi, pi]; the range noise
-    scale grows linearly with the particle's distance from the sensor. The
+    scale grows linearly with the particle's distance from the sensor.
+
+    The grid is measurement-major: a set has a few dozen returns at most
+    and a filter thousands of particles, so every elementwise pass runs
+    along the long, contiguous particle axis, with per-particle vectors
+    broadcast along the rows and one return's values per row. The
     quadratic form sum((residual / scale) ** 2) is built in place, in that
-    order of operations, so it equals the plain expression bit for bit.
+    order of operations, so each element equals the plain expression bit
+    for bit, whatever the layout.
     """
     dx, dy, dz = delta[:, 0], delta[:, 1], delta[:, 2]
     azimuth = np.arctan2(dy, dx)
     inclination = np.arctan2(np.hypot(dx, dy), dz)
     sigma_rho = p.sigma_rho0_m + p.beta_rho * dist
     log_norm = (
-        np.log(sigma_rho)[:, None]
+        np.log(sigma_rho)
         + math.log(p.sigma_theta_rad)
         + math.log(p.sigma_phi_rad)
         + 1.5 * math.log(2.0 * math.pi)
     )
-    quad = np.subtract(meas[:, 0], dist[:, None])
-    quad /= sigma_rho[:, None]
+    quad = np.subtract(meas[:, 0, None], dist)
+    quad /= sigma_rho
     quad *= quad
-    term = _wrap_difference(np.subtract(meas[:, 1], azimuth[:, None]))
+    term = _wrap_difference(np.subtract(meas[:, 1, None], azimuth))
     term /= p.sigma_theta_rad
     term *= term
     quad += term
-    np.subtract(meas[:, 2], inclination[:, None], out=term)
+    np.subtract(meas[:, 2, None], inclination, out=term)
     term /= p.sigma_phi_rad
     term *= term
     quad += term
@@ -148,6 +157,12 @@ def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
     all clutter" hypothesis with one hypothesis per measurement being the
     target return, each weighted by the Poisson clutter process; clutter-free
     sensing degenerates to the obvious special cases.
+
+    The densities come measurement-major (see
+    ``_log_measurement_densities``), but each particle's sum over the
+    returns runs on a C-contiguous (particle, measurement) copy: numpy
+    sums a contiguous row of 8 or more terms pairwise, while a sum over
+    the leading axis adds the rows one by one, which rounds differently.
     """
     n_meas = len(meas)
     delta = states[:, :3] - np.asarray(sensor_pos, dtype=float)
@@ -160,13 +175,14 @@ def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
             return base + _safe_log(1.0 - p_d)
         g = _log_measurement_densities(delta, dist, meas, p)
         np.exp(g, out=g)
-        return base + _safe_log((1.0 - p_d) + p_d * g.sum(axis=1) / (lam * p.clutter_density))
+        g_sum = np.ascontiguousarray(g.T).sum(axis=1)
+        return base + _safe_log((1.0 - p_d) + p_d * g_sum / (lam * p.clutter_density))
     if n_meas == 0:
         return _safe_log(1.0 - p_d)
     if n_meas == 1:
         g = _log_measurement_densities(delta, dist, meas, p)
         np.exp(g, out=g)
-        return _safe_log(p_d * g[:, 0])
+        return _safe_log(p_d * g[0])
     return np.full(len(states), -np.inf)
 
 

@@ -16,14 +16,24 @@ import numpy as np
 from .dynamics import TargetState
 
 
+# A float goes through Python's ``%``, which computes the same floats as
+# ``np.mod`` (fmod, then one correction toward the divisor's sign, signed
+# zeros included) without the round trip through a 0-d array.
+_TWO_PI = 2.0 * math.pi
+
+
 def wrap_azimuth(angle):
     """Wrap angles into (-pi, pi]."""
+    if isinstance(angle, float):
+        return math.pi - (math.pi - float(angle)) % _TWO_PI
     wrapped = np.pi - np.mod(np.pi - np.asarray(angle, dtype=float), 2.0 * np.pi)
     return float(wrapped) if np.ndim(wrapped) == 0 else wrapped
 
 
 def fold_inclination(angle):
     """Reflect angles into [0, pi] (mirror at both boundaries)."""
+    if isinstance(angle, float):
+        return abs((float(angle) + math.pi) % _TWO_PI - math.pi)
     folded = np.abs(np.mod(np.asarray(angle, dtype=float) + np.pi, 2.0 * np.pi) - np.pi)
     return float(folded) if np.ndim(folded) == 0 else folded
 
@@ -116,7 +126,7 @@ def sample_measurement(x: TargetState, s_pos, p: SensingParams, rng: np.random.G
     noisy_azimuth = base.azimuth_rad + p.sigma_theta_rad * rng.standard_normal()
     noisy_inclination = base.inclination_rad + p.sigma_phi_rad * rng.standard_normal()
     return Measurement(
-        float(np.clip(noisy_range, 0.0, p.rho_max_m)),
+        min(max(noisy_range, 0.0), p.rho_max_m),
         wrap_azimuth(noisy_azimuth),
         fold_inclination(noisy_inclination),
     )

@@ -82,3 +82,33 @@ def test_negative_seed_fails_before_writing(command, via_env, tmp_path, capsys, 
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: sim.seed")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_config_fails_before_writing(kind, tmp_path, capsys):
+    path = {"missing": tmp_path / "missing.cfg", "directory": tmp_path, "not_utf8": tmp_path / "binary.cfg"}[kind]
+    if kind == "not_utf8":
+        path.write_bytes(b"sim.agents = \xff\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not out.exists()
+
+
+def test_run_writes_every_output(tmp_path):
+    cfg = ScenarioConfig(n_agents=2, n_steps=2, n_trials=2, n_particles=20, seed=3)
+    path = tmp_path / "tiny.cfg"
+    path.write_text(config.format_config(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config_resolved.txt", "manifest.txt", "steps.csv", "summary.csv",
+    ]
+    steps = (out / "steps.csv").read_text().splitlines()
+    assert len(steps) == 1 + cfg.n_trials * cfg.n_steps
+    assert len((out / "summary.csv").read_text().splitlines()) == 1 + cfg.n_steps
+    resolved = config.parse_config(out / "config_resolved.txt")
+    assert config.config_values(resolved) == config.config_values(cfg)
+    manifest = (out / "manifest.txt").read_text()
+    assert "manifest.seed = 3" in manifest

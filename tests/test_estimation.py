@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,8 +26,10 @@ from cstj_sim.sensing import (
     collect,
     measurement_array,
     sample_measurement,
+    spherical_coords,
     wrap_azimuth,
 )
+import likelihood_referee
 from oracles import likelihood_by_hypotheses
 
 MODEL = MotionModel(1.0, np.diag([2.0, 2.0, 2.0]))
@@ -170,6 +173,64 @@ class TestLikelihood:
         angles = np.clip(np.concatenate([near, rng.uniform(-math.pi, math.pi, 600)]), -math.pi, math.pi)
         diffs = angles[:, None] - angles[None, :]
         np.testing.assert_array_equal(_wrap_difference(diffs), wrap_azimuth(diffs))
+
+
+def _referee_case(n, m, seed):
+    """Seeded particles and returns with the layout's edge cases mixed in.
+
+    Most returns and half the particles crowd around one point, so that a
+    particle's sum runs over many terms of like size, where the order of
+    the additions shows in the last bits. Row 0 sits on the sensor; rows 1
+    and 2 lie at azimuth 0 and pi, so that returns at azimuth pi, 0 and -pi
+    give residuals of +-pi and -2 pi. The other half of the particles sweep
+    the azimuth from the first return's own to the opposite one, which
+    drives the log densities through the band below -708 where ``exp``
+    gives subnormal results and then zero.
+    """
+    rng = np.random.default_rng(seed)
+    s_pos = rng.uniform(0.0, 100.0, 3)
+    center = rng.normal(scale=15.0, size=3)
+    meas = np.column_stack(spherical_coords(center + rng.normal(scale=1.0, size=(m, 3))))
+    meas[:3, 1] = [math.pi, 0.0, -math.pi][: len(meas)]
+    rho, az, inc = meas[0] if m else spherical_coords(center)
+    sweep = np.linspace(0.0, math.pi, n)
+    offsets = rho * np.column_stack(
+        [np.sin(inc) * np.cos(az + sweep), np.sin(inc) * np.sin(az + sweep), np.full(n, np.cos(inc))]
+    )
+    offsets[n // 2 :] = center + rng.normal(scale=1.5, size=(n - n // 2, 3))
+    offsets[: min(n, 3)] = [[0.0, 0.0, 0.0], [7.0, 0.0, 3.0], [-7.0, 0.0, 3.0]][: min(n, 3)]
+    states = np.concatenate([s_pos + offsets, rng.normal(size=(n, 3))], axis=1)
+    return states, meas, s_pos
+
+
+class TestMeasurementMajorLikelihood:
+    """The measurement-major kernel against the particle-major one it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 5, 200, 2000])
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 8, 9, 16, 26, 40])
+    def test_matches_particle_major_kernel(self, m, n):
+        states, meas, s_pos = _referee_case(n, m, seed=1000 * m + n)
+        for sensing in (SENSING, dataclasses.replace(SENSING, clutter_rate=0.0)):
+            got = _log_set_likelihood(states, meas, s_pos, sensing)
+            expected = likelihood_referee._log_set_likelihood(states, meas, s_pos, sensing)
+            assert got.shape == expected.shape == (n,)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_cases_reach_the_edges(self):
+        states, meas, s_pos = _referee_case(2000, 9, seed=9002)
+        delta = states[:, :3] - s_pos
+        dist = np.sqrt((delta * delta).sum(axis=-1))
+        log_dens = likelihood_referee._log_measurement_densities(delta, dist, meas, SENSING)
+        dens = np.exp(log_dens)
+        assert dist[0] == 0.0
+        assert np.arctan2(delta[1:3, 1], delta[1:3, 0]).tolist() == [0.0, math.pi]
+        residuals = meas[None, :3, 1] - np.arctan2(delta[1:3, 1], delta[1:3, 0])[:, None]
+        assert {math.pi, -math.pi, -2.0 * math.pi} <= set(residuals.ravel().tolist())
+        assert np.any((dens > 0.0) & (dens < np.finfo(float).tiny))
+        assert np.any((log_dens < -708.0) & (dens == 0.0))
+        # numpy adds a row of 8 or more terms pairwise; adding the returns
+        # one by one gives other bits for some particles of this case
+        assert np.any(dens.sum(axis=1) != np.cumsum(dens, axis=1)[:, -1])
 
 
 class TestUpdate:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from cstj_sim.dynamics import TargetState
@@ -10,6 +12,7 @@ from cstj_sim.sensing import (
     SensingParams,
     collect,
     detection_prob,
+    fold_inclination,
     measurement_fn,
     sample_clutter,
     sample_measurement,
@@ -36,6 +39,38 @@ def _at(position) -> TargetState:
 def _noise_free(clutter_rate=0.0) -> SensingParams:
     # degenerate-noise variants keep tiny sigmas (zero is invalid by contract)
     return SensingParams(0.99, 0.02, 2.0, 1e-12, 1e-12, 1e-12, 0.0, clutter_rate, DEFAULTS.rho_max_m)
+
+
+def _scalar_and_array_forms(fn, angles):
+    """Bytes of ``fn`` applied to each angle as a float, and to all of them as one array."""
+    scalars = [fn(float(a)) for a in angles]
+    assert all(type(v) is float for v in scalars)
+    return np.array(scalars).tobytes(), fn(np.array(angles, dtype=float)).tobytes()
+
+
+class TestAngleForms:
+    """Floats take Python's ``%``, arrays ``np.mod``; both must give the same bits."""
+
+    ODD_PI = [k * math.pi for k in range(-201, 202, 2)]
+    EDGES = [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, *ODD_PI]
+    EDGES += [float(np.nextafter(a, b)) for a in EDGES for b in (-math.inf, math.inf)]
+
+    @pytest.mark.parametrize("fn", [wrap_azimuth, fold_inclination])
+    def test_edges_agree_bit_for_bit(self, fn):
+        scalar, array = _scalar_and_array_forms(fn, self.EDGES)
+        assert scalar == array
+
+    @pytest.mark.parametrize("fn", [wrap_azimuth, fold_inclination])
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
+    def test_any_finite_angle_agrees_bit_for_bit(self, fn, angles):
+        scalar, array = _scalar_and_array_forms(fn, angles)
+        assert scalar == array
+
+    def test_ranges(self):
+        assert wrap_azimuth(-math.pi) == math.pi
+        assert wrap_azimuth(3.0 * math.pi) == math.pi
+        assert fold_inclination(-0.5) == 0.5
+        assert fold_inclination(math.pi + 0.5) == pytest.approx(math.pi - 0.5)
 
 
 class TestDetectionProb:
