@@ -44,15 +44,15 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_floats(text: str, expect: int | None = None) -> list[float]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = [p.strip() for p in text.split(",")]
     if expect is not None and len(parts) != expect:
         raise ConfigError(f"expected {expect} comma-separated values, got {len(parts)}")
     return [_parse_float(p) for p in parts]
 
 
 def _parse_levels(text: str) -> tuple:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts or parts[0].lower() != "off":
+    parts = [p.strip() for p in text.split(",")]
+    if parts[0].lower() != "off":
         raise ConfigError("power levels must start with 'off'")
     return (None, *[_parse_float(p) for p in parts[1:]])
 
@@ -97,7 +97,7 @@ def config_values(cfg: ScenarioConfig) -> dict[str, str]:
         "rf.near_field_loss_db": _fmt_float(cfg.rf.near_field_loss_db),
         "rf.path_loss_exponent": _fmt_float(cfg.rf.path_loss_exponent),
         "rf.attenuation_db": _fmt_float(cfg.rf.attenuation_db),
-        "rf.power_levels_db": "off," + _fmt_floats(cfg.rf.power_levels_db[1:]),
+        "rf.power_levels_db": ",".join(["off", *map(_fmt_float, cfg.rf.power_levels_db[1:])]),
         "rf.interference_threshold_db": _fmt_float(cfg.rf.interference_threshold_db),
         "control.tracking_threshold": _fmt_float(cfg.tracking_threshold),
         "control.ct_power_db": _fmt_float(cfg.ct_power_db),
@@ -177,7 +177,7 @@ def parse_config_text(text: str, overrides: dict | None = None, fallbacks: dict 
     if _DEG_ALIAS in raw:
         if "antenna.opening_angle_rad" in raw:
             raise ConfigError("antenna opening angle given in both degrees and radians")
-        degrees = _checked(_DEG_ALIAS, lambda: _parse_float(raw[_DEG_ALIAS]))
+        degrees = _value(raw, _DEG_ALIAS, _parse_float, lambda v: 0.0 < v < 180.0, "in (0, 180)")
         raw["antenna.opening_angle_rad"] = repr(math.radians(degrees))
         del raw[_DEG_ALIAS]
     if fallbacks:
@@ -203,108 +203,96 @@ def parse_config(path, overrides: dict | None = None, fallbacks: dict | None = N
     return parse_config_text(text, overrides=overrides, fallbacks=fallbacks)
 
 
-def _checked(key: str, build):
+def _value(values: dict[str, str], key: str, parse, valid=None, rule: str = ""):
+    """Parse ``values[key]``; an unparsable value, or one that fails ``valid``, names the key."""
     try:
-        return build()
-    except ConfigError as err:
+        value = parse(values[key])
+    except ValueError as err:  # ConfigError included
         raise ConfigError(f"{key}: {err}") from None
-    except ValueError as err:
-        raise ConfigError(f"{key}: {err}") from None
+    if valid is not None and not valid(value):
+        raise ConfigError(f"{key}: must be {rule}")
+    return value
+
+
+def _floats(expect: int | None = None):
+    return lambda text: _parse_floats(text, expect)
+
+
+# (valid, rule) pairs for ``_value``
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_NONNEG = (lambda v: v >= 0, ">= 0")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_NONNEG_EACH = (lambda v: min(v) >= 0, ">= 0 on every axis")
+_POSITIVE_LIST = (lambda v: v and min(v) > 0, "nonempty with every entry > 0")
 
 
 def _build(values: dict[str, str]) -> ScenarioConfig:
     mode = values["sim.mode"]
     if mode not in ("cstj", "ct"):
         raise ConfigError("sim.mode: must be 'cstj' or 'ct'")
-    seed = _checked("sim.seed", lambda: _parse_int(values["sim.seed"]))
-    if seed < 0:
-        raise ConfigError("sim.seed: must be >= 0")
-    n_agents = _checked("sim.agents", lambda: _parse_int(values["sim.agents"]))
-    if n_agents < 1:
-        raise ConfigError("sim.agents: must be >= 1")
-    n_steps = _checked("sim.steps", lambda: _parse_int(values["sim.steps"]))
-    if n_steps < 1:
-        raise ConfigError("sim.steps: must be >= 1")
-    n_trials = _checked("sim.trials", lambda: _parse_int(values["sim.trials"]))
-    if n_trials < 1:
-        raise ConfigError("sim.trials: must be >= 1")
+    seed = _value(values, "sim.seed", _parse_int, *_NONNEG)
+    n_agents = _value(values, "sim.agents", _parse_int, *_AT_LEAST_ONE)
+    n_steps = _value(values, "sim.steps", _parse_int, *_AT_LEAST_ONE)
+    n_trials = _value(values, "sim.trials", _parse_int, *_AT_LEAST_ONE)
 
-    arena_min = np.array(_checked("arena.min_m", lambda: _parse_floats(values["arena.min_m"], 3)))
-    arena_max = np.array(_checked("arena.max_m", lambda: _parse_floats(values["arena.max_m"], 3)))
+    arena_min = np.array(_value(values, "arena.min_m", _floats(3)))
+    arena_max = np.array(_value(values, "arena.max_m", _floats(3)))
     if not np.all(arena_max > arena_min):
-        raise ConfigError("arena.max_m: arena must have positive extent on every axis")
+        raise ConfigError("arena.max_m: must exceed arena.min_m on every axis")
 
-    init_text = values["target.init_state"]
     target_init = None
-    if init_text:
-        target_init = _checked(
-            "target.init_state", lambda: TargetState.from_vector(_parse_floats(init_text, 6))
-        )
+    if values["target.init_state"]:
+        target_init = TargetState.from_vector(_value(values, "target.init_state", _floats(6)))
 
-    prior_sigma = np.array(_checked("prior.sigma", lambda: _parse_floats(values["prior.sigma"], 6)))
-    if np.any(prior_sigma < 0):
-        raise ConfigError("prior.sigma: std devs must be >= 0")
+    prior_sigma = np.array(_value(values, "prior.sigma", _floats(6), *_NONNEG_EACH))
+    spawn_radius = _value(values, "spawn.radius_m", _parse_float, *_POSITIVE)
 
-    spawn_radius = _checked("spawn.radius_m", lambda: _parse_float(values["spawn.radius_m"]))
-    if not spawn_radius > 0:
-        raise ConfigError("spawn.radius_m: must be > 0")
-
-    motion = _checked(
-        "motion.*",
-        lambda: MotionModel(
-            _parse_float(values["motion.dt_s"]),
-            np.diag(_parse_floats(values["motion.accel_var"], 3)),
+    motion = MotionModel(
+        _value(values, "motion.dt_s", _parse_float, *_POSITIVE),
+        np.diag(_value(values, "motion.accel_var", _floats(3), *_NONNEG_EACH)),
+    )
+    actions = ActionGrid(
+        tuple(_value(values, "actions.radial_steps_m", _floats(), *_POSITIVE_LIST)),
+        _value(values, "actions.n_phi", _parse_int, *_AT_LEAST_ONE),
+        _value(values, "actions.n_theta", _parse_int, *_AT_LEAST_ONE),
+    )
+    sensing = SensingParams(
+        p_d_max=_value(values, "sensing.p_d_max", _parse_float, *_UNIT),
+        eta_per_m=_value(values, "sensing.eta_per_m", _parse_float, *_NONNEG),
+        r0_m=_value(values, "sensing.r0_m", _parse_float, *_NONNEG),
+        sigma_theta_rad=_value(values, "sensing.sigma_theta_rad", _parse_float, *_POSITIVE),
+        sigma_phi_rad=_value(values, "sensing.sigma_phi_rad", _parse_float, *_POSITIVE),
+        sigma_rho0_m=_value(values, "sensing.sigma_rho0_m", _parse_float, *_POSITIVE),
+        beta_rho=_value(values, "sensing.beta_rho", _parse_float, *_NONNEG),
+        clutter_rate=_value(values, "sensing.lambda_c", _parse_float, *_NONNEG),
+        rho_max_m=_value(values, "sensing.rho_max_m", _parse_float, *_POSITIVE),
+    )
+    antenna = AntennaParams(
+        effective_range_m=_value(values, "antenna.effective_range_m", _parse_float, *_POSITIVE),
+        opening_angle_rad=_value(
+            values, "antenna.opening_angle_rad", _parse_float, lambda v: 0.0 < v < math.pi, "in (0, pi)"
         ),
     )
-    actions = _checked(
-        "actions.*",
-        lambda: ActionGrid(
-            tuple(_parse_floats(values["actions.radial_steps_m"])),
-            _parse_int(values["actions.n_phi"]),
-            _parse_int(values["actions.n_theta"]),
+    rf = RfParams(
+        near_field_loss_db=_value(values, "rf.near_field_loss_db", _parse_float),
+        path_loss_exponent=_value(values, "rf.path_loss_exponent", _parse_float, *_POSITIVE),
+        attenuation_db=_value(values, "rf.attenuation_db", _parse_float),
+        power_levels_db=_value(
+            values,
+            "rf.power_levels_db",
+            _parse_levels,
+            lambda v: all(a < b for a, b in zip(v[1:], v[2:])),
+            "strictly increasing after 'off'",
         ),
-    )
-    sensing = _checked(
-        "sensing.*",
-        lambda: SensingParams(
-            p_d_max=_parse_float(values["sensing.p_d_max"]),
-            eta_per_m=_parse_float(values["sensing.eta_per_m"]),
-            r0_m=_parse_float(values["sensing.r0_m"]),
-            sigma_theta_rad=_parse_float(values["sensing.sigma_theta_rad"]),
-            sigma_phi_rad=_parse_float(values["sensing.sigma_phi_rad"]),
-            sigma_rho0_m=_parse_float(values["sensing.sigma_rho0_m"]),
-            beta_rho=_parse_float(values["sensing.beta_rho"]),
-            clutter_rate=_parse_float(values["sensing.lambda_c"]),
-            rho_max_m=_parse_float(values["sensing.rho_max_m"]),
-        ),
-    )
-    antenna = _checked(
-        "antenna.*",
-        lambda: AntennaParams(
-            effective_range_m=_parse_float(values["antenna.effective_range_m"]),
-            opening_angle_rad=_parse_float(values["antenna.opening_angle_rad"]),
-        ),
-    )
-    rf = _checked(
-        "rf.*",
-        lambda: RfParams(
-            near_field_loss_db=_parse_float(values["rf.near_field_loss_db"]),
-            path_loss_exponent=_parse_float(values["rf.path_loss_exponent"]),
-            attenuation_db=_parse_float(values["rf.attenuation_db"]),
-            power_levels_db=_parse_levels(values["rf.power_levels_db"]),
-            interference_threshold_db=_parse_float(values["rf.interference_threshold_db"]),
-        ),
+        interference_threshold_db=_value(values, "rf.interference_threshold_db", _parse_float),
     )
 
-    threshold = _checked("control.tracking_threshold", lambda: _parse_float(values["control.tracking_threshold"]))
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError("control.tracking_threshold: must lie in [0, 1]")
-    ct_power = _checked("control.ct_power_db", lambda: _parse_float(values["control.ct_power_db"]))
+    threshold = _value(values, "control.tracking_threshold", _parse_float, *_UNIT)
+    ct_power = _value(values, "control.ct_power_db", _parse_float)
     if mode == "ct" and ct_power not in [l for l in rf.power_levels_db if l is not None]:
         raise ConfigError("control.ct_power_db: must be one of the configured transmit levels")
-    particles = _checked("filter.particles", lambda: _parse_int(values["filter.particles"]))
-    if particles < 1:
-        raise ConfigError("filter.particles: must be >= 1")
+    particles = _value(values, "filter.particles", _parse_int, *_AT_LEAST_ONE)
 
     return ScenarioConfig(
         mode=mode,

@@ -3,8 +3,8 @@
 Positions are 3-vectors in metres, powers and losses in dB. Every antenna
 illuminates a right circular cone (height ``effective_range_m``, opening
 angle ``opening_angle_rad``) steered along an aim vector; a receiver outside
-the cone picks up no power at all, which the optional-returning helpers
-represent as ``None`` (and the broadcasting helper as NaN).
+the cone picks up no power at all, which ``received_power_map`` represents
+as NaN.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ def cone_contains(apex, axis_target, ant: AntennaParams, point):
 def received_power_map(tx_power_db: float, tx_pos, tx_aim, ant: AntennaParams, rf: RfParams, rx_pos):
     """Received power in dB with cone gating; NaN where the receiver is uncovered.
 
-    Vectorized workhorse behind :func:`received_power_db`; broadcasts over a
-    trailing (..., 3) axis on transmitter or receiver positions. An antenna
+    Broadcasts over a trailing (..., 3) axis on transmitter or receiver
+    positions. A NaN transmit power (the off level) gives NaN. An antenna
     whose aim coincides with its own position covers nothing.
     """
     inside, _ = _cone_mask(tx_pos, tx_aim, ant, rx_pos)
@@ -124,16 +124,6 @@ def received_power_map(tx_power_db: float, tx_pos, tx_aim, ant: AntennaParams, r
     safe = np.where(dist > 0.0, dist, 1.0)
     loss = rf.near_field_loss_db + 10.0 * rf.path_loss_exponent * np.log10(safe) + rf.attenuation_db
     return np.where(inside, tx_power_db - loss, np.nan)
-
-
-def received_power_db(tx_power_db, tx_pos, tx_aim, ant: AntennaParams, rf: RfParams, rx_pos):
-    """Power in dB delivered to ``rx_pos``; None when off or outside the cone."""
-    if tx_power_db is None:
-        return None
-    value = received_power_map(float(tx_power_db), tx_pos, tx_aim, ant, rf, rx_pos)
-    if np.ndim(value) != 0:
-        raise ValueError("received_power_db expects scalar endpoints")
-    return None if np.isnan(value) else float(value)
 
 
 def db_to_linear(x):

@@ -7,7 +7,10 @@ package so that agreement is meaningful.
 
 import math
 
+import numpy as np
+
 from cstj_sim.control import DecisionRecord, Fallback
+from cstj_sim.geometry_rf import received_power_map
 
 
 def wrap_angle(a: float) -> float:
@@ -183,3 +186,18 @@ def aggregate_increase_db(values_db, idx, new_db) -> float:
     old = values_db[idx]
     delta = 10.0 ** (old / 10.0) * math.expm1((new_db - old) * math.log(10.0) / 10.0)
     return 10.0 * math.log1p(delta / total) / math.log(10.0)
+
+
+def received_power_db(tx_power_db, tx_pos, tx_aim, ant, rf, rx_pos):
+    """Power in dB delivered to ``rx_pos``; None when off or outside the cone.
+
+    Unlike the rest of this module it wraps the package's
+    ``received_power_map``: the tests that build their expectations from it
+    demand the package's bits.
+    """
+    if tx_power_db is None:
+        return None
+    value = received_power_map(float(tx_power_db), tx_pos, tx_aim, ant, rf, rx_pos)
+    if np.ndim(value) != 0:
+        raise ValueError("received_power_db expects scalar endpoints")
+    return None if np.isnan(value) else float(value)

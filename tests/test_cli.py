@@ -112,3 +112,37 @@ def test_run_writes_every_output(tmp_path):
     assert config.config_values(resolved) == config.config_values(cfg)
     manifest = (out / "manifest.txt").read_text()
     assert "manifest.seed = 3" in manifest
+
+
+def test_preset_writes_every_output(tmp_path, monkeypatch):
+    def reduced(name, seed=0):
+        return [
+            (label, dataclasses.replace(cfg, n_trials=2, n_steps=2, n_particles=20))
+            for label, cfg in config.preset(name, seed=seed)
+        ]
+
+    files = {
+        "config_resolved": "config_resolved.txt", "manifest": "manifest.txt",
+        "steps": "steps.csv", "summary": "summary.csv",
+    }
+    monkeypatch.setattr(cli, "preset", reduced)
+    monkeypatch.delenv("CSTJ_SIM_SEED", raising=False)
+    out = tmp_path / "out"
+    assert cli.main(["preset", "figure3_compare", "--out", str(out), "--seed", "4"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["cstj", "ct", "manifest.txt"]
+    for label, cfg in reduced("figure3_compare", seed=4):
+        arm = out / label
+        assert sorted(p.name for p in arm.iterdir()) == sorted(files.values())
+        assert len((arm / "steps.csv").read_text().splitlines()) == 1 + cfg.n_trials * cfg.n_steps
+        assert len((arm / "summary.csv").read_text().splitlines()) == 1 + cfg.n_steps
+        resolved = config.parse_config(arm / "config_resolved.txt")
+        assert config.config_values(resolved) == config.config_values(cfg)
+        assert resolved.mode == label
+        assert "manifest.seed = 4" in (arm / "manifest.txt").read_text()
+    manifest = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    assert manifest["manifest.seed"] == "4"
+    assert manifest["manifest.preset"] == "figure3_compare"
+    assert float(manifest["manifest.duration_s"]) >= 0.0
+    for label in ("cstj", "ct"):
+        for name, file in files.items():
+            assert manifest[f"manifest.path.{label}.{name}"] == str(out / label / file)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstj_sim.config import ConfigError, config_values, format_config, parse_config_text
+from cstj_sim.config import KEY_DOCS, ConfigError, config_values, format_config, parse_config_text
 from cstj_sim.dynamics import ActionGrid, MotionModel, TargetState
 from cstj_sim.geometry_rf import AntennaParams, RfParams
 from cstj_sim.sensing import SensingParams
@@ -101,3 +101,58 @@ def test_duplicate_key_is_an_error(text, key, lines):
     message = str(err.value)
     assert key in message
     assert f"line {lines[1]}" in message and f"line {lines[0]}" in message
+
+
+# malformed values per key: not a number, not finite, the wrong count or out
+# of range, whichever applies; a leading "text | " sets other keys first
+BAD_VALUES = {
+    "sim.mode": ["fast", ""],
+    "sim.seed": ["x", "1.5", "-1"],
+    "sim.agents": ["x", "0"],
+    "sim.steps": ["x", "0"],
+    "sim.trials": ["x", "-2"],
+    "arena.min_m": ["0,0", "0,,0,0", "0,0,x", "0,0,inf", "200,0,0"],
+    "arena.max_m": ["1,1", "nan,1,1", "-5,100,100"],
+    "target.init_state": ["1,2,3", "1,2,3,4,5,x", "1,2,3,4,5,inf"],
+    "prior.sigma": ["1,1,1,1,1", "x,1,1,1,1,1", "1,1,1,1,1,-1"],
+    "spawn.radius_m": ["x", "inf", "0"],
+    "motion.dt_s": ["x", "nan", "0", "-1"],
+    "motion.accel_var": ["1,1", "1,1,x", "1,1,-1"],
+    "actions.radial_steps_m": ["", "1,,2", "1,x", "1,0", "1,-3"],
+    "actions.n_phi": ["x", "1.5", "0"],
+    "actions.n_theta": ["x", "0"],
+    "sensing.p_d_max": ["x", "nan", "1.5", "-0.1"],
+    "sensing.eta_per_m": ["x", "-1"],
+    "sensing.r0_m": ["x", "-1"],
+    "sensing.sigma_theta_rad": ["x", "0"],
+    "sensing.sigma_phi_rad": ["x", "-1"],
+    "sensing.sigma_rho0_m": ["x", "0"],
+    "sensing.beta_rho": ["x", "-0.1"],
+    "sensing.lambda_c": ["x", "inf", "-1"],
+    "sensing.rho_max_m": ["x", "0"],
+    "antenna.effective_range_m": ["x", "0"],
+    "antenna.opening_angle_rad": ["x", "0", "3.2"],
+    "antenna.opening_angle_deg": ["x", "0", "180", "200"],
+    "rf.near_field_loss_db": ["x", "inf"],
+    "rf.path_loss_exponent": ["x", "0"],
+    "rf.attenuation_db": ["x", "nan"],
+    "rf.power_levels_db": ["10,20", "off,,10", "off,x", "off,10,0", "off,5,5"],
+    "rf.interference_threshold_db": ["x", "-inf"],
+    "control.tracking_threshold": ["x", "1.5", "-0.5"],
+    "control.ct_power_db": ["x", "sim.mode = ct | 3"],
+    "filter.particles": ["x", "0"],
+}
+
+
+def test_bad_values_cover_every_key():
+    assert set(BAD_VALUES) == set(KEY_DOCS)
+
+
+@pytest.mark.parametrize(
+    "key, value", [(key, value) for key, values in BAD_VALUES.items() for value in values]
+)
+def test_malformed_value_is_an_error_naming_its_key(key, value):
+    setup, _, value = value.rpartition(" | ")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"{setup}\n{key} = {value}\n")
+    assert key in str(err.value)

@@ -13,9 +13,9 @@ from cstj_sim.control import (
     tracking_objective,
 )
 from cstj_sim.dynamics import ActionGrid, AgentState, TargetState, enumerate_actions
-from cstj_sim.geometry_rf import AntennaParams, RfParams, aggregate_power_db, received_power_db
+from cstj_sim.geometry_rf import AntennaParams, RfParams, aggregate_power_db
 from cstj_sim.sensing import SensingParams
-from oracles import cone_contains, solve_jamming_reference
+from oracles import cone_contains, received_power_db, solve_jamming_reference
 
 ANT = AntennaParams(100.0, math.radians(80.0))
 RF = RfParams(32.4, 2.5, 6.0206, (None, -10.0, 0.0, 7.0, 10.0), -50.0)

@@ -10,7 +10,7 @@ from cstj_sim.geometry_rf import (
     aggregate_power_db,
     cone_contains,
     path_loss_db,
-    received_power_db,
+    received_power_map,
 )
 from oracles import aggregate_increase_db
 
@@ -89,22 +89,21 @@ class TestConeContains:
 
 class TestReceivedPower:
     def test_on_axis_one_metre(self):
-        got = received_power_db(10.0, ORIGIN, [0, 0, 10.0], ANT, RF, [0, 0, 1.0])
+        got = received_power_map(10.0, ORIGIN, [0, 0, 10.0], ANT, RF, [0, 0, 1.0])
         assert got == pytest.approx(10.0 - 38.4206, rel=1e-12)
 
     def test_outside_cone_is_absent(self):
-        assert received_power_db(10.0, ORIGIN, [0, 0, 10.0], ANT, RF, [0, 0, -5.0]) is None
+        assert np.isnan(received_power_map(10.0, ORIGIN, [0, 0, 10.0], ANT, RF, [0, 0, -5.0]))
 
     def test_off_level_is_absent(self):
-        assert received_power_db(None, ORIGIN, [0, 0, 10.0], ANT, RF, [0, 0, 1.0]) is None
+        assert np.isnan(received_power_map(np.nan, ORIGIN, [0, 0, 10.0], ANT, RF, [0, 0, 1.0]))
 
     def test_strictly_decreasing_along_axis(self):
         distances = np.linspace(0.5, ANT.effective_range_m, 40)
-        powers = [
-            received_power_db(7.0, ORIGIN, [0, 0, 10.0], ANT, RF, [0, 0, d]) for d in distances
-        ]
-        assert all(p is not None for p in powers)
-        assert all(a > b for a, b in zip(powers, powers[1:]))
+        points = np.stack([np.zeros(40), np.zeros(40), distances], axis=1)
+        powers = received_power_map(7.0, ORIGIN, [0, 0, 10.0], ANT, RF, points)
+        assert not np.isnan(powers).any()
+        assert (np.diff(powers) < 0).all()
 
 
 class TestAggregatePower:

@@ -8,7 +8,8 @@ import pytest
 from cstj_sim.control import DecisionRecord, Fallback
 from cstj_sim.dynamics import TargetState
 from cstj_sim.estimation import Estimate
-from cstj_sim.geometry_rf import aggregate_power_db, received_power_db
+from cstj_sim import sim
+from cstj_sim.geometry_rf import aggregate_power_db, received_power_map
 from cstj_sim.sim import (
     ScenarioConfig,
     TrialSummary,
@@ -19,6 +20,7 @@ from cstj_sim.sim import (
     run_trials,
     summarize_trials,
 )
+from oracles import received_power_db
 
 
 def _small_cfg(**kwargs) -> ScenarioConfig:
@@ -134,6 +136,32 @@ class TestComputeMetrics:
         assert metrics.target_power_db is None
         assert metrics.max_interference_db is None
         assert not metrics.violation
+
+    def test_all_off_skips_the_power_map_and_matches_it(self, monkeypatch):
+        cfg = ScenarioConfig()
+        rng = np.random.default_rng(7)
+        truth = TargetState(rng.uniform(30, 70, 3), [0, 0, 0])
+        decisions = [
+            DecisionRecord(i, truth.position + rng.uniform(-10, 10, 3), 0, truth.position, None, Fallback.NONE)
+            for i in range(4)
+        ]
+        # what the power map gives for the same step
+        positions = np.array([d.chosen_position for d in decisions])
+        aims = np.array([d.aim_point for d in decisions])
+        receivers = np.vstack([positions, truth.position])
+        received = received_power_map(
+            cfg.rf.power_db([0] * 4), positions, aims, cfg.antenna, cfg.rf, receivers[:, None]
+        )
+        calls = []
+        monkeypatch.setattr(sim, "received_power_map", lambda *args: calls.append(args))
+        metrics = compute_metrics(truth, self._estimate(truth.position), decisions, cfg.antenna, cfg.rf)
+        assert calls == []
+        np.testing.assert_array_equal(metrics.pair_interference_db, received[:-1])
+        assert metrics.pair_interference_db.dtype == received.dtype
+        assert metrics.target_power_db is aggregate_power_db(received[-1][~np.isnan(received[-1])])
+        assert metrics.agent_interference_db == [aggregate_power_db(row[~np.isnan(row)]) for row in received[:-1]]
+        assert metrics.max_interference_db is None
+        assert metrics.violation is False
 
     def test_single_transmitter_on_axis(self):
         cfg = ScenarioConfig()
