@@ -11,10 +11,10 @@ __version__ = "0.1.0"
 
 from .dynamics import ActionGrid, AgentState, MotionModel, TargetState
 from .geometry_rf import AntennaParams, RfParams
-from .sensing import Measurement, SensingParams
+from .sensing import SensingParams
 from .estimation import Estimate, ParticleSet
 from .control import DecisionRecord, Fallback
-from .sim import ScenarioConfig, StepLog, TrialSummary, run_monte_carlo, run_trial
+from .sim import ScenarioConfig, StepLog, TrialSummary, run_trial
 
 __all__ = [
     "__version__",
@@ -24,7 +24,6 @@ __all__ = [
     "DecisionRecord",
     "Estimate",
     "Fallback",
-    "Measurement",
     "MotionModel",
     "ParticleSet",
     "RfParams",
@@ -33,6 +32,5 @@ __all__ = [
     "StepLog",
     "TargetState",
     "TrialSummary",
-    "run_monte_carlo",
     "run_trial",
 ]

@@ -108,6 +108,8 @@ def _write_manifest(out_dir: Path, cfg: ScenarioConfig, paths: dict[str, Path], 
 
 def _run_one(cfg: ScenarioConfig, out_dir: Path, jobs: int) -> dict[str, Path]:
     start = time.perf_counter()
+    # an unusable output path fails here, before any trial runs
+    out_dir.mkdir(parents=True, exist_ok=True)
     logs = run_trials(cfg, jobs=jobs)
     paths = emit_csv(logs, out_dir)
     resolved = out_dir / "config_resolved.txt"
@@ -217,7 +219,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_preset(args)
-    except ConfigError as err:
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

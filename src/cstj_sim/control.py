@@ -51,13 +51,8 @@ class DecisionRecord:
         self.aim_point = np.asarray(self.aim_point, dtype=float).reshape(3)
 
 
-def tracking_objective(predicted_target: TargetState, candidate_pos, p: SensingParams) -> float:
-    """Detection probability of the predicted drone from a candidate position."""
-    delta = predicted_target.position - np.asarray(candidate_pos, dtype=float)
-    return detection_prob_at_distance(np.sqrt((delta * delta).sum()), p)
-
-
 def _tracking_scores(predicted_target: TargetState, candidates, p: SensingParams) -> np.ndarray:
+    """Detection probability of the predicted drone from each candidate position."""
     delta = np.asarray(candidates, dtype=float) - predicted_target.position
     return detection_prob_at_distance(np.sqrt((delta * delta).sum(axis=-1)), p)
 

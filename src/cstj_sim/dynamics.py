@@ -98,35 +98,6 @@ def step_target(state: TargetState, model: MotionModel, rng: np.random.Generator
     return TargetState(position, velocity)
 
 
-def transition_logpdf(next_state: TargetState, prev_state: TargetState, model: MotionModel) -> float:
-    """Log density of one propagation step from prev_state to next_state.
-
-    The 6x6 process covariance has rank at most 3, so the density lives on
-    the 3D acceleration subspace: the noise draw is recovered from the
-    velocity residual and the position residual must agree with it (relative
-    tolerance 1e-6); inconsistent residuals give -inf.
-    """
-    dt = model.dt
-    nu = (next_state.velocity - prev_state.velocity) / dt
-    pos_from_noise = 0.5 * dt**2 * nu
-    expected_pos = prev_state.position + dt * prev_state.velocity + pos_from_noise
-    residual = next_state.position - expected_pos
-    scale = max(
-        1.0,
-        float(np.abs(next_state.position - prev_state.position).max()),
-        float(np.abs(pos_from_noise).max()),
-    )
-    if float(np.abs(residual).max()) > 1e-6 * scale:
-        return float("-inf")
-    try:
-        chol = np.linalg.cholesky(model.accel_noise_cov)
-    except np.linalg.LinAlgError:
-        raise ValueError("degenerate noise covariance") from None
-    z = np.linalg.solve(chol, nu)
-    log_det = 2.0 * np.log(np.diag(chol)).sum()
-    return float(-0.5 * (z @ z) - 0.5 * log_det - 1.5 * math.log(2.0 * math.pi))
-
-
 @lru_cache(maxsize=None)
 def _grid_offsets(grid: ActionGrid) -> np.ndarray:
     d_phi = math.pi / grid.n_phi

@@ -18,11 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MotionModel, TargetState
-from .sensing import (
-    SensingParams,
-    detection_prob_at_distance,
-    measurement_array,
-)
+from .sensing import SensingParams, detection_prob_at_distance
 
 
 @dataclass
@@ -39,7 +35,8 @@ class ParticleSet:
             raise ValueError("states must be an (n, 6) array with n >= 1")
         if self.weights.shape != (len(self.states),):
             raise ValueError("weights must match the particle count")
-        if self.weights.min() < 0 or abs(self.weights.sum() - 1.0) > 1e-9:
+        # written so that NaN weights fail the check
+        if not (self.weights.min() >= 0 and abs(self.weights.sum() - 1.0) <= 1e-9):
             raise ValueError("weights must be nonnegative and sum to one")
 
     def __len__(self) -> int:
@@ -186,12 +183,6 @@ def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
     return np.full(len(states), -np.inf)
 
 
-def likelihood(measurements, x: TargetState, s_pos, p: SensingParams) -> float:
-    """Exact measurement-set likelihood value for a single state."""
-    log_l = _log_set_likelihood(x.as_vector()[None, :], measurement_array(measurements), s_pos, p)
-    return float(np.exp(log_l)[0])
-
-
 def effective_sample_size(weights) -> float:
     return float(1.0 / np.sum(np.asarray(weights, dtype=float) ** 2))
 
@@ -308,6 +299,9 @@ def update(
 ) -> tuple[ParticleSet, bool]:
     """Reweight by the set likelihood, then resample if the ESS drops below n/2.
 
+    ``measurements`` is the set as ``sensing.collect`` returns it: an (n, 3)
+    array of (range [m], azimuth in (-pi, pi], inclination in [0, pi]) rows.
+
     An ESS below n/2 marks a degenerate update: the likelihood is much
     narrower than the predicted cloud, and resampling the cloud alone would
     copy the few particles that happen to lie near a return, clutter
@@ -338,8 +332,7 @@ def update(
     likelihood underflows to zero for every particle the prior weights are
     kept and the flag is set.
     """
-    meas = measurement_array(measurements)
-    log_l = _log_set_likelihood(ps.states, meas, sensor_pos, p)
+    log_l = _log_set_likelihood(ps.states, measurements, sensor_pos, p)
     log_w = _safe_log(ps.weights) + log_l
     peak = log_w.max()
     if not np.isfinite(peak):
@@ -348,7 +341,7 @@ def update(
     weights /= weights.sum()
     states = ps.states
     if effective_sample_size(weights) < 0.5 * len(weights):
-        mixed = _mixture_resample(ps, log_w, meas, sensor_pos, p, rng) if len(meas) else None
+        mixed = _mixture_resample(ps, log_w, measurements, sensor_pos, p, rng) if len(measurements) else None
         if mixed is not None:
             return ParticleSet(mixed, np.full(len(weights), 1.0 / len(weights))), False
         indices = _systematic_resample(weights, rng)
@@ -387,53 +380,46 @@ def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _information_matrix(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """The symmetrised inverse of ``cov`` and the condition number of ``cov``.
-
-    A covariance that is not comfortably invertible is inverted with
-    ``1e-9`` added to its diagonal; its condition number is then reported
-    as infinite.
-    """
-    cov = 0.5 * (cov + cov.T)
-    eye = np.eye(len(cov))
-    # prefer the raw covariance when it is comfortably invertible
-    eigs = np.linalg.eigvalsh(cov)
-    candidates = [cov] if eigs.min() > 1e-12 * max(1.0, eigs.max()) else []
-    candidates.append(cov + 1e-9 * eye)
-    for candidate in candidates:
-        try:
-            info = np.linalg.inv(candidate)
-        except np.linalg.LinAlgError:
-            continue
-        if np.isfinite(info).all():
-            cond = float(eigs.max() / eigs.min()) if candidate is cov else math.inf
-            return 0.5 * (info + info.T), cond
-    raise ValueError("singular covariance after regularization")
+def _inverses(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv`` of each matrix in a stack; NaN where one is singular."""
+    try:
+        return np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        out = np.full_like(stack, np.nan)
+        for i, matrix in enumerate(stack):
+            try:
+                out[i] = np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def _information_matrices(covs: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """``_information_matrix`` of each covariance in a (k, 6, 6) stack.
+    """The symmetrised inverse and the condition number of each covariance in a (k, 6, 6) stack.
 
-    One stacked ``eigvalsh`` and one stacked ``inv`` serve every covariance
-    that takes the raw path; numpy runs the same LAPACK call on each matrix
-    of a stack, so the bytes equal those of the one-matrix calls. Any other
-    covariance, or the whole stack when a stacked call fails, goes through
-    ``_information_matrix`` one at a time.
+    A covariance that is not comfortably invertible, or whose inverse is
+    singular or not finite, is inverted with ``1e-9`` added to its
+    diagonal; its condition number is then reported as infinite. Numpy runs
+    the same LAPACK call on each matrix of a stack, so the bytes equal
+    those of one-matrix calls.
     """
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    eigs = np.linalg.eigvalsh(covs)
+    low, high = eigs.min(axis=1), eigs.max(axis=1)
     infos = np.full_like(covs, np.nan)
-    try:
-        eigs = np.linalg.eigvalsh(covs)
-        low, high = eigs.min(axis=1), eigs.max(axis=1)
-        raw = low > 1e-12 * np.maximum(1.0, high)
-        infos[raw] = np.linalg.inv(covs[raw])
-    except np.linalg.LinAlgError:
-        return [_information_matrix(cov) for cov in covs]
+    conds = np.full(len(covs), math.inf)
+    # prefer the raw covariance when it is comfortably invertible
+    raw = low > 1e-12 * np.maximum(1.0, high)
+    infos[raw] = _inverses(covs[raw])
+    conds[raw] = high[raw] / low[raw]
+    failed = ~np.isfinite(infos).all(axis=(1, 2))
+    if failed.any():
+        infos[failed] = _inverses(covs[failed] + 1e-9 * np.eye(covs.shape[-1]))
+        conds[failed] = math.inf
+        if not np.isfinite(infos).all():
+            raise ValueError("singular covariance after regularization")
     infos = 0.5 * (infos + infos.transpose(0, 2, 1))
-    ok = np.isfinite(infos).all(axis=(1, 2))  # false off the raw path
-    return [
-        (infos[i], float(high[i] / low[i])) if ok[i] else _information_matrix(covs[i]) for i in range(len(covs))
-    ]
+    return list(zip(infos, conds.tolist()))
 
 
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
@@ -542,7 +528,7 @@ class _TraceKey:
 
 
 def _ci_pair(a: Estimate, b: Estimate, info_a, cond_a: float, info_b, cond_b: float) -> Estimate:
-    """Fuse two estimates, given the ``_information_matrix`` result of each."""
+    """Fuse two estimates, given the ``_information_matrices`` entry of each."""
     fused_trace = _FusedTrace(info_a, info_b, cond_a, cond_b).key
 
     w_star = _golden_section_min(fused_trace, 0.0, 1.0, 1e-6)
@@ -569,7 +555,7 @@ def ci_fuse(estimates) -> Estimate:
     too ill-conditioned for the bound runs on exact traces alone.
 
     The information matrices of all the inputs come from one stacked call;
-    only the running fused estimate's is built one at a time. Callers fix
+    the running fused estimate's comes from a stack of one. Callers fix
     the fold order (ascending agent id in the simulator); a single estimate
     is returned unchanged.
     """
@@ -581,5 +567,5 @@ def ci_fuse(estimates) -> Estimate:
     infos = _information_matrices(np.array([e.covariance for e in estimates]))
     fused = _ci_pair(estimates[0], estimates[1], *infos[0], *infos[1])
     for other, info in zip(estimates[2:], infos[2:]):
-        fused = _ci_pair(fused, other, *_information_matrix(fused.covariance), *info)
+        fused = _ci_pair(fused, other, *_information_matrices(fused.covariance[None])[0], *info)
     return fused

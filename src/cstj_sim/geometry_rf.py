@@ -59,26 +59,14 @@ class RfParams:
         return np.array([np.nan, *self.power_levels_db[1:]])[index]
 
 
-def _distance(a, b):
-    delta = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    return np.sqrt((delta * delta).sum(axis=-1))
-
-
-def path_loss_db(tx_pos, rx_pos, rf: RfParams):
-    """Log-distance path loss in dB between two points.
-
-    Broadcasts over a trailing (..., 3) axis on either endpoint. Raises on
-    coincident endpoints, where the log-distance model is singular.
-    """
-    dist = _distance(tx_pos, rx_pos)
-    if np.any(dist == 0.0):
-        raise ValueError("coincident endpoints: path loss undefined at zero distance")
-    loss = rf.near_field_loss_db + 10.0 * rf.path_loss_exponent * np.log10(dist) + rf.attenuation_db
-    return float(loss) if np.ndim(loss) == 0 else loss
-
-
 def _cone_mask(apex, axis_target, ant: AntennaParams, point):
-    """(inside, degenerate) masks; degenerate axes never contain anything."""
+    """True where ``point`` lies inside the cone aimed from apex at axis_target.
+
+    Membership requires the angle off the axis to be at most half the opening
+    angle and the axial projection to fall within [0, effective_range_m]. The
+    apex itself is excluded, and a degenerate axis (axis_target on the apex)
+    contains nothing. Broadcasts over (..., 3) on any argument.
+    """
     apex = np.asarray(apex, dtype=float)
     axis = np.asarray(axis_target, dtype=float) - apex
     axis_norm = np.sqrt((axis * axis).sum(axis=-1))
@@ -95,20 +83,7 @@ def _cone_mask(apex, axis_target, ant: AntennaParams, point):
         & (along >= vnorm * cos_half)
         & ~degenerate
     )
-    return inside, degenerate
-
-
-def cone_contains(apex, axis_target, ant: AntennaParams, point):
-    """True where ``point`` lies inside the cone aimed from apex at axis_target.
-
-    Membership requires the angle off the axis to be at most half the opening
-    angle and the axial projection to fall within [0, effective_range_m]. The
-    apex itself is excluded. Broadcasts over (..., 3) on any argument.
-    """
-    inside, degenerate = _cone_mask(apex, axis_target, ant, point)
-    if np.any(degenerate):
-        raise ValueError("cone axis undefined: axis_target coincides with apex")
-    return bool(inside) if np.ndim(inside) == 0 else inside
+    return inside
 
 
 def received_power_map(tx_power_db: float, tx_pos, tx_aim, ant: AntennaParams, rf: RfParams, rx_pos):
@@ -118,7 +93,7 @@ def received_power_map(tx_power_db: float, tx_pos, tx_aim, ant: AntennaParams, r
     positions. A NaN transmit power (the off level) gives NaN. An antenna
     whose aim coincides with its own position covers nothing.
     """
-    inside, _ = _cone_mask(tx_pos, tx_aim, ant, rx_pos)
+    inside = _cone_mask(tx_pos, tx_aim, ant, rx_pos)
     delta = np.asarray(rx_pos, dtype=float) - np.asarray(tx_pos, dtype=float)
     dist = np.sqrt((delta * delta).sum(axis=-1))
     safe = np.where(dist > 0.0, dist, 1.0)

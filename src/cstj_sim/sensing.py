@@ -4,6 +4,9 @@ A sensor at ``s`` observes the drone as (range, azimuth, inclination) with
 additive Gaussian noise whose range component grows with distance, detects it
 with a distance-decaying probability, and additionally receives a Poisson
 number of false alarms spread uniformly over the measurement space.
+
+A measurement set is an (n, 3) float array with one row per return:
+range in m, in [0, rho_max]; azimuth in (-pi, pi]; inclination in [0, pi].
 """
 
 from __future__ import annotations
@@ -36,24 +39,6 @@ def fold_inclination(angle):
         return abs((float(angle) + math.pi) % _TWO_PI - math.pi)
     folded = np.abs(np.mod(np.asarray(angle, dtype=float) + np.pi, 2.0 * np.pi) - np.pi)
     return float(folded) if np.ndim(folded) == 0 else folded
-
-
-@dataclass
-class Measurement:
-    """One spherical observation: range [m], azimuth (-pi, pi], inclination [0, pi]."""
-
-    range_m: float
-    azimuth_rad: float
-    inclination_rad: float
-
-    def __post_init__(self):
-        self.range_m = float(self.range_m)
-        self.azimuth_rad = wrap_azimuth(float(self.azimuth_rad))
-        self.inclination_rad = float(self.inclination_rad)
-        if self.range_m < 0:
-            raise ValueError("range_m must be >= 0")
-        if not 0.0 <= self.inclination_rad <= math.pi:
-            raise ValueError("inclination_rad must lie in [0, pi]")
 
 
 @dataclass(frozen=True)
@@ -109,50 +94,48 @@ def spherical_coords(delta):
     return rng, azimuth, inclination
 
 
-def measurement_fn(x: TargetState, s_pos) -> Measurement:
-    """Noise-free spherical observation of the drone from ``s_pos``."""
-    delta = x.position - np.asarray(s_pos, dtype=float)
-    rng, azimuth, inclination = spherical_coords(delta)
-    if rng == 0.0:
+def sample_measurement(
+    x: TargetState, s_pos, p: SensingParams, rng: np.random.Generator
+) -> tuple[float, float, float]:
+    """Noisy (range, azimuth, inclination) return of the drone, as Python floats.
+
+    The range is clamped into [0, rho_max], the azimuth wrapped and the
+    inclination folded into their ranges. Raises where sensor and drone
+    coincide, since the angles are undefined there.
+    """
+    range_m, azimuth, inclination = spherical_coords(x.position - np.asarray(s_pos, dtype=float))
+    if range_m == 0.0:
         raise ValueError("coincident sensor and target: angles undefined")
-    return Measurement(float(rng), float(azimuth), float(inclination))
-
-
-def sample_measurement(x: TargetState, s_pos, p: SensingParams, rng: np.random.Generator) -> Measurement:
-    """Noisy observation; range clamped into [0, rho_max], angles wrapped/folded."""
-    base = measurement_fn(x, s_pos)
-    sigma_rho = p.sigma_rho0_m + p.beta_rho * base.range_m
-    noisy_range = base.range_m + sigma_rho * rng.standard_normal()
-    noisy_azimuth = base.azimuth_rad + p.sigma_theta_rad * rng.standard_normal()
-    noisy_inclination = base.inclination_rad + p.sigma_phi_rad * rng.standard_normal()
-    return Measurement(
+    # arctan2 may give -pi, which the (-pi, pi] convention writes as pi
+    range_m, azimuth, inclination = float(range_m), wrap_azimuth(float(azimuth)), float(inclination)
+    sigma_rho = p.sigma_rho0_m + p.beta_rho * range_m
+    noisy_range = range_m + sigma_rho * rng.standard_normal()
+    noisy_azimuth = azimuth + p.sigma_theta_rad * rng.standard_normal()
+    noisy_inclination = inclination + p.sigma_phi_rad * rng.standard_normal()
+    return (
         min(max(noisy_range, 0.0), p.rho_max_m),
         wrap_azimuth(noisy_azimuth),
         fold_inclination(noisy_inclination),
     )
 
 
-def sample_clutter(p: SensingParams, rng: np.random.Generator) -> list[Measurement]:
-    """Poisson-many false alarms, uniform over the measurement space."""
+def sample_clutter(p: SensingParams, rng: np.random.Generator) -> np.ndarray:
+    """Poisson-many false alarms, uniform over the measurement space, as (count, 3) rows."""
     count = int(rng.poisson(p.clutter_rate))
     ranges = rng.uniform(0.0, p.rho_max_m, size=count)
     azimuths = rng.uniform(-math.pi, math.pi, size=count)
     inclinations = rng.uniform(0.0, math.pi, size=count)
-    return [Measurement(r, a, i) for r, a, i in zip(ranges, azimuths, inclinations)]
+    return np.column_stack([ranges, wrap_azimuth(azimuths), inclinations])
 
 
-def collect(x: TargetState, s_pos, p: SensingParams, rng: np.random.Generator) -> list[Measurement]:
-    """One step's measurement set: maybe the target return, plus clutter, shuffled."""
-    items: list[Measurement] = []
-    if rng.random() < detection_prob(x, s_pos, p):
-        items.append(sample_measurement(x, s_pos, p, rng))
-    items.extend(sample_clutter(p, rng))
-    order = rng.permutation(len(items))
-    return [items[i] for i in order]
+def collect(x: TargetState, s_pos, p: SensingParams, rng: np.random.Generator) -> np.ndarray:
+    """One step's measurement set: maybe the target return, plus clutter, shuffled.
 
-
-def measurement_array(measurements) -> np.ndarray:
-    """Stack measurements into an (n, 3) array of (range, azimuth, inclination)."""
-    if not measurements:
-        return np.empty((0, 3))
-    return np.array([[m.range_m, m.azimuth_rad, m.inclination_rad] for m in measurements])
+    Returns an (n, 3) array of (range [m], azimuth in (-pi, pi], inclination
+    in [0, pi]) rows. The draws come in a fixed order: the detection draw,
+    the target return's noise, the clutter, then the shuffle.
+    """
+    detected = rng.random() < detection_prob(x, s_pos, p)
+    target = [sample_measurement(x, s_pos, p, rng)] if detected else []
+    rows = np.concatenate([np.reshape(target, (-1, 3)), sample_clutter(p, rng)])
+    return rows[rng.permutation(len(rows))]

@@ -14,7 +14,7 @@ so results are reproducible and independent of trial scheduling.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -328,16 +328,6 @@ def summarize_trials(per_trial: list[TrialSummary]) -> MonteCarloSummary:
         max_interference_db=_nanmean_over_trials(np.stack([t.max_interference_db for t in per_trial])),
         per_trial=per_trial,
     )
-
-
-def run_monte_carlo(cfg: ScenarioConfig, n_trials: int | None = None, jobs: int = 1) -> MonteCarloSummary:
-    """Run the configured trials (count overridable) and aggregate per step."""
-    if n_trials is not None:
-        cfg = replace(cfg, n_trials=n_trials)
-    if cfg.n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    logs = run_trials(cfg, jobs=jobs)
-    return summarize_trials([TrialSummary.from_logs(trial) for trial in logs])
 
 
 def mean_target_power_db(logs_by_trial: list[list[StepLog]]) -> float | None:

@@ -29,6 +29,8 @@ def detection_prob(x_pos, s_pos, p) -> float:
 
 
 def measurement_density(meas, x_pos, s_pos, p) -> float:
+    """Gaussian density of one (range, azimuth, inclination) row given the drone position."""
+    meas_range, meas_azimuth, meas_inclination = (float(v) for v in meas)
     dx = x_pos[0] - s_pos[0]
     dy = x_pos[1] - s_pos[1]
     dz = x_pos[2] - s_pos[2]
@@ -37,14 +39,17 @@ def measurement_density(meas, x_pos, s_pos, p) -> float:
     inclination = math.atan2(math.hypot(dx, dy), dz)
     sigma_rho = p.sigma_rho0_m + p.beta_rho * rng
     return (
-        gaussian_pdf(meas.range_m, rng, sigma_rho)
-        * gaussian_pdf(wrap_angle(meas.azimuth_rad - azimuth), 0.0, p.sigma_theta_rad)
-        * gaussian_pdf(meas.inclination_rad - inclination, 0.0, p.sigma_phi_rad)
+        gaussian_pdf(meas_range, rng, sigma_rho)
+        * gaussian_pdf(wrap_angle(meas_azimuth - azimuth), 0.0, p.sigma_theta_rad)
+        * gaussian_pdf(meas_inclination - inclination, 0.0, p.sigma_phi_rad)
     )
 
 
 def likelihood_by_hypotheses(measurements, x, s_pos, p) -> float:
-    """Sum over association hypotheses: all-clutter, or one measurement is the target."""
+    """Sum over association hypotheses: all-clutter, or one measurement is the target.
+
+    ``measurements`` holds one (range, azimuth, inclination) row per return.
+    """
     p_d = detection_prob(x.position, s_pos, p)
     lam = p.clutter_rate
     p_c = 1.0 / (p.rho_max_m * 2.0 * math.pi * math.pi)

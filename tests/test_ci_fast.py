@@ -12,7 +12,7 @@ import pytest
 
 import ci_referee
 from cstj_sim.dynamics import TargetState
-from cstj_sim.estimation import Estimate, _FusedTrace, _information_matrix, ci_fuse
+from cstj_sim.estimation import Estimate, _FusedTrace, _information_matrices, ci_fuse
 
 
 def _cov(rng, cond, scale=1.0, basis=None):
@@ -71,7 +71,7 @@ def _assert_same_bytes(estimates):
 
 
 def _fused_trace(cov_a, cov_b):
-    (info_a, cond_a), (info_b, cond_b) = (_information_matrix(c) for c in (cov_a, cov_b))
+    (info_a, cond_a), (info_b, cond_b) = _information_matrices(np.array([cov_a, cov_b]))
     return _FusedTrace(info_a, info_b, cond_a, cond_b)
 
 
@@ -127,7 +127,7 @@ def test_regularised_covariance_matches_referee():
     rng = np.random.default_rng(4)
     basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     flat = basis @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 1e-14]) @ basis.T
-    assert _information_matrix(0.5 * (flat + flat.T))[1] == math.inf  # the +1e-9 path
+    assert _information_matrices(0.5 * (flat + flat.T)[None])[0][1] == math.inf  # the +1e-9 path
     estimates = [_estimate(rng, _cov(rng, 10.0)), _estimate(rng, flat), _estimate(rng, _cov(rng, 10.0))]
     _assert_same_bytes(estimates)
     _assert_same_bytes(estimates[::-1])
@@ -139,7 +139,7 @@ def test_failed_cholesky_matches_referee():
     basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     indefinite = basis @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, -1e-6]) @ basis.T
     est = _estimate(rng, indefinite)
-    info, _ = _information_matrix(est.covariance)
+    info, _ = _information_matrices(est.covariance[None])[0]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(info)
     _assert_same_bytes([_estimate(rng, _cov(rng, 10.0)), est])

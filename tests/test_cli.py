@@ -96,6 +96,24 @@ def test_unreadable_config_fails_before_writing(kind, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "preset"])
+def test_unusable_out_fails_before_any_trial(command, tmp_path, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_trials", no_trials)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    out = blocker / "x"
+    if command == "run":
+        argv = ["run", "--config", str(_config_file(tmp_path)), "--out", str(out)]
+    else:
+        argv = ["preset", "figure3_compare", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
 def test_run_writes_every_output(tmp_path):
     cfg = ScenarioConfig(n_agents=2, n_steps=2, n_trials=2, n_particles=20, seed=3)
     path = tmp_path / "tiny.cfg"

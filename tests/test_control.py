@@ -6,16 +6,17 @@ import pytest
 from cstj_sim.control import (
     DecisionRecord,
     Fallback,
+    _best_tracking,
+    _tracking_scores,
     admissible_set,
     ct_decide,
     sequential_decide,
     solve_jamming,
-    tracking_objective,
 )
 from cstj_sim.dynamics import ActionGrid, AgentState, TargetState, enumerate_actions
 from cstj_sim.geometry_rf import AntennaParams, RfParams, aggregate_power_db
 from cstj_sim.sensing import SensingParams
-from oracles import cone_contains, received_power_db, solve_jamming_reference
+from oracles import cone_contains, detection_prob, received_power_db, solve_jamming_reference
 
 ANT = AntennaParams(100.0, math.radians(80.0))
 RF = RfParams(32.4, 2.5, 6.0206, (None, -10.0, 0.0, 7.0, 10.0), -50.0)
@@ -38,20 +39,22 @@ def _pred(position) -> TargetState:
 
 
 class TestTrackingObjective:
+    """The detection probability each candidate scores, as the controller computes it."""
+
     def test_inside_full_detection(self):
-        assert tracking_objective(_pred([1.0, 0, 0]), [0.5, 0, 0], SENSING) == SENSING.p_d_max
+        assert _tracking_scores(_pred([1.0, 0, 0]), [[0.5, 0, 0]], SENSING)[0] == SENSING.p_d_max
 
     def test_beyond_cutoff(self):
-        assert tracking_objective(_pred([51.5, 0, 0]), [0.0, 0, 0], SENSING) == 0.0
+        assert _tracking_scores(_pred([51.5, 0, 0]), [[0.0, 0, 0]], SENSING)[0] == 0.0
 
     def test_argmax_matches_brute_force(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             target = _pred(rng.uniform(0, 40, 3))
             actions = enumerate_actions(AgentState(0, rng.uniform(0, 40, 3)), GRID)
-            scores = [tracking_objective(target, a, SENSING) for a in actions]
-            best = int(np.argmax(scores))
-            assert scores[best] == max(scores)
+            scores = [detection_prob(target.position, a, SENSING) for a in actions]
+            best = _best_tracking(target, actions, SENSING)
+            assert detection_prob(target.position, best, SENSING) == max(scores)
 
 
 class TestAdmissibleSet:
@@ -126,7 +129,7 @@ class TestSolveJamming:
         assert rec.power_index == 0
         received = received_power_db(10.0, jammer_pos, [0.0, 0.0, 10.0], ANT, RF, rec.chosen_position)
         assert received == pytest.approx(10.0 - 38.4206)  # indeed above the -50 dB limit
-        scores = [tracking_objective(target, c, SENSING) for c in candidates]
+        scores = [detection_prob(target.position, c, SENSING) for c in candidates]
         np.testing.assert_array_equal(rec.chosen_position, candidates[int(np.argmax(scores))])
 
     def test_power_off_fallback_keeps_inbound_safe_candidates(self):
@@ -337,7 +340,7 @@ class TestSequentialDecide:
         decisions = sequential_decide([agent], [far_target], [actions], ANT, RF, SENSING, 0.8)
         assert decisions[0].fallback_used is Fallback.TRACKING
         assert decisions[0].power_index == 0
-        scores = [tracking_objective(far_target, a, SENSING) for a in actions]
+        scores = [detection_prob(far_target.position, a, SENSING) for a in actions]
         np.testing.assert_array_equal(decisions[0].chosen_position, actions[int(np.argmax(scores))])
 
     def test_all_off_causes_no_interference(self):
@@ -369,7 +372,7 @@ class TestCtDecide:
         target = _pred([40.0, 0.0, 0.0])
         actions = enumerate_actions(agent, GRID)
         decisions = ct_decide([agent], [target], [actions], SENSING, 3)
-        scores = [tracking_objective(target, a, SENSING) for a in actions]
+        scores = [detection_prob(target.position, a, SENSING) for a in actions]
         np.testing.assert_array_equal(decisions[0].chosen_position, actions[int(np.argmax(scores))])
 
     def test_power_is_always_the_constant(self):

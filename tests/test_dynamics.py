@@ -11,7 +11,6 @@ from cstj_sim.dynamics import (
     TargetState,
     enumerate_actions,
     step_target,
-    transition_logpdf,
 )
 from oracles import enumerate_actions_reference
 
@@ -57,34 +56,6 @@ class TestStepTarget:
         np.testing.assert_allclose(
             m1.transition_matrix() @ m2.transition_matrix(), m12.transition_matrix()
         )
-
-
-class TestTransitionLogpdf:
-    def test_noiseless_propagation_is_the_mode(self):
-        prev = TargetState([0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
-        next_ = TargetState(prev.position + prev.velocity, prev.velocity)
-        got = transition_logpdf(next_, prev, MODEL)
-        cov = MODEL.accel_noise_cov
-        mode = -0.5 * math.log(np.linalg.det(cov)) - 1.5 * math.log(2 * math.pi)
-        assert got == pytest.approx(mode, rel=1e-12)
-
-    def test_one_sigma_noise_costs_half(self):
-        prev = TargetState([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        nu = np.array([math.sqrt(2.0), 0.0, 0.0])  # one std dev on the first axis
-        next_ = TargetState(0.5 * nu, nu)
-        mode = transition_logpdf(TargetState([0, 0, 0], [0, 0, 0]), prev, MODEL)
-        assert transition_logpdf(next_, prev, MODEL) == pytest.approx(mode - 0.5, rel=1e-12)
-
-    def test_inconsistent_residuals_are_impossible(self):
-        prev = TargetState([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-        next_ = TargetState([5.0, 0.0, 0.0], [1.0, 0.0, 0.0])  # moved without matching noise
-        assert transition_logpdf(next_, prev, MODEL) == float("-inf")
-
-    def test_singular_covariance_raises(self):
-        model = MotionModel(1.0, np.diag([1.0, 1.0, 0.0]))
-        prev = TargetState([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="degenerate"):
-            transition_logpdf(prev, prev, model)
 
 
 class TestEnumerateActions:

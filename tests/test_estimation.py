@@ -15,16 +15,13 @@ from cstj_sim.estimation import (
     eap,
     effective_sample_size,
     init_particles,
-    likelihood,
     predict,
     predicted_state,
     update,
 )
 from cstj_sim.sensing import (
-    Measurement,
     SensingParams,
     collect,
-    measurement_array,
     sample_measurement,
     spherical_coords,
     wrap_azimuth,
@@ -47,12 +44,35 @@ SENSING = SensingParams(
 
 
 def _random_measurements(rng, count):
-    return [
-        Measurement(
-            rng.uniform(0, SENSING.rho_max_m), rng.uniform(-math.pi, math.pi), rng.uniform(0, math.pi)
-        )
+    """(count, 3) uniform returns, drawn row by row."""
+    rows = [
+        [rng.uniform(0, SENSING.rho_max_m), wrap_azimuth(rng.uniform(-math.pi, math.pi)), rng.uniform(0, math.pi)]
         for _ in range(count)
     ]
+    return np.reshape(rows, (count, 3))
+
+
+class TestParticleSet:
+    def test_valid_set_accepted(self):
+        ps = ParticleSet(np.zeros((2, 6)), [0.25, 0.75])
+        assert len(ps) == 2
+
+    @pytest.mark.parametrize(
+        "states,weights,match",
+        [
+            (np.zeros((2, 5)), [0.5, 0.5], "states"),
+            (np.zeros((0, 6)), [], "states"),
+            (np.zeros((2, 6)), [1.0], "particle count"),
+            (np.zeros((2, 6)), [1.5, -0.5], "nonnegative"),
+            (np.zeros((2, 6)), [0.5, 0.6], "sum to one"),
+            (np.zeros((2, 6)), [math.nan, math.nan], "sum to one"),
+            (np.zeros((2, 6)), [math.nan, 1.0], "sum to one"),
+            (np.zeros((2, 6)), [math.inf, 0.0], "sum to one"),
+        ],
+    )
+    def test_invalid_sets_rejected(self, states, weights, match):
+        with pytest.raises(ValueError, match=match):
+            ParticleSet(states, weights)
 
 
 class TestInitParticles:
@@ -138,14 +158,16 @@ class TestLikelihood:
         x = TargetState([10.0, 0, 0], [0, 0, 0])
         p_d = 0.99  # inside full-detection radius is 0.99 only within 11.5 m; here d=10
         expected = (1 - (SENSING.p_d_max - SENSING.eta_per_m * (10 - 2))) * math.exp(-15.0)
-        assert likelihood([], x, [0, 0, 0], SENSING) == pytest.approx(expected, rel=1e-12)
+        got = np.exp(_log_set_likelihood(x.as_vector()[None, :], np.empty((0, 3)), [0, 0, 0], SENSING))[0]
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_blind_sensor_clutter_only(self):
         blind = SensingParams(0.0, 0.0, 2.0, 0.1, 0.1, 0.1, 0.0, 15.0, SENSING.rho_max_m)
         rng = np.random.default_rng(4)
         measurements = _random_measurements(rng, 3)
         expected = math.exp(-15.0) * (15.0 * blind.clutter_density) ** 3
-        got = likelihood(measurements, TargetState([5.0, 0, 0], [0, 0, 0]), [0, 0, 0], blind)
+        x = TargetState([5.0, 0, 0], [0, 0, 0])
+        got = np.exp(_log_set_likelihood(x.as_vector()[None, :], measurements, [0, 0, 0], blind))[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_matches_hypothesis_enumeration(self):
@@ -154,7 +176,7 @@ class TestLikelihood:
             x = TargetState(rng.uniform(0, 100, 3), rng.uniform(-2, 2, 3))
             s_pos = rng.uniform(0, 100, 3)
             measurements = _random_measurements(rng, int(rng.integers(0, 5)))
-            got = likelihood(measurements, x, s_pos, SENSING)
+            got = np.exp(_log_set_likelihood(x.as_vector()[None, :], measurements, s_pos, SENSING))[0]
             expected = likelihood_by_hypotheses(measurements, x, s_pos, SENSING)
             assert got == pytest.approx(expected, rel=1e-12)
 
@@ -163,7 +185,8 @@ class TestLikelihood:
         for _ in range(50):
             x = TargetState(rng.uniform(0, 100, 3), [0, 0, 0])
             measurements = _random_measurements(rng, int(rng.integers(0, 4)))
-            assert likelihood(measurements, x, rng.uniform(0, 100, 3), SENSING) > 0.0
+            log_l = _log_set_likelihood(x.as_vector()[None, :], measurements, rng.uniform(0, 100, 3), SENSING)
+            assert np.exp(log_l)[0] > 0.0
 
     def test_wrap_difference_matches_wrap_azimuth(self):
         # measurement azimuths lie in (-pi, pi], particle azimuths in [-pi, pi]
@@ -242,7 +265,7 @@ class TestUpdate:
         weights = rng.random(100)
         weights /= weights.sum()
         ps = ParticleSet(states, weights)
-        out, uninformative = update(ps, [], [0, 0, 0], flat, rng)
+        out, uninformative = update(ps, np.empty((0, 3)), [0, 0, 0], flat, rng)
         assert not uninformative
         np.testing.assert_allclose(out.weights, weights, rtol=1e-12)
 
@@ -254,11 +277,8 @@ class TestUpdate:
         wide = SensingParams(0.9, 0.01, 2.0, 0.5, 0.5, 5.0, 0.05, 3.0, SENSING.rho_max_m)
         states = truth.as_vector() + rng.normal(scale=2.0, size=(300, 6))
         weights = np.full(300, 1 / 300)
-        measurements = [sample_measurement(truth, s_pos, wide, rng)]
-        oracle = np.array(
-            [likelihood(measurements, TargetState.from_vector(s), s_pos, wide) for s in states]
-        )
-        oracle = weights * oracle
+        measurements = np.array([sample_measurement(truth, s_pos, wide, rng)])
+        oracle = weights * np.exp(_log_set_likelihood(states, measurements, s_pos, wide))
         oracle /= oracle.sum()
         assert effective_sample_size(oracle) >= 150  # construction keeps the no-resample branch
         ps = ParticleSet(states, weights)
@@ -297,7 +317,7 @@ class TestUpdate:
         spread = states.std(axis=0).max()
         for _ in range(1000):
             ps = ParticleSet(states, weights)
-            out, _ = update(ps, [], [0, 0, 0], _flat_sensing(), rng)
+            out, _ = update(ps, np.empty((0, 3)), [0, 0, 0], _flat_sensing(), rng)
             assert np.allclose(out.weights, 1 / 200)  # ESS of peaked weights triggers resample
             means.append(out.weights @ out.states)
         std_err = spread / math.sqrt(1000 * effective_sample_size(weights))
@@ -318,8 +338,8 @@ class TestUpdate:
         for dx, dy, dz in ([-3.0, 2.0, 1.0], [2.0, 3.0, -2.5]):
             x, y, z = center[:3] + [dx, dy, dz]
             rho = math.sqrt(x * x + y * y + z * z)
-            measurements.append(Measurement(rho, math.atan2(y, x), math.atan2(math.hypot(x, y), z)))
-        meas = measurement_array(measurements)
+            measurements.append((rho, wrap_azimuth(math.atan2(y, x)), math.atan2(math.hypot(x, y), z)))
+        meas = np.array(measurements)
 
         # importance-sampling reference from the exact prior; the set
         # likelihood is checked against hypothesis enumeration above
@@ -338,7 +358,7 @@ class TestUpdate:
             w /= w.sum()
             assert effective_sample_size(w) < n / 2
             plain.append(ps.states[_systematic_resample(w, rng)].mean(axis=0))
-            out, uninformative = update(ps, measurements, s_pos, SENSING, rng)
+            out, uninformative = update(ps, meas, s_pos, SENSING, rng)
             assert not uninformative
             mixed.append(out.weights @ out.states)
         mixed, plain = np.array(mixed), np.array(plain)

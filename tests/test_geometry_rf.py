@@ -8,8 +8,6 @@ from cstj_sim.geometry_rf import (
     AntennaParams,
     RfParams,
     aggregate_power_db,
-    cone_contains,
-    path_loss_db,
     received_power_map,
 )
 from oracles import aggregate_increase_db
@@ -17,6 +15,19 @@ from oracles import aggregate_increase_db
 RF = RfParams(32.4, 2.5, 6.0206, (None, -10.0, 0.0, 7.0, 10.0), -50.0)
 ANT = AntennaParams(100.0, math.radians(80.0))
 ORIGIN = np.zeros(3)
+# a cone along +x long enough to cover every receiver the path-loss tests use
+COVER = AntennaParams(1e7, math.radians(80.0))
+
+
+def _path_loss_db(distance):
+    """Path loss to receivers on the covering cone's axis: 0 dB sent less the power received."""
+    rx = np.multiply.outer(distance, [1.0, 0.0, 0.0])
+    return -received_power_map(0.0, ORIGIN, [1.0, 0.0, 0.0], COVER, RF, rx)
+
+
+def _covered(apex, aim, point):
+    """Cone membership as the power map sees it: a receiver outside gets NaN."""
+    return not np.isnan(received_power_map(0.0, apex, aim, ANT, RF, point))
 
 
 class TestPathLoss:
@@ -25,11 +36,7 @@ class TestPathLoss:
         [(1.0, 38.4206), (10.0, 63.4206), (100.0, 88.4206)],
     )
     def test_reference_distances(self, distance, expected):
-        assert path_loss_db(ORIGIN, [distance, 0, 0], RF) == pytest.approx(expected, rel=1e-12)
-
-    def test_coincident_endpoints_raise(self):
-        with pytest.raises(ValueError, match="coincident"):
-            path_loss_db([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], RF)
+        assert _path_loss_db(distance) == pytest.approx(expected, rel=1e-12)
 
     @given(
         d1=st.floats(min_value=1e-3, max_value=1e4),
@@ -37,11 +44,10 @@ class TestPathLoss:
     )
     def test_strictly_increasing_in_distance(self, d1, factor):
         d2 = d1 * factor
-        assert path_loss_db(ORIGIN, [d1, 0, 0], RF) < path_loss_db(ORIGIN, [d2, 0, 0], RF)
+        assert _path_loss_db(d1) < _path_loss_db(d2)
 
     def test_broadcasts_over_receivers(self):
-        rx = np.array([[1.0, 0, 0], [10.0, 0, 0]])
-        out = path_loss_db(ORIGIN, rx, RF)
+        out = _path_loss_db(np.array([1.0, 10.0]))
         assert out.shape == (2,)
         assert out[0] == pytest.approx(38.4206)
 
@@ -49,27 +55,27 @@ class TestPathLoss:
 class TestConeContains:
     def test_on_axis_midrange(self):
         aim = np.array([0.0, 0.0, 10.0])
-        assert cone_contains(ORIGIN, aim, ANT, [0.0, 0.0, ANT.effective_range_m / 2])
+        assert _covered(ORIGIN, aim, [0.0, 0.0, ANT.effective_range_m / 2])
 
     def test_just_outside_half_angle(self):
         angle = ANT.opening_angle_rad / 2 + 0.01
         point = 10.0 * np.array([math.sin(angle), 0.0, math.cos(angle)])
-        assert not cone_contains(ORIGIN, [0, 0, 10.0], ANT, point)
+        assert not _covered(ORIGIN, [0, 0, 10.0], point)
 
     def test_beyond_effective_range(self):
-        assert not cone_contains(ORIGIN, [0, 0, 10.0], ANT, [0, 0, ANT.effective_range_m + 1.0])
+        assert not _covered(ORIGIN, [0, 0, 10.0], [0, 0, ANT.effective_range_m + 1.0])
 
     def test_apex_excluded(self):
-        assert not cone_contains(ORIGIN, [0, 0, 10.0], ANT, ORIGIN)
+        assert not _covered(ORIGIN, [0, 0, 10.0], ORIGIN)
 
     def test_boundary_angle_included(self):
         angle = ANT.opening_angle_rad / 2
         point = 10.0 * np.array([math.sin(angle), 0.0, math.cos(angle)])
-        assert cone_contains(ORIGIN, [0, 0, 10.0], ANT, point)
+        assert _covered(ORIGIN, [0, 0, 10.0], point)
 
-    def test_degenerate_axis_raises(self):
-        with pytest.raises(ValueError, match="axis"):
-            cone_contains(ORIGIN, ORIGIN, ANT, [1.0, 0, 0])
+    def test_degenerate_axis_covers_nothing(self):
+        points = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, -1.0, 0]])
+        assert np.isnan(received_power_map(0.0, ORIGIN, ORIGIN, ANT, RF, points)).all()
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(42)
@@ -82,8 +88,8 @@ class TestConeContains:
             rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             if np.linalg.det(rot) < 0:
                 rot[:, 0] *= -1
-            before = cone_contains(apex, aim, ANT, point)
-            after = cone_contains(rot @ apex, rot @ aim, ANT, rot @ point)
+            before = _covered(apex, aim, point)
+            after = _covered(rot @ apex, rot @ aim, rot @ point)
             assert before == after
 
 

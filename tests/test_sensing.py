@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -8,14 +10,13 @@ from scipy import stats
 
 from cstj_sim.dynamics import TargetState
 from cstj_sim.sensing import (
-    Measurement,
     SensingParams,
     collect,
     detection_prob,
     fold_inclination,
-    measurement_fn,
     sample_clutter,
     sample_measurement,
+    spherical_coords,
     wrap_azimuth,
 )
 
@@ -94,23 +95,30 @@ class TestDetectionProb:
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
 
+def _observe(offset):
+    """Noise-free (range, azimuth, inclination) of a drone at ``offset`` from the sensor."""
+    return spherical_coords(np.asarray(offset, dtype=float))
+
+
 class TestMeasurementFn:
+    """The measurement function: ``spherical_coords`` of the sensor-to-drone offset."""
+
     def test_directly_above(self):
-        m = measurement_fn(_at([0.0, 0.0, 5.0]), [0, 0, 0])
-        assert (m.range_m, m.inclination_rad) == (5.0, 0.0)
+        rho, _, inclination = _observe([0.0, 0.0, 5.0])
+        assert (rho, inclination) == (5.0, 0.0)
 
     def test_diagonal_in_plane(self):
-        m = measurement_fn(_at([1.0, 1.0, 0.0]), [0, 0, 0])
-        assert m.range_m == pytest.approx(math.sqrt(2))
-        assert m.azimuth_rad == pytest.approx(math.pi / 4)
-        assert m.inclination_rad == pytest.approx(math.pi / 2)
+        rho, azimuth, inclination = _observe([1.0, 1.0, 0.0])
+        assert rho == pytest.approx(math.sqrt(2))
+        assert azimuth == pytest.approx(math.pi / 4)
+        assert inclination == pytest.approx(math.pi / 2)
 
     def test_directly_below(self):
-        assert measurement_fn(_at([0, 0, -5.0]), [0, 0, 0]).inclination_rad == pytest.approx(math.pi)
+        assert _observe([0, 0, -5.0])[2] == pytest.approx(math.pi)
 
     def test_coincident_raises(self):
         with pytest.raises(ValueError, match="coincident"):
-            measurement_fn(_at([1.0, 1.0, 1.0]), [1.0, 1.0, 1.0])
+            sample_measurement(_at([1.0, 1.0, 1.0]), [1.0, 1.0, 1.0], DEFAULTS, np.random.default_rng(0))
 
     def test_round_trip_to_cartesian(self):
         rng = np.random.default_rng(3)
@@ -118,12 +126,12 @@ class TestMeasurementFn:
             delta = rng.uniform(-80, 80, 3)
             if np.linalg.norm(delta) < 1e-6:
                 continue
-            m = measurement_fn(_at(delta), [0, 0, 0])
-            back = m.range_m * np.array(
+            rho, azimuth, inclination = _observe(delta)
+            back = rho * np.array(
                 [
-                    math.sin(m.inclination_rad) * math.cos(m.azimuth_rad),
-                    math.sin(m.inclination_rad) * math.sin(m.azimuth_rad),
-                    math.cos(m.inclination_rad),
+                    math.sin(inclination) * math.cos(azimuth),
+                    math.sin(inclination) * math.sin(azimuth),
+                    math.cos(inclination),
                 ]
             )
             np.testing.assert_allclose(back, delta, rtol=1e-9, atol=1e-9)
@@ -132,17 +140,18 @@ class TestMeasurementFn:
 class TestSampleMeasurement:
     def test_zero_noise_equals_truth(self):
         rng = np.random.default_rng(0)
-        truth = measurement_fn(_at([3.0, 4.0, 5.0]), [0, 0, 0])
+        truth = _observe([3.0, 4.0, 5.0])
         sampled = sample_measurement(_at([3.0, 4.0, 5.0]), [0, 0, 0], _noise_free(), rng)
-        assert sampled.range_m == pytest.approx(truth.range_m, abs=1e-9)
-        assert sampled.azimuth_rad == pytest.approx(truth.azimuth_rad, abs=1e-9)
+        assert all(type(v) is float for v in sampled)
+        assert sampled[0] == pytest.approx(truth[0], abs=1e-9)
+        assert sampled[1] == pytest.approx(truth[1], abs=1e-9)
 
     def test_range_noise_scales_with_distance(self):
         rng = np.random.default_rng(11)
         target = _at([10.0, 0.0, 0.0])
         n = 100_000
         residuals = np.array(
-            [sample_measurement(target, [0, 0, 0], DEFAULTS, rng).range_m - 10.0 for _ in range(n)]
+            [sample_measurement(target, [0, 0, 0], DEFAULTS, rng)[0] - 10.0 for _ in range(n)]
         )
         expected = DEFAULTS.sigma_rho0_m + DEFAULTS.beta_rho * 10.0  # 2.5 m
         assert residuals.std() == pytest.approx(expected, rel=0.02)
@@ -150,11 +159,11 @@ class TestSampleMeasurement:
     def test_azimuth_residual_unbiased(self):
         rng = np.random.default_rng(12)
         target = _at([10.0, 10.0, 0.0])
-        truth = measurement_fn(target, [0, 0, 0]).azimuth_rad
+        truth = _observe(target.position)[1]
         n = 100_000
         residuals = np.array(
             [
-                wrap_azimuth(sample_measurement(target, [0, 0, 0], DEFAULTS, rng).azimuth_rad - truth)
+                wrap_azimuth(sample_measurement(target, [0, 0, 0], DEFAULTS, rng)[1] - truth)
                 for _ in range(n)
             ]
         )
@@ -177,19 +186,20 @@ class TestClutter:
     def test_samples_inside_measurement_space(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            for m in sample_clutter(DEFAULTS, rng):
-                assert 0.0 <= m.range_m <= DEFAULTS.rho_max_m
-                assert -math.pi < m.azimuth_rad <= math.pi
-                assert 0.0 <= m.inclination_rad <= math.pi
+            for rho, azimuth, inclination in sample_clutter(DEFAULTS, rng):
+                assert 0.0 <= rho <= DEFAULTS.rho_max_m
+                assert -math.pi < azimuth <= math.pi
+                assert 0.0 <= inclination <= math.pi
 
     def test_coordinates_uniform(self):
         rng = np.random.default_rng(9)
         samples = []
         while len(samples) < 10_000:
             samples.extend(sample_clutter(DEFAULTS, rng))
-        rho = np.array([m.range_m for m in samples]) / DEFAULTS.rho_max_m
-        azimuth = (np.array([m.azimuth_rad for m in samples]) + math.pi) / (2 * math.pi)
-        inclination = np.array([m.inclination_rad for m in samples]) / math.pi
+        samples = np.array(samples)
+        rho = samples[:, 0] / DEFAULTS.rho_max_m
+        azimuth = (samples[:, 1] + math.pi) / (2 * math.pi)
+        inclination = samples[:, 2] / math.pi
         for coords in (rho, azimuth, inclination):
             assert stats.kstest(coords[:10_000], "uniform").pvalue > 0.01
 
@@ -205,7 +215,7 @@ class TestCollect:
         rng = np.random.default_rng(4)
         blind = SensingParams(0.0, 0.0, 2.0, 0.1, 0.1, 0.1, 0.0, 0.0, DEFAULTS.rho_max_m)
         for _ in range(50):
-            assert collect(_at([5.0, 0, 0]), [0, 0, 0], blind, rng) == []
+            assert collect(_at([5.0, 0, 0]), [0, 0, 0], blind, rng).shape == (0, 3)
 
     def test_mean_cardinality(self):
         rng = np.random.default_rng(6)
@@ -226,15 +236,46 @@ class TestCollect:
         assert abs(empties / n - expected) < 3 * std_err
 
 
-class TestMeasurementType:
-    def test_azimuth_wraps_on_construction(self):
-        assert Measurement(1.0, 3 * math.pi / 2, 0.5).azimuth_rad == pytest.approx(-math.pi / 2)
-        assert Measurement(1.0, -math.pi, 0.5).azimuth_rad == pytest.approx(math.pi)
+class TestCollectDrawOrder:
+    """``collect`` keeps the bytes and the draws of the per-return objects it replaced.
 
-    def test_negative_range_rejected(self):
-        with pytest.raises(ValueError, match="range"):
-            Measurement(-0.1, 0.0, 0.5)
+    The digests are the sha256 of eight successive sets, each as the bytes
+    of its (n, 3) float64 array, taken from the earlier implementation that
+    built one object per return and stacked them; the last value is the
+    generator's next ``random()`` after the eight sets, so the number and
+    order of draws must match too. The drone sits at azimuth -pi (a -0.0
+    offset), where the noise-free azimuth is wrapped to pi before noise.
+    """
 
-    def test_inclination_bounds_enforced(self):
-        with pytest.raises(ValueError, match="inclination"):
-            Measurement(1.0, 0.0, 3.5)
+    CASES = {
+        "certain_with_clutter": (
+            SensingParams(1.0, 0.0, 2.0, 0.1, 0.1, 0.1, 0.0, 15.0, DEFAULTS.rho_max_m),
+            [-5.0, -0.0, 1.0], 21, [15, 7, 19, 21, 23, 12, 16, 10],
+            "6835062351bc4c3eae6dcbf04217d3c74b2a9b14d5c2886b9e1dfc9e92dab2d7", 0.19894049952101078,
+        ),
+        "blind_with_clutter": (
+            SensingParams(0.0, 0.0, 2.0, 0.1, 0.1, 0.1, 0.0, 15.0, DEFAULTS.rho_max_m),
+            [-5.0, -0.0, 1.0], 22, [11, 16, 17, 12, 15, 18, 11, 10],
+            "503d3ed61861e6a1067128e6489f012cd1e8693137ccb0a91e2afdeb6b09cf79", 0.3342490664554314,
+        ),
+        "clutter_free": (
+            dataclasses.replace(DEFAULTS, clutter_rate=0.0),
+            [20.0, -20.0, 10.0], 23, [0, 0, 1, 1, 1, 1, 0, 0],
+            "3d3047d6cae206968d3e275889b172842c2cb55f632f1799ccb9962d8efecc1d", 0.018217355778746724,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bytes_and_next_draw_pinned(self, name):
+        p, position, seed, sizes, digest, next_draw = self.CASES[name]
+        rng = np.random.default_rng(seed)
+        sha = hashlib.sha256()
+        got_sizes = []
+        for _ in range(8):
+            rows = collect(_at(position), [0.0, 0.0, 0.0], p, rng)
+            assert rows.dtype == np.float64 and rows.shape == (len(rows), 3)
+            sha.update(rows.tobytes())
+            got_sizes.append(len(rows))
+        assert got_sizes == sizes
+        assert sha.hexdigest() == digest
+        assert rng.random() == next_draw

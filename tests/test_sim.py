@@ -15,7 +15,6 @@ from cstj_sim.sim import (
     TrialSummary,
     compute_metrics,
     mean_target_power_db,
-    run_monte_carlo,
     run_trial,
     run_trials,
     summarize_trials,
@@ -235,7 +234,7 @@ class TestComputeMetrics:
 class TestMonteCarlo:
     def test_single_trial_equals_summary(self):
         cfg = _small_cfg(n_trials=1)
-        summary = run_monte_carlo(cfg)
+        summary = summarize_trials([TrialSummary.from_logs(logs) for logs in run_trials(cfg)])
         direct = TrialSummary.from_logs(run_trial(cfg, 0))
         np.testing.assert_allclose(summary.tracking_error_m, direct.tracking_error_m)
         np.testing.assert_array_equal(
@@ -258,7 +257,8 @@ class TestMonteCarlo:
 
     def test_trial_count_override(self):
         cfg = _small_cfg(n_trials=5)
-        summary = run_monte_carlo(cfg, n_trials=2)
+        logs = run_trials(dataclasses.replace(cfg, n_trials=2))
+        summary = summarize_trials([TrialSummary.from_logs(trial) for trial in logs])
         assert len(summary.per_trial) == 2
 
     def test_mean_target_power_handles_absent(self):
