@@ -14,7 +14,7 @@ from .geometry_rf import AntennaParams, RfParams
 from .sensing import SensingParams
 from .estimation import Estimate, ParticleSet
 from .control import DecisionRecord, Fallback
-from .sim import ScenarioConfig, StepLog, TrialSummary, run_trial
+from .sim import ScenarioConfig, StepLog, run_trial
 
 __all__ = [
     "__version__",
@@ -31,6 +31,5 @@ __all__ = [
     "SensingParams",
     "StepLog",
     "TargetState",
-    "TrialSummary",
     "run_trial",
 ]

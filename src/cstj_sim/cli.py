@@ -5,12 +5,8 @@ summary.csv (per-step cross-trial means), config_resolved.txt (the exact
 resolved configuration, re-parseable), and manifest.txt (version, seed,
 output paths, wall-clock duration, and an inline config echo).
 
-The summary.csv means are those of ``sim.summarize_trials``:
-``mean_tracking_error_m`` averages over every trial; ``mean_target_power_db``
-and ``mean_max_pair_interference_db`` are arithmetic means of the dB values
-over the trials where the value exists at that step, blank where it exists in
-none. They are not linear-power means; ``sim.mean_target_power_db`` is one,
-and only the benchmark reports it.
+The summary.csv columns are the per-step means of ``sim.step_means``, which
+says how each is taken; a mean that exists in no trial is left blank.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from .config import (
     parse_config,
     preset,
 )
-from .sim import ScenarioConfig, StepLog, TrialSummary, run_trials, summarize_trials
+from .sim import ScenarioConfig, StepLog, run_trials, step_means
 
 
 def _fmt(value: float) -> str:
@@ -85,10 +81,7 @@ def emit_csv(logs_by_trial: list[list[StepLog]], out_dir) -> dict[str, Path]:
             ["step", "mean_tracking_error_m", "mean_target_power_db", "mean_max_pair_interference_db"]
         )
         if logs_by_trial:
-            means = summarize_trials([TrialSummary.from_logs(logs) for logs in logs_by_trial])
-            for log, error, power, interference in zip(
-                logs_by_trial[0], means.tracking_error_m, means.target_power_db, means.max_interference_db
-            ):
+            for log, error, power, interference in zip(logs_by_trial[0], *step_means(logs_by_trial)):
                 writer.writerow([str(log.step), _fmt(error), _opt(power), _opt(interference)])
     return {"steps": steps_path, "summary": summary_path}
 

@@ -22,10 +22,6 @@ class ConfigError(ValueError):
     """Invalid configuration file, key, or value."""
 
 
-def default_config() -> ScenarioConfig:
-    return ScenarioConfig()
-
-
 def _parse_float(text: str) -> float:
     try:
         value = float(text)
@@ -108,7 +104,7 @@ def config_values(cfg: ScenarioConfig) -> dict[str, str]:
 # degrees are accepted as an input alias for the opening angle; the resolved
 # echo always carries radians so that emitted configs re-parse bit-exactly
 _DEG_ALIAS = "antenna.opening_angle_deg"
-CONFIG_KEYS = tuple(config_values(default_config()).keys()) + (_DEG_ALIAS,)
+CONFIG_KEYS = tuple(config_values(ScenarioConfig()).keys()) + (_DEG_ALIAS,)
 
 # one-line unit/meaning notes per key, surfaced through --help and the README
 KEY_DOCS = {
@@ -186,7 +182,7 @@ def parse_config_text(text: str, overrides: dict | None = None, fallbacks: dict 
     if overrides:
         for key, value in overrides.items():
             raw[key] = str(value)
-    values = config_values(default_config())
+    values = config_values(ScenarioConfig())
     values.update(raw)
     return _build(values)
 
@@ -328,7 +324,7 @@ def preset(name: str, seed: int = 0) -> list[tuple[str, ScenarioConfig]]:
     """
     if seed < 0:
         raise ConfigError("sim.seed: must be >= 0")
-    base = default_config()
+    base = ScenarioConfig()
     if name == "figure3_compare":
         shared = replace(base, n_agents=4, n_steps=50, n_trials=50, seed=seed, ct_power_db=7.0)
         return [("cstj", replace(shared, mode="cstj")), ("ct", replace(shared, mode="ct"))]

@@ -61,6 +61,16 @@ class MotionModel:
         gamma[3:] = self.dt * np.eye(3)
         return gamma
 
+    def accel_noise(self, rng: np.random.Generator, shape=()) -> np.ndarray:
+        """Acceleration draws of shape (*shape, 3).
+
+        They equal ``rng.multivariate_normal(0, cov, shape)`` bit for bit
+        (the same normals times the same SVD factor) without its per-call
+        validity check, which ``__post_init__`` has already made.
+        """
+        u, s, _ = np.linalg.svd(self.accel_noise_cov)
+        return rng.standard_normal((*shape, 3)) @ (u * np.sqrt(s)).T
+
 
 @dataclass
 class AgentState:
@@ -83,16 +93,17 @@ class ActionGrid:
 
     def __post_init__(self):
         steps = tuple(float(r) for r in self.radial_steps_m)
-        if len(steps) == 0 or any(r <= 0 for r in steps):
-            raise ValueError("radial_steps_m must be nonempty with all steps > 0")
-        if self.n_phi < 1 or self.n_theta < 1:
+        # written so that NaN fails the checks
+        if len(steps) == 0 or not all(0 < r < math.inf for r in steps):
+            raise ValueError("radial_steps_m must be nonempty with all steps finite and > 0")
+        if not (self.n_phi >= 1 and self.n_theta >= 1):
             raise ValueError("n_phi and n_theta must be >= 1")
         object.__setattr__(self, "radial_steps_m", steps)
 
 
 def step_target(state: TargetState, model: MotionModel, rng: np.random.Generator) -> TargetState:
     """Advance the drone one step with a fresh acceleration-noise draw."""
-    nu = rng.multivariate_normal(np.zeros(3), model.accel_noise_cov)
+    nu = model.accel_noise(rng)
     position = state.position + model.dt * state.velocity + 0.5 * model.dt**2 * nu
     velocity = state.velocity + model.dt * nu
     return TargetState(position, velocity)

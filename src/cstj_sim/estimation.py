@@ -69,14 +69,8 @@ def init_particles(prior_mean: TargetState, prior_cov, n: int, rng: np.random.Ge
 
 
 def predict(ps: ParticleSet, model: MotionModel, rng: np.random.Generator) -> ParticleSet:
-    """Propagate every particle through the motion model; weights unchanged.
-
-    The acceleration draws equal ``rng.multivariate_normal(0, cov, n)`` bit
-    for bit (the same normals times the same SVD factor) without its
-    per-call validity check, which ``MotionModel`` has already made.
-    """
-    u, s, _ = np.linalg.svd(model.accel_noise_cov)
-    nu = rng.standard_normal((len(ps), 3)) @ (u * np.sqrt(s)).T
+    """Propagate every particle through the motion model; weights unchanged."""
+    nu = model.accel_noise(rng, (len(ps),))
     states = ps.states @ model.transition_matrix().T + nu @ model.noise_gain().T
     return ParticleSet(states, ps.weights.copy())
 

@@ -50,6 +50,9 @@ class RfParams:
         if len(levels) < 1 or levels[0] is not None:
             raise ValueError("power_levels_db must start with the 'off' entry")
         on = [float(v) for v in levels[1:]]
+        finite = (self.near_field_loss_db, self.attenuation_db, self.interference_threshold_db, *on)
+        if not all(math.isfinite(v) for v in finite):
+            raise ValueError("losses, levels and the interference threshold must be finite dB values")
         if any(b <= a for a, b in zip(on, on[1:])):
             raise ValueError("transmit power levels must be strictly increasing")
         object.__setattr__(self, "power_levels_db", (None, *on))
@@ -59,44 +62,28 @@ class RfParams:
         return np.array([np.nan, *self.power_levels_db[1:]])[index]
 
 
-def _cone_mask(apex, axis_target, ant: AntennaParams, point):
-    """True where ``point`` lies inside the cone aimed from apex at axis_target.
-
-    Membership requires the angle off the axis to be at most half the opening
-    angle and the axial projection to fall within [0, effective_range_m]. The
-    apex itself is excluded, and a degenerate axis (axis_target on the apex)
-    contains nothing. Broadcasts over (..., 3) on any argument.
-    """
-    apex = np.asarray(apex, dtype=float)
-    axis = np.asarray(axis_target, dtype=float) - apex
-    axis_norm = np.sqrt((axis * axis).sum(axis=-1))
-    degenerate = axis_norm == 0.0
-    safe_norm = np.where(degenerate, 1.0, axis_norm)
-    unit = axis / (safe_norm[..., None] if np.ndim(safe_norm) else safe_norm)
-    v = np.asarray(point, dtype=float) - apex
-    along = (v * unit).sum(axis=-1)
-    vnorm = np.sqrt((v * v).sum(axis=-1))
-    cos_half = math.cos(ant.opening_angle_rad / 2.0)
-    inside = (
-        (vnorm > 0.0)
-        & (along <= ant.effective_range_m)
-        & (along >= vnorm * cos_half)
-        & ~degenerate
-    )
-    return inside
-
-
 def received_power_map(tx_power_db: float, tx_pos, tx_aim, ant: AntennaParams, rf: RfParams, rx_pos):
     """Received power in dB with cone gating; NaN where the receiver is uncovered.
 
-    Broadcasts over a trailing (..., 3) axis on transmitter or receiver
-    positions. A NaN transmit power (the off level) gives NaN. An antenna
-    whose aim coincides with its own position covers nothing.
+    A receiver is covered when its angle off the aim axis is at most half
+    the opening angle and its projection on the axis is at most
+    ``effective_range_m``. The apex itself is never covered, and an antenna
+    whose aim coincides with its own position covers nothing. One offset
+    from the transmitter and its norm serve both the cone test and the path
+    loss. Broadcasts over a trailing (..., 3) axis on transmitter, aim or
+    receiver positions. A NaN transmit power (the off level) gives NaN.
     """
-    inside = _cone_mask(tx_pos, tx_aim, ant, rx_pos)
-    delta = np.asarray(rx_pos, dtype=float) - np.asarray(tx_pos, dtype=float)
+    tx_pos = np.asarray(tx_pos, dtype=float)
+    axis = np.asarray(tx_aim, dtype=float) - tx_pos
+    axis_norm = np.sqrt((axis * axis).sum(axis=-1))
+    degenerate = axis_norm == 0.0
+    unit = axis / np.where(degenerate, 1.0, axis_norm)[..., None]
+    delta = np.asarray(rx_pos, dtype=float) - tx_pos
     dist = np.sqrt((delta * delta).sum(axis=-1))
-    safe = np.where(dist > 0.0, dist, 1.0)
+    along = (delta * unit).sum(axis=-1)
+    cos_half = math.cos(ant.opening_angle_rad / 2.0)
+    inside = (dist > 0.0) & (along <= ant.effective_range_m) & (along >= dist * cos_half) & ~degenerate
+    safe = np.where(inside, dist, 1.0)
     loss = rf.near_field_loss_db + 10.0 * rf.path_loss_exponent * np.log10(safe) + rf.attenuation_db
     return np.where(inside, tx_power_db - loss, np.nan)
 

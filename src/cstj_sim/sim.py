@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -95,6 +96,8 @@ class ScenarioConfig:
         self.arena_min = np.asarray(self.arena_min, dtype=float).reshape(3)
         self.arena_max = np.asarray(self.arena_max, dtype=float).reshape(3)
         self.prior_sigma = np.asarray(self.prior_sigma, dtype=float).reshape(6)
+        if self.mode not in ("cstj", "ct"):
+            raise ValueError(f"mode must be 'cstj' or 'ct', got {self.mode!r}")
 
 
 @dataclass
@@ -265,53 +268,13 @@ def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
     return logs
 
 
-def _run_trial_args(args) -> list[StepLog]:
-    cfg, trial_index = args
-    return run_trial(cfg, trial_index)
-
-
 def run_trials(cfg: ScenarioConfig, jobs: int = 1) -> list[list[StepLog]]:
     """All trials of the configured Monte-Carlo run, ordered by trial index."""
     indices = range(cfg.n_trials)
     if jobs <= 1:
         return [run_trial(cfg, t) for t in indices]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_trial_args, [(cfg, t) for t in indices]))
-
-
-@dataclass
-class TrialSummary:
-    """Per-step series of one trial plus its interference/fallback counts."""
-
-    tracking_error_m: np.ndarray
-    target_power_db: np.ndarray  # NaN where no power reached the drone
-    max_interference_db: np.ndarray  # NaN where nobody interfered with anybody
-    violations: int
-    fallback_steps: int
-
-    @classmethod
-    def from_logs(cls, logs: list[StepLog]) -> "TrialSummary":
-        return cls(
-            tracking_error_m=np.array([log.tracking_error_m for log in logs]),
-            target_power_db=np.array(
-                [np.nan if log.target_power_db is None else log.target_power_db for log in logs]
-            ),
-            max_interference_db=np.array(
-                [np.nan if log.max_interference_db is None else log.max_interference_db for log in logs]
-            ),
-            violations=sum(log.violation for log in logs),
-            fallback_steps=sum(log.any_fallback for log in logs),
-        )
-
-
-@dataclass
-class MonteCarloSummary:
-    """Cross-trial per-step means (dB series averaged over present values)."""
-
-    tracking_error_m: np.ndarray
-    target_power_db: np.ndarray
-    max_interference_db: np.ndarray
-    per_trial: list[TrialSummary]
+        return list(pool.map(run_trial, repeat(cfg), indices))
 
 
 def _nanmean_over_trials(matrix: np.ndarray) -> np.ndarray:
@@ -321,12 +284,24 @@ def _nanmean_over_trials(matrix: np.ndarray) -> np.ndarray:
     return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
-def summarize_trials(per_trial: list[TrialSummary]) -> MonteCarloSummary:
-    return MonteCarloSummary(
-        tracking_error_m=_nanmean_over_trials(np.stack([t.tracking_error_m for t in per_trial])),
-        target_power_db=_nanmean_over_trials(np.stack([t.target_power_db for t in per_trial])),
-        max_interference_db=_nanmean_over_trials(np.stack([t.max_interference_db for t in per_trial])),
-        per_trial=per_trial,
+def step_means(logs_by_trial: list[list[StepLog]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cross-trial means per step: tracking error, delivered power, worst interference.
+
+    The tracking error averages over every trial. The delivered power and
+    the largest per-agent interference are arithmetic means of the dB
+    values over the trials where the value exists at that step, NaN where
+    it exists in none. They are not linear-power means;
+    ``mean_target_power_db`` is one, and only the benchmark reports it.
+    """
+
+    def over_trials(value) -> np.ndarray:
+        # a None (nothing present at that step) becomes NaN
+        return _nanmean_over_trials(np.array([[value(log) for log in logs] for logs in logs_by_trial], dtype=float))
+
+    return (
+        over_trials(lambda log: log.tracking_error_m),
+        over_trials(lambda log: log.target_power_db),
+        over_trials(lambda log: log.max_interference_db),
     )
 
 

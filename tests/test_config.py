@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -156,3 +157,36 @@ def test_malformed_value_is_an_error_naming_its_key(key, value):
     with pytest.raises(ConfigError) as err:
         parse_config_text(f"{setup}\n{key} = {value}\n")
     assert key in str(err.value)
+
+
+def test_unknown_mode_is_rejected_outside_the_parser():
+    # a mode the parser would refuse must not run as cstj when built in code
+    with pytest.raises(ValueError, match="mode"):
+        dataclasses.replace(ScenarioConfig(), mode="CT")
+
+
+_DEFAULTS = ScenarioConfig()
+_NON_FINITE = [
+    *((_DEFAULTS.sensing, name, math.nan) for name in (
+        "p_d_max", "eta_per_m", "r0_m", "sigma_theta_rad", "sigma_phi_rad",
+        "sigma_rho0_m", "beta_rho", "clutter_rate", "rho_max_m",
+    )),
+    *((_DEFAULTS.rf, name, math.nan) for name in (
+        "near_field_loss_db", "path_loss_exponent", "attenuation_db", "interference_threshold_db",
+    )),
+    (_DEFAULTS.rf, "near_field_loss_db", math.inf),
+    (_DEFAULTS.rf, "power_levels_db", (None, -10.0, math.nan, 7.0)),
+    (_DEFAULTS.rf, "power_levels_db", (None, -10.0, math.inf)),
+    (_DEFAULTS.actions, "radial_steps_m", (1.0, math.nan)),
+    (_DEFAULTS.actions, "radial_steps_m", (1.0, math.inf)),
+]
+
+
+@pytest.mark.parametrize(
+    "record, field, value",
+    _NON_FINITE,
+    ids=[f"{type(record).__name__}.{field}={value}" for record, field, value in _NON_FINITE],
+)
+def test_parameter_records_reject_nan_and_inf(record, field, value):
+    with pytest.raises(ValueError):
+        dataclasses.replace(record, **{field: value})

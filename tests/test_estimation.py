@@ -132,6 +132,20 @@ class TestPredict:
         np.testing.assert_array_equal(predict(ps, model, ours).states, expected)
         assert ours.random() == ref.random()  # the stream advanced alike
 
+        # the drone's own step draws through the same factor
+        truth = TargetState.from_vector(ps.states[0])
+        for _ in range(5):
+            nu = ref.multivariate_normal(np.zeros(3), model.accel_noise_cov)
+            expected = np.concatenate(
+                [
+                    truth.position + model.dt * truth.velocity + 0.5 * model.dt**2 * nu,
+                    truth.velocity + model.dt * nu,
+                ]
+            )
+            truth = step_target(truth, model, ours)
+            assert truth.as_vector().tobytes() == expected.tobytes()
+        assert ours.random() == ref.random()
+
 
 class TestPredictedState:
     def test_single_particle(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -110,6 +111,80 @@ class TestReceivedPower:
         powers = received_power_map(7.0, ORIGIN, [0, 0, 10.0], ANT, RF, points)
         assert not np.isnan(powers).any()
         assert (np.diff(powers) < 0).all()
+
+
+def _edge_cases():
+    """Single calls on the cone's edges, each apex at the origin aimed along +z."""
+    half = ANT.opening_angle_rad / 2
+    return [
+        ("apex", 7.0, ORIGIN, [0.0, 0.0, 10.0], ORIGIN),
+        ("degenerate_aim", 7.0, ORIGIN, ORIGIN, [[1.0, 0, 0], [0, 0, 1.0], [0, -1.0, 0]]),
+        ("cone_surface", 7.0, ORIGIN, [0.0, 0.0, 10.0], 10.0 * np.array([math.sin(half), 0.0, math.cos(half)])),
+        ("axial_range_end", 7.0, ORIGIN, [0.0, 0.0, 10.0], [0.0, 0.0, ANT.effective_range_m]),
+        ("off_level", np.nan, ORIGIN, [0.0, 0.0, 10.0], [0.0, 0.0, 1.0]),
+    ]
+
+
+def _broadcast_cases():
+    """The call shapes of ``compute_metrics`` and ``solve_jamming`` on seeded positions."""
+    rng = np.random.default_rng(77)
+    senders = rng.uniform(0.0, 100.0, (4, 3))
+    aims = senders + rng.uniform(-30.0, 30.0, (4, 3))
+    candidates = rng.uniform(0.0, 100.0, (25, 3))
+    drone = rng.uniform(0.0, 100.0, 3)
+    tx_db = np.array([np.nan, -10.0, 7.0, 10.0])
+    levels = RF.power_db(np.arange(len(RF.power_levels_db)))
+    return [
+        # (sender, receiver): teammates (own apex included) and the drone
+        ("sender_by_receiver", tx_db, senders, aims, np.vstack([senders, drone])[:, None]),
+        # (sender, candidate + teammate), senders as (sender, 1, 3)
+        ("sender_by_candidate", tx_db[:, None], senders[:, None], aims[:, None], np.vstack([candidates, senders])),
+        # (level, candidate): delivery toward the aim point
+        ("level_by_candidate", levels[:, None], candidates, drone, drone),
+        # (level, receiver, candidate)
+        ("level_by_receiver_by_candidate", levels[:, None, None], candidates, drone, senders[:, None]),
+    ]
+
+
+class TestPowerMapBytes:
+    """The power map's bytes on seeded inputs, pinned from the two-pass kernel.
+
+    The digests are the sha256 of each output's float64 bytes, taken from
+    the implementation that tested the cone in a separate pass before it
+    computed the path loss. There, a receiver on the cone surface or at the
+    end of the axial range is covered; the apex, a degenerate aim and the
+    off level give NaN.
+    """
+
+    DIGESTS = {
+        "apex": "74999fd28ab18ccca2bee199f260d19764603a3c78353d773d16d215eebe8e19",
+        "degenerate_aim": "38942dc703543c2a5d23412f7713dab1eb9a3fecdd6f11a5ba15240df007de5c",
+        "cone_surface": "1e5bb2894b77d47446b67d98542f70bb9f0c201e2bac9c0f081620051899fde6",
+        "axial_range_end": "65beefacc80daa7753dbd09f063b31544d5691b5652b10edebbb0f0ccfe3aa46",
+        "off_level": "74999fd28ab18ccca2bee199f260d19764603a3c78353d773d16d215eebe8e19",
+        "sender_by_receiver": "3d4fe270357cb6fc76eef949a5819b8176bf59670f47ebae9337ecef5eb5836f",
+        "sender_by_candidate": "81bc4b403ea80ef5f04c7793db85c893677cde137c26e3e63c5790131f18e2d1",
+        "level_by_candidate": "7b8f214ac8a2b70302e4e90e9af09433ef6a5fa7554df107d5e9496e83214f29",
+        "level_by_receiver_by_candidate": "6f401e22dbebd0ddbd1092a1c6d5c4dbfc52005148483afe5ba47f014a0bbab4",
+    }
+    SHAPES = {
+        "apex": (),
+        "degenerate_aim": (3,),
+        "cone_surface": (),
+        "axial_range_end": (),
+        "off_level": (),
+        "sender_by_receiver": (5, 4),
+        "sender_by_candidate": (4, 29),
+        "level_by_candidate": (5, 25),
+        "level_by_receiver_by_candidate": (5, 4, 25),
+    }
+
+    @pytest.mark.parametrize("case", [*_edge_cases(), *_broadcast_cases()], ids=lambda c: c[0])
+    def test_bytes_pinned(self, case):
+        name, tx_db, tx_pos, tx_aim, rx_pos = case
+        out = received_power_map(tx_db, tx_pos, tx_aim, ANT, RF, rx_pos)
+        assert out.dtype == np.float64 and out.shape == self.SHAPES[name]
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.DIGESTS[name]
 
 
 class TestAggregatePower:

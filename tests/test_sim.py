@@ -12,12 +12,11 @@ from cstj_sim import sim
 from cstj_sim.geometry_rf import aggregate_power_db, received_power_map
 from cstj_sim.sim import (
     ScenarioConfig,
-    TrialSummary,
     compute_metrics,
     mean_target_power_db,
     run_trial,
     run_trials,
-    summarize_trials,
+    step_means,
 )
 from oracles import received_power_db
 
@@ -234,19 +233,18 @@ class TestComputeMetrics:
 class TestMonteCarlo:
     def test_single_trial_equals_summary(self):
         cfg = _small_cfg(n_trials=1)
-        summary = summarize_trials([TrialSummary.from_logs(logs) for logs in run_trials(cfg)])
-        direct = TrialSummary.from_logs(run_trial(cfg, 0))
-        np.testing.assert_allclose(summary.tracking_error_m, direct.tracking_error_m)
-        np.testing.assert_array_equal(
-            np.isnan(summary.target_power_db), np.isnan(direct.target_power_db)
-        )
+        error, power, _ = step_means(run_trials(cfg))
+        direct = run_trial(cfg, 0)
+        np.testing.assert_allclose(error, [log.tracking_error_m for log in direct])
+        np.testing.assert_array_equal(np.isnan(power), [log.target_power_db is None for log in direct])
 
     def test_aggregation_permutation_invariant(self):
         cfg = _small_cfg(n_trials=3)
-        per_trial = [TrialSummary.from_logs(run_trial(cfg, t)) for t in range(3)]
-        forward = summarize_trials(per_trial)
-        backward = summarize_trials(list(reversed(per_trial)))
-        np.testing.assert_allclose(forward.tracking_error_m, backward.tracking_error_m)
+        per_trial = [run_trial(cfg, t) for t in range(3)]
+        forward = step_means(per_trial)
+        backward = step_means(list(reversed(per_trial)))
+        for a, b in zip(forward, backward):
+            np.testing.assert_allclose(a, b)
 
     def test_jobs_do_not_change_results(self):
         cfg = _small_cfg(n_trials=4)
@@ -258,8 +256,8 @@ class TestMonteCarlo:
     def test_trial_count_override(self):
         cfg = _small_cfg(n_trials=5)
         logs = run_trials(dataclasses.replace(cfg, n_trials=2))
-        summary = summarize_trials([TrialSummary.from_logs(trial) for trial in logs])
-        assert len(summary.per_trial) == 2
+        assert len(logs) == 2
+        assert all(len(series) == cfg.n_steps for series in step_means(logs))
 
     def test_mean_target_power_handles_absent(self):
         cfg = _small_cfg(n_trials=2, n_steps=4)

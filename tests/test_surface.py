@@ -5,6 +5,10 @@ name somewhere in the package or in the benchmark harness (``bench/*.py``),
 outside its own definition, or else be exported in ``cstj_sim.__all__``.
 References are ``Name`` and ``Attribute`` nodes of the parsed sources; the
 tests and the harness's own tests do not count.
+
+Every field of a dataclass in ``src/cstj_sim`` must likewise be read: some
+``Attribute`` node that loads a name equal to the field's appears in the
+package or the harness.
 """
 
 import ast
@@ -28,11 +32,17 @@ def _names(node) -> Counter:
     return names
 
 
+def _parse(package: Path, harness: Path):
+    """The package's modules by name, and every parsed tree of package and harness."""
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    return modules, [*modules.values(), *(ast.parse(p.read_text(encoding="utf-8")) for p in harness.glob("*.py"))]
+
+
 def unreferenced_definitions(package: Path = PACKAGE, harness: Path = HARNESS) -> list[str]:
     """``module.name`` of each top-level definition nothing references."""
-    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    modules, trees = _parse(package, harness)
     references = Counter()
-    for tree in [*modules.values(), *(ast.parse(p.read_text(encoding="utf-8")) for p in harness.glob("*.py"))]:
+    for tree in trees:
         references.update(_names(tree))
     unused = []
     for module, tree in modules.items():
@@ -43,6 +53,35 @@ def unreferenced_definitions(package: Path = PACKAGE, harness: Path = HARNESS) -
             if outside == 0 and node.name not in cstj_sim.__all__:
                 unused.append(f"{module}.{node.name}")
     return unused
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(package: Path = PACKAGE, harness: Path = HARNESS) -> list[str]:
+    """``module.Class.field`` of each dataclass field no attribute access reads."""
+    modules, trees = _parse(package, harness)
+    reads = {
+        sub.attr
+        for tree in trees
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    unread = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    if stmt.target.id not in reads:
+                        unread.append(f"{module}.{node.name}.{stmt.target.id}")
+    return unread
 
 
 def test_every_definition_is_used_or_exported():
@@ -59,3 +98,23 @@ def test_guard_sees_an_unused_definition(tmp_path):
         encoding="utf-8",
     )
     assert unreferenced_definitions(package, tmp_path / "no_harness") == ["a.recursive", "a.Orphan"]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == []
+
+
+def test_guard_sees_an_unread_field(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Record:\n    read: int\n    written: int\n\n"
+        "    def __post_init__(self):\n        object.__setattr__(self, 'written', 0)\n\n\n"
+        "@dataclass\nclass Stored:\n    kept: int\n\n"
+        "    def reset(self):\n        self.kept = 0\n\n\n"
+        "class Plain:\n    ignored: int\n\n\n"
+        "def use(record):\n    return record.read\n",
+        encoding="utf-8",
+    )
+    assert unread_fields(package, tmp_path / "no_harness") == ["a.Record.written", "a.Stored.kept"]
