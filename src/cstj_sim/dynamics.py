@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -31,22 +31,29 @@ class TargetState:
         return cls(vec[:3].copy(), vec[3:].copy())
 
 
-@dataclass
+@dataclass(frozen=True)
 class MotionModel:
     """Constant-velocity dynamics driven by white acceleration noise."""
 
     dt: float
     accel_noise_cov: np.ndarray
+    _noise_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
         cov = np.asarray(self.accel_noise_cov, dtype=float).reshape(3, 3)
+        # written so that NaN fails it
+        if not (np.diag(cov) >= 0).all():
+            raise ValueError("accel_noise_cov must have variances >= 0")
         if not np.allclose(cov, cov.T, atol=1e-9):
             raise ValueError("accel_noise_cov must be symmetric")
         if np.linalg.eigvalsh(cov).min() < -1e-9:
             raise ValueError("accel_noise_cov must be positive semidefinite")
-        self.accel_noise_cov = 0.5 * (cov + cov.T)
+        cov = 0.5 * (cov + cov.T)
+        u, s, _ = np.linalg.svd(cov)
+        object.__setattr__(self, "accel_noise_cov", cov)
+        object.__setattr__(self, "_noise_factor", (u * np.sqrt(s)).T)
 
     def transition_matrix(self) -> np.ndarray:
         """6x6 state transition: position advances by dt * velocity."""
@@ -65,11 +72,10 @@ class MotionModel:
         """Acceleration draws of shape (*shape, 3).
 
         They equal ``rng.multivariate_normal(0, cov, shape)`` bit for bit
-        (the same normals times the same SVD factor) without its per-call
-        validity check, which ``__post_init__`` has already made.
+        (the same normals times the same SVD factor, which ``__post_init__``
+        computes once) without its per-call validity check.
         """
-        u, s, _ = np.linalg.svd(self.accel_noise_cov)
-        return rng.standard_normal((*shape, 3)) @ (u * np.sqrt(s)).T
+        return rng.standard_normal((*shape, 3)) @ self._noise_factor
 
 
 @dataclass
@@ -96,8 +102,9 @@ class ActionGrid:
         # written so that NaN fails the checks
         if len(steps) == 0 or not all(0 < r < math.inf for r in steps):
             raise ValueError("radial_steps_m must be nonempty with all steps finite and > 0")
-        if not (self.n_phi >= 1 and self.n_theta >= 1):
-            raise ValueError("n_phi and n_theta must be >= 1")
+        for name in ("n_phi", "n_theta"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1")
         object.__setattr__(self, "radial_steps_m", steps)
 
 

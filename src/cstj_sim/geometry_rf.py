@@ -50,11 +50,13 @@ class RfParams:
         if len(levels) < 1 or levels[0] is not None:
             raise ValueError("power_levels_db must start with the 'off' entry")
         on = [float(v) for v in levels[1:]]
-        finite = (self.near_field_loss_db, self.attenuation_db, self.interference_threshold_db, *on)
-        if not all(math.isfinite(v) for v in finite):
-            raise ValueError("losses, levels and the interference threshold must be finite dB values")
+        for name in ("near_field_loss_db", "attenuation_db", "interference_threshold_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite dB value")
+        if not all(math.isfinite(v) for v in on):
+            raise ValueError("power_levels_db must be finite dB values after 'off'")
         if any(b <= a for a, b in zip(on, on[1:])):
-            raise ValueError("transmit power levels must be strictly increasing")
+            raise ValueError("power_levels_db must be strictly increasing after 'off'")
         object.__setattr__(self, "power_levels_db", (None, *on))
 
     def power_db(self, index):

@@ -59,10 +59,12 @@ class SensingParams:
         if not 0.0 <= self.p_d_max <= 1.0:
             raise ValueError("p_d_max must lie in [0, 1]")
         # each check is written so that NaN fails it
-        if not (self.eta_per_m >= 0 and self.r0_m >= 0 and self.beta_rho >= 0 and self.clutter_rate >= 0):
-            raise ValueError("eta_per_m, r0_m, beta_rho, clutter_rate must be >= 0")
-        if not (self.sigma_theta_rad > 0 and self.sigma_phi_rad > 0 and self.sigma_rho0_m > 0):
-            raise ValueError("noise standard deviations must be > 0")
+        for name in ("eta_per_m", "r0_m", "beta_rho", "clutter_rate"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("sigma_theta_rad", "sigma_phi_rad", "sigma_rho0_m"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
         if not self.rho_max_m > 0:
             raise ValueError("rho_max_m must be > 0 (measurement space must have volume)")
 

@@ -98,6 +98,25 @@ class ScenarioConfig:
         self.prior_sigma = np.asarray(self.prior_sigma, dtype=float).reshape(6)
         if self.mode not in ("cstj", "ct"):
             raise ValueError(f"mode must be 'cstj' or 'ct', got {self.mode!r}")
+        # each check is written so that NaN fails it
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
+        for name in ("n_agents", "n_steps", "n_trials", "n_particles"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1")
+        finite = np.isfinite(self.arena_min).all() and np.isfinite(self.arena_max).all()
+        if not (finite and (self.arena_max > self.arena_min).all()):
+            raise ValueError("arena_min and arena_max must be finite, with arena_max above arena_min on every axis")
+        if not (self.prior_sigma >= 0).all():
+            raise ValueError("prior_sigma must be >= 0 on every axis")
+        if not self.spawn_radius_m > 0:
+            raise ValueError("spawn_radius_m must be > 0")
+        if not 0.0 <= self.tracking_threshold <= 1.0:
+            raise ValueError("tracking_threshold must lie in [0, 1]")
+        if not np.isfinite(self.ct_power_db):
+            raise ValueError("ct_power_db must be a finite dB value")
+        if self.mode == "ct" and self.ct_power_db not in self.rf.power_levels_db:
+            raise ValueError(f"ct_power_db must be one of the transmit levels in ct mode, got {self.ct_power_db}")
 
 
 @dataclass
@@ -171,13 +190,6 @@ def compute_metrics(
     return StepMetrics(tracking_error, target_power, per_agent, pair, max_interference, violation)
 
 
-def _power_index(rf: RfParams, level_db: float) -> int:
-    for i, level in enumerate(rf.power_levels_db):
-        if level is not None and level == level_db:
-            return i
-    raise ValueError(f"power level {level_db} dB is not one of the configured transmit levels")
-
-
 def _spawn_in_sphere(center, radius, rng) -> np.ndarray:
     direction = rng.normal(size=3)
     direction /= np.sqrt((direction * direction).sum())
@@ -208,7 +220,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
         init_particles(prior_mean, prior_cov, cfg.n_particles, filter_rngs[j])
         for j in range(cfg.n_agents)
     ]
-    ct_index = _power_index(cfg.rf, cfg.ct_power_db) if cfg.mode == "ct" else 0
+    ct_index = cfg.rf.power_levels_db.index(cfg.ct_power_db) if cfg.mode == "ct" else 0
 
     logs: list[StepLog] = []
     for step in range(1, cfg.n_steps + 1):

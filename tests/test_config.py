@@ -1,12 +1,13 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstj_sim.config import KEY_DOCS, ConfigError, config_values, format_config, parse_config_text
+from cstj_sim.config import _KEYS, KEY_DOCS, ConfigError, config_values, format_config, parse_config_text
 from cstj_sim.dynamics import ActionGrid, MotionModel, TargetState
 from cstj_sim.geometry_rf import AntennaParams, RfParams
 from cstj_sim.sensing import SensingParams
@@ -166,14 +167,15 @@ def test_unknown_mode_is_rejected_outside_the_parser():
 
 
 _DEFAULTS = ScenarioConfig()
+# every float field of a record gets a NaN case, so a new one is covered
+_RECORDS = (_DEFAULTS, _DEFAULTS.motion, _DEFAULTS.sensing, _DEFAULTS.antenna, _DEFAULTS.rf)
 _NON_FINITE = [
-    *((_DEFAULTS.sensing, name, math.nan) for name in (
-        "p_d_max", "eta_per_m", "r0_m", "sigma_theta_rad", "sigma_phi_rad",
-        "sigma_rho0_m", "beta_rho", "clutter_rate", "rho_max_m",
-    )),
-    *((_DEFAULTS.rf, name, math.nan) for name in (
-        "near_field_loss_db", "path_loss_exponent", "attenuation_db", "interference_threshold_db",
-    )),
+    *(
+        (record, f.name, math.nan)
+        for record in _RECORDS
+        for f in dataclasses.fields(record)
+        if f.type in ("float", float)
+    ),
     (_DEFAULTS.rf, "near_field_loss_db", math.inf),
     (_DEFAULTS.rf, "power_levels_db", (None, -10.0, math.nan, 7.0)),
     (_DEFAULTS.rf, "power_levels_db", (None, -10.0, math.inf)),
@@ -190,3 +192,45 @@ _NON_FINITE = [
 def test_parameter_records_reject_nan_and_inf(record, field, value):
     with pytest.raises(ValueError):
         dataclasses.replace(record, **{field: value})
+
+
+_CT = dataclasses.replace(_DEFAULTS, mode="ct")
+_OUT_OF_RANGE = [
+    (_DEFAULTS, "tracking_threshold", math.nan),
+    (_DEFAULTS, "tracking_threshold", 1.5),
+    (_DEFAULTS, "spawn_radius_m", -5.0),
+    (_DEFAULTS, "n_steps", 0),
+    (_DEFAULTS, "n_agents", 0),
+    (_DEFAULTS, "n_trials", 0),
+    (_DEFAULTS, "n_particles", 0),
+    (_DEFAULTS, "seed", -1),
+    (_DEFAULTS, "arena_max", [0.0, 0.0, 0.0]),
+    (_DEFAULTS, "arena_min", [0.0, 0.0, -math.inf]),
+    (_DEFAULTS, "prior_sigma", [5.0, 5.0, 5.0, 1.0, 1.0, -1.0]),
+    (_CT, "ct_power_db", 3.0),
+    (_DEFAULTS.motion, "accel_noise_cov", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1e-10]]),
+]
+
+
+@pytest.mark.parametrize(
+    "record, field, value",
+    _OUT_OF_RANGE,
+    ids=[f"{type(record).__name__}.{field}={value}" for record, field, value in _OUT_OF_RANGE],
+)
+def test_records_built_in_code_refuse_out_of_range_values(record, field, value):
+    # the records hold every range rule, so code that skips the parser is held to them too
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(record, **{field: value})
+
+
+def test_key_table_maps_once_to_every_field():
+    # a field without a key would be silently dropped from every emitted config
+    expected = []
+    for f in dataclasses.fields(ScenarioConfig):
+        value = getattr(_DEFAULTS, f.name)
+        if dataclasses.is_dataclass(value):
+            expected += [(f.name, g.name) for g in dataclasses.fields(value) if g.init]
+        else:
+            expected.append((None, f.name))
+    canonical = [(record, name) for record, name, (_, fmt), _ in _KEYS.values() if fmt is not None]
+    assert Counter(canonical) == Counter(expected)

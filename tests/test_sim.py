@@ -44,9 +44,9 @@ def _fingerprint(logs) -> bytes:
 
 
 class TestRunTrial:
-    def test_zero_steps_gives_empty_log(self):
-        logs = run_trial(_small_cfg(n_steps=0))
-        assert logs == []
+    def test_zero_steps_is_refused(self):
+        with pytest.raises(ValueError, match="n_steps"):
+            run_trial(_small_cfg(n_steps=0))
 
     def test_identical_seeds_identical_logs(self):
         cfg = _small_cfg()
