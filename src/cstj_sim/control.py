@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import TargetState
 from .geometry_rf import AntennaParams, RfParams, db_to_linear, linear_to_db, received_power_map
-from .sensing import SensingParams, detection_prob_at_distance
+from .sensing import SensingParams, detection_prob
 
 
 class Fallback(enum.Enum):
@@ -51,22 +51,16 @@ class DecisionRecord:
         self.aim_point = np.asarray(self.aim_point, dtype=float).reshape(3)
 
 
-def _tracking_scores(predicted_target: TargetState, candidates, p: SensingParams) -> np.ndarray:
-    """Detection probability of the predicted drone from each candidate position."""
-    delta = np.asarray(candidates, dtype=float) - predicted_target.position
-    return detection_prob_at_distance(np.sqrt((delta * delta).sum(axis=-1)), p)
-
-
 def admissible_set(predicted_target: TargetState, actions, p: SensingParams, threshold: float) -> np.ndarray:
     """Actions whose tracking objective strictly exceeds the threshold, order kept."""
     actions = np.asarray(actions, dtype=float)
-    return actions[_tracking_scores(predicted_target, actions, p) > threshold]
+    return actions[detection_prob(predicted_target, actions, p) > threshold]
 
 
 def _best_tracking(predicted_target: TargetState, candidates, p: SensingParams) -> np.ndarray:
     """The first candidate with the highest detection probability."""
     candidates = np.asarray(candidates, dtype=float)
-    return candidates[int(np.argmax(_tracking_scores(predicted_target, candidates, p)))].copy()
+    return candidates[int(np.argmax(detection_prob(predicted_target, candidates, p)))].copy()
 
 
 def _linear(power_db) -> np.ndarray:

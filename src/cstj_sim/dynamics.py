@@ -22,6 +22,11 @@ class TargetState:
         if not (np.isfinite(self.position).all() and np.isfinite(self.velocity).all()):
             raise ValueError("state components must be finite")
 
+    def __eq__(self, other):
+        if not isinstance(other, TargetState):
+            return NotImplemented
+        return bool(np.array_equal(self.position, other.position) and np.array_equal(self.velocity, other.velocity))
+
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.position, self.velocity])
 
@@ -36,23 +41,23 @@ class MotionModel:
     """Constant-velocity dynamics driven by white acceleration noise."""
 
     dt: float
-    accel_noise_cov: np.ndarray
+    accel_noise_cov: tuple  # 3x3, held as rows of floats so that models compare and hash
     _noise_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
+        # written so that NaN and inf fail them
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
         cov = np.asarray(self.accel_noise_cov, dtype=float).reshape(3, 3)
-        # written so that NaN fails it
-        if not (np.diag(cov) >= 0).all():
-            raise ValueError("accel_noise_cov must have variances >= 0")
+        if not (np.isfinite(cov).all() and (np.diag(cov) >= 0).all()):
+            raise ValueError("accel_noise_cov must be finite, with variances >= 0")
         if not np.allclose(cov, cov.T, atol=1e-9):
             raise ValueError("accel_noise_cov must be symmetric")
         if np.linalg.eigvalsh(cov).min() < -1e-9:
             raise ValueError("accel_noise_cov must be positive semidefinite")
         cov = 0.5 * (cov + cov.T)
         u, s, _ = np.linalg.svd(cov)
-        object.__setattr__(self, "accel_noise_cov", cov)
+        object.__setattr__(self, "accel_noise_cov", tuple(map(tuple, cov.tolist())))
         object.__setattr__(self, "_noise_factor", (u * np.sqrt(s)).T)
 
     def transition_matrix(self) -> np.ndarray:

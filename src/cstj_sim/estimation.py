@@ -353,11 +353,7 @@ def eap(ps: ParticleSet) -> Estimate:
 
 
 def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section search for the minimum of ``f`` on [lo, hi].
-
-    Only the order ``f(c) < f(d)`` of the values is used, so ``f`` may
-    return any keys that compare like floats.
-    """
+    """Golden-section search for the minimum of ``f`` on [lo, hi]."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - inv_phi * (hi - lo)
     d = lo + inv_phi * (hi - lo)
@@ -388,170 +384,78 @@ def _inverses(stack: np.ndarray) -> np.ndarray:
         return out
 
 
-def _information_matrices(covs: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """The symmetrised inverse and the condition number of each covariance in a (k, 6, 6) stack.
+def _information_matrices(covs: np.ndarray) -> np.ndarray:
+    """The symmetrised inverse of each covariance in a (k, 6, 6) stack.
 
     A covariance that is not comfortably invertible, or whose inverse is
-    singular or not finite, is inverted with ``1e-9`` added to its
-    diagonal; its condition number is then reported as infinite. Numpy runs
-    the same LAPACK call on each matrix of a stack, so the bytes equal
-    those of one-matrix calls.
+    singular or not finite, is inverted with ``1e-9`` added to its diagonal.
     """
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     eigs = np.linalg.eigvalsh(covs)
-    low, high = eigs.min(axis=1), eigs.max(axis=1)
     infos = np.full_like(covs, np.nan)
-    conds = np.full(len(covs), math.inf)
     # prefer the raw covariance when it is comfortably invertible
-    raw = low > 1e-12 * np.maximum(1.0, high)
+    raw = eigs.min(axis=1) > 1e-12 * np.maximum(1.0, eigs.max(axis=1))
     infos[raw] = _inverses(covs[raw])
-    conds[raw] = high[raw] / low[raw]
     failed = ~np.isfinite(infos).all(axis=(1, 2))
     if failed.any():
         infos[failed] = _inverses(covs[failed] + 1e-9 * np.eye(covs.shape[-1]))
-        conds[failed] = math.inf
         if not np.isfinite(infos).all():
             raise ValueError("singular covariance after regularization")
-    infos = 0.5 * (infos + infos.transpose(0, 2, 1))
-    return list(zip(infos, conds.tolist()))
+    return 0.5 * (infos + infos.transpose(0, 2, 1))
 
 
-_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
-# Past this relative error bound the closed-form trace is too ill-conditioned
-# to pay: the pair is searched on exact traces alone.
-_TRACE_RTOL_CAP = 1e-3
-
-
-class _FusedTrace:
-    """Traces of the fused covariance inv(w I_a + (1 - w) I_b) of one pair.
-
-    ``exact(w)`` is ``np.trace(np.linalg.inv(...))``, infinite where the
-    matrix is singular, memoised per w. ``key(w)`` orders probe points as
-    ``exact`` does, mostly without computing it, from the closed form
-
-        tr(inv(w I_a + (1 - w) I_b)) = sum_i c_i / (w lam_i + 1 - w).
+def _fused_trace(info_a: np.ndarray, info_b: np.ndarray):
+    """The trace of the fused covariance inv(w I_a + (1 - w) I_b) as a function of w.
 
     With I_b = L L^T and inv(L) I_a inv(L)^T = Q diag(lam) Q^T, one
-    congruence diagonalises both information matrices, and c_i is the
-    squared norm of column i of inv(L)^T Q. Without the closed form (see
-    ``_closed_form``) every key is the exact trace itself.
+    congruence diagonalises both information matrices, so
+
+        tr(inv(w I_a + (1 - w) I_b)) = sum_i c_i / (w lam_i + 1 - w),
+
+    with c_i the squared norm of column i of inv(L)^T Q. Where I_b has no
+    Cholesky factor, or a generalised eigenvalue lam_i is not positive, the
+    trace is ``np.trace(np.linalg.inv(...))`` instead, infinite where the
+    matrix is singular.
     """
 
-    def __init__(self, info_a, info_b, cond_a: float, cond_b: float):
-        self.info_a, self.info_b = info_a, info_b
-        self._exact: dict[float, float] = {}
-        self.terms = None  # (c_i, lam_i) pairs of the closed form
-        self.rtol = math.inf
-        self._closed_form(cond_a, cond_b)
-
-    def _closed_form(self, cond_a: float, cond_b: float) -> None:
-        """Set ``terms`` and their relative error bound ``rtol``, if usable.
-
-        ``rtol`` = 64 u max(k_a k_b, k_b max(lam_max, 1 / lam_min)), with u
-        the unit roundoff and k_a, k_b the condition numbers of the two
-        covariances. It bounds the relative distance between the closed form
-        and ``exact``, which carries the rounding of a 6x6 inverse as
-        ill-conditioned as the worse input; the tests hold the measured
-        distance under an eighth of it on pairs built to stress it, with
-        condition numbers up to 1e6 and scales 1e-12 to 1e6 apart. The
-        second term guards inputs of
-        very different scale: near w = 1 the sum is dominated by c_i / lam_i
-        for the smallest lam_i. The closed form is dropped when ``rtol``
-        reaches the cap, when ``info_b`` has no Cholesky factor, or when a
-        generalised eigenvalue is not positive.
-        """
+    def exact(w: float) -> float:
         try:
-            chol = np.linalg.cholesky(self.info_b)
+            return float(np.trace(np.linalg.inv(w * info_a + (1.0 - w) * info_b)))
         except np.linalg.LinAlgError:
-            return
-        inv_chol = np.linalg.inv(chol)
-        lams, q = np.linalg.eigh(inv_chol @ self.info_a @ inv_chol.T)
-        lam_min, lam_max = float(lams[0]), float(lams[-1])
-        if not lam_min > 0.0:
-            return
-        rtol = 64.0 * _UNIT_ROUNDOFF * max(cond_a * cond_b, cond_b * max(lam_max, 1.0 / lam_min))
-        if rtol < _TRACE_RTOL_CAP:
-            v = inv_chol.T @ q
-            self.terms = list(zip((v * v).sum(axis=0).tolist(), lams.tolist()))
-            self.rtol = rtol
+            return math.inf
 
-    def exact(self, w: float) -> float:
-        value = self._exact.get(w)
-        if value is None:
-            try:
-                value = float(np.trace(np.linalg.inv(w * self.info_a + (1.0 - w) * self.info_b)))
-            except np.linalg.LinAlgError:
-                value = math.inf
-            self._exact[w] = value
-        return value
+    try:
+        inv_chol = np.linalg.inv(np.linalg.cholesky(info_b))
+    except np.linalg.LinAlgError:
+        return exact
+    lams, q = np.linalg.eigh(inv_chol @ info_a @ inv_chol.T)
+    if not lams[0] > 0.0:
+        return exact
+    v = inv_chol.T @ q
+    terms = list(zip((v * v).sum(axis=0).tolist(), lams.tolist()))
 
-    def closed_form(self, w: float) -> float:
+    def closed_form(w: float) -> float:
         v = 1.0 - w
         total = 0.0
-        for c, lam in self.terms:
+        for c, lam in terms:
             total += c / (w * lam + v)
         return total
 
-    def key(self, w: float):
-        if self.terms is None:
-            return self.exact(w)
-        return _TraceKey(self, w, self.closed_form(w))
-
-
-class _TraceKey:
-    """A probe point that compares as its exact trace would.
-
-    Two closed forms further apart than ``rtol`` times their sum order
-    their exact traces the same way; closer ones are settled by the exact
-    traces themselves.
-    """
-
-    __slots__ = ("trace", "w", "value")
-
-    def __init__(self, trace: _FusedTrace, w: float, value: float):
-        self.trace, self.w, self.value = trace, w, value
-
-    def __lt__(self, other: _TraceKey) -> bool:
-        gap = self.value - other.value
-        margin = self.trace.rtol * (self.value + other.value)
-        if gap < -margin:
-            return True
-        if gap > margin:
-            return False
-        return self.trace.exact(self.w) < self.trace.exact(other.w)
-
-
-def _ci_pair(a: Estimate, b: Estimate, info_a, cond_a: float, info_b, cond_b: float) -> Estimate:
-    """Fuse two estimates, given the ``_information_matrices`` entry of each."""
-    fused_trace = _FusedTrace(info_a, info_b, cond_a, cond_b).key
-
-    w_star = _golden_section_min(fused_trace, 0.0, 1.0, 1e-6)
-    # the trace is convex in w but its minimum may sit on the boundary
-    w_best = min((0.0, 1.0, w_star), key=fused_trace)
-    fused_info = w_best * info_a + (1.0 - w_best) * info_b
-    fused_cov = np.linalg.inv(fused_info)
-    fused_mean = fused_cov @ (
-        w_best * info_a @ a.mean.as_vector() + (1.0 - w_best) * info_b @ b.mean.as_vector()
-    )
-    return Estimate(TargetState.from_vector(fused_mean), fused_cov)
+    return closed_form
 
 
 def ci_fuse(estimates) -> Estimate:
-    """Fold covariance intersection pairwise, left to right.
+    """Fold covariance intersection (Julier & Uhlmann 1997) pairwise, left to right.
 
-    Each pairwise weight is chosen by golden-section search to minimize the
-    trace of the fused covariance, then compared with both boundaries. The
-    search probes the same points and takes the same branches as one that
-    evaluates every trace as ``np.trace(np.linalg.inv(...))``, so the fused
-    output keeps those bits: each comparison reads a closed-form trace
-    (``_FusedTrace``), and where two closed forms lie within their
-    error bound of each other it compares the exact traces instead. A pair
-    too ill-conditioned for the bound runs on exact traces alone.
-
-    The information matrices of all the inputs come from one stacked call;
-    the running fused estimate's comes from a stack of one. Callers fix
-    the fold order (ascending agent id in the simulator); a single estimate
-    is returned unchanged.
+    The fold runs in information form. It starts from the first estimate's
+    information matrix I and vector I m; each next estimate b sets
+    I <- w I + (1 - w) I_b and I m <- w I m + (1 - w) I_b m_b, with w chosen
+    to minimise the trace of the new inv(I) by golden-section search on its
+    closed form (``_fused_trace``), then compared with both boundaries, where
+    the convex trace may have its minimum. The fused covariance is the final
+    inv(I), and the fused mean that times the final information vector.
+    Callers fix the fold order (ascending agent id in the simulator); a
+    single estimate is returned unchanged.
     """
     estimates = list(estimates)
     if not estimates:
@@ -559,7 +463,13 @@ def ci_fuse(estimates) -> Estimate:
     if len(estimates) == 1:
         return estimates[0]
     infos = _information_matrices(np.array([e.covariance for e in estimates]))
-    fused = _ci_pair(estimates[0], estimates[1], *infos[0], *infos[1])
-    for other, info in zip(estimates[2:], infos[2:]):
-        fused = _ci_pair(fused, other, *_information_matrices(fused.covariance[None])[0], *info)
-    return fused
+    info = infos[0]
+    vec = info @ estimates[0].mean.as_vector()
+    for other, info_b in zip(estimates[1:], infos[1:]):
+        trace = _fused_trace(info, info_b)
+        w_star = _golden_section_min(trace, 0.0, 1.0, 1e-6)
+        w = min((0.0, 1.0, w_star), key=trace)
+        info = w * info + (1.0 - w) * info_b
+        vec = w * vec + (1.0 - w) * (info_b @ other.mean.as_vector())
+    cov = np.linalg.inv(info)
+    return Estimate(TargetState.from_vector(cov @ vec), cov)

@@ -23,8 +23,9 @@ class AntennaParams:
     opening_angle_rad: float
 
     def __post_init__(self):
-        if not self.effective_range_m > 0:
-            raise ValueError("effective_range_m must be > 0")
+        # written so that NaN and inf fail it
+        if not 0 < self.effective_range_m < math.inf:
+            raise ValueError("effective_range_m must be finite and > 0")
         if not 0.0 < self.opening_angle_rad < math.pi:
             raise ValueError("opening_angle_rad must lie in (0, pi)")
 
@@ -44,8 +45,9 @@ class RfParams:
     interference_threshold_db: float
 
     def __post_init__(self):
-        if not self.path_loss_exponent > 0:
-            raise ValueError("path_loss_exponent must be > 0")
+        # written so that NaN and inf fail it
+        if not 0 < self.path_loss_exponent < math.inf:
+            raise ValueError("path_loss_exponent must be finite and > 0")
         levels = tuple(self.power_levels_db)
         if len(levels) < 1 or levels[0] is not None:
             raise ValueError("power_levels_db must start with the 'off' entry")

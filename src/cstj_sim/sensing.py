@@ -58,15 +58,15 @@ class SensingParams:
     def __post_init__(self):
         if not 0.0 <= self.p_d_max <= 1.0:
             raise ValueError("p_d_max must lie in [0, 1]")
-        # each check is written so that NaN fails it
+        # each check is written so that NaN and inf fail it
         for name in ("eta_per_m", "r0_m", "beta_rho", "clutter_rate"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in ("sigma_theta_rad", "sigma_phi_rad", "sigma_rho0_m"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        if not self.rho_max_m > 0:
-            raise ValueError("rho_max_m must be > 0 (measurement space must have volume)")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not 0 < self.rho_max_m < math.inf:
+            raise ValueError("rho_max_m must be finite and > 0 (measurement space must have volume)")
 
     @property
     def clutter_density(self) -> float:
@@ -82,9 +82,14 @@ def detection_prob_at_distance(distance, p: SensingParams):
     return float(prob) if np.ndim(prob) == 0 else prob
 
 
-def detection_prob(x: TargetState, s_pos, p: SensingParams) -> float:
+def detection_prob(x: TargetState, s_pos, p: SensingParams):
+    """Detection probability of the drone at ``x`` from each sensor position.
+
+    Broadcasts over a trailing (..., 3) axis of ``s_pos``; a float for one
+    position.
+    """
     delta = x.position - np.asarray(s_pos, dtype=float)
-    return detection_prob_at_distance(np.sqrt((delta * delta).sum()), p)
+    return detection_prob_at_distance(np.sqrt((delta * delta).sum(axis=-1)), p)
 
 
 def spherical_coords(delta):

@@ -47,19 +47,26 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
+def _float_tuple(values, n: int) -> tuple:
+    return tuple(np.asarray(values, dtype=float).reshape(n).tolist())
+
+
 @dataclass
 class ScenarioConfig:
-    """Everything one trial needs; see the CLI module for file keys and units."""
+    """Everything one trial needs; see the CLI module for file keys and units.
+
+    The vectors are held as tuples of floats, so that configs compare by value.
+    """
 
     mode: str = "cstj"  # "cstj" or "ct"
     seed: int = 0
     n_agents: int = 4
     n_steps: int = 50
     n_trials: int = 50
-    arena_min: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    arena_max: np.ndarray = field(default_factory=lambda: np.full(3, 100.0))
+    arena_min: tuple = (0.0, 0.0, 0.0)
+    arena_max: tuple = (100.0, 100.0, 100.0)
     target_init: TargetState | None = None  # None: drawn per trial
-    prior_sigma: np.ndarray = field(default_factory=lambda: np.array([5.0, 5.0, 5.0, 1.0, 1.0, 1.0]))
+    prior_sigma: tuple = (5.0, 5.0, 5.0, 1.0, 1.0, 1.0)
     spawn_radius_m: float = 5.0
     motion: MotionModel = field(default_factory=lambda: MotionModel(1.0, np.diag([2.0, 2.0, 2.0])))
     actions: ActionGrid = field(default_factory=lambda: ActionGrid((1.0, 3.0, 5.0), 2, 4))
@@ -93,9 +100,9 @@ class ScenarioConfig:
     n_particles: int = 2000
 
     def __post_init__(self):
-        self.arena_min = np.asarray(self.arena_min, dtype=float).reshape(3)
-        self.arena_max = np.asarray(self.arena_max, dtype=float).reshape(3)
-        self.prior_sigma = np.asarray(self.prior_sigma, dtype=float).reshape(6)
+        self.arena_min = _float_tuple(self.arena_min, 3)
+        self.arena_max = _float_tuple(self.arena_max, 3)
+        self.prior_sigma = _float_tuple(self.prior_sigma, 6)
         if self.mode not in ("cstj", "ct"):
             raise ValueError(f"mode must be 'cstj' or 'ct', got {self.mode!r}")
         # each check is written so that NaN fails it
@@ -104,13 +111,13 @@ class ScenarioConfig:
         for name in ("n_agents", "n_steps", "n_trials", "n_particles"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
-        finite = np.isfinite(self.arena_min).all() and np.isfinite(self.arena_max).all()
-        if not (finite and (self.arena_max > self.arena_min).all()):
+        low, high = np.array(self.arena_min), np.array(self.arena_max)
+        if not (np.isfinite(low).all() and np.isfinite(high).all() and (high > low).all()):
             raise ValueError("arena_min and arena_max must be finite, with arena_max above arena_min on every axis")
-        if not (self.prior_sigma >= 0).all():
+        if not (np.array(self.prior_sigma) >= 0).all():
             raise ValueError("prior_sigma must be >= 0 on every axis")
-        if not self.spawn_radius_m > 0:
-            raise ValueError("spawn_radius_m must be > 0")
+        if not 0 < self.spawn_radius_m < np.inf:
+            raise ValueError("spawn_radius_m must be finite and > 0")
         if not 0.0 <= self.tracking_threshold <= 1.0:
             raise ValueError("tracking_threshold must lie in [0, 1]")
         if not np.isfinite(self.ct_power_db):
@@ -206,8 +213,9 @@ def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
             scen_rng.uniform(cfg.arena_min, cfg.arena_max),
             scen_rng.uniform(-2.0, 2.0, size=3),
         )
-    prior_cov = np.diag(cfg.prior_sigma**2)
-    prior_mean = TargetState.from_vector(truth.as_vector() + scen_rng.normal(size=6) * cfg.prior_sigma)
+    prior_sigma = np.array(cfg.prior_sigma)
+    prior_cov = np.diag(prior_sigma**2)
+    prior_mean = TargetState.from_vector(truth.as_vector() + scen_rng.normal(size=6) * prior_sigma)
     agents = [
         AgentState(j, _spawn_in_sphere(truth.position, cfg.spawn_radius_m, scen_rng))
         for j in range(cfg.n_agents)

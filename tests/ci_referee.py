@@ -1,10 +1,11 @@
-"""The covariance-intersection kernel that preceded the closed-form trace in
-``cstj_sim.estimation``, kept verbatim as a bit-for-bit referee.
+"""The covariance-intersection kernel that preceded the closed-form weight
+and the information-form fold in ``cstj_sim.estimation``, kept verbatim as a
+value referee.
 
-Every trace this search compares is a fresh ``np.trace(np.linalg.inv(...))``.
-The package now compares closed-form traces and falls back to these exact
-values only where the two candidates are too close to tell apart;
-``tests/test_ci_fast.py`` demands that both give the same bytes. Do not edit
+Every trace this search compares is a fresh ``np.trace(np.linalg.inv(...))``,
+and each pair after the first re-inverts the running fused covariance.
+``tests/test_ci_fast.py`` holds the exact trace of ``ci_fuse``'s fused
+covariance to at most this kernel's plus a bound stated there. Do not edit
 these functions to follow the package.
 """
 

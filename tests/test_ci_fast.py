@@ -1,8 +1,21 @@
-"""The closed-form covariance intersection against the exact-trace referee.
+"""The information-form covariance intersection against the exact-trace referee.
 
-``ci_fuse`` must give the bytes of the kernel in ``ci_referee.py``, which
-evaluates every trace with ``np.trace(np.linalg.inv(...))``, on realistic
-folds and on pairs built to stress the closed form's error bound.
+``ci_referee.py`` searches each pair's weight on exact traces and re-inverts
+the running fused covariance between pairs; ``ci_fuse`` searches the closed
+form of the same trace and folds the information matrices. The two agree in
+exact arithmetic, not bit for bit, so the referee serves as a value oracle:
+on each pair, the exact trace of ``ci_fuse``'s fused covariance may exceed
+the referee's by at most
+
+- the larger exact rise of the trace over a ``1e-6`` step in w either side
+  of the referee's search result: both golden-section searches stop on an
+  interval of width ``1e-6`` about the minimiser of a convex trace, so their
+  weights lie within ``1e-6`` of each other; plus
+- twice ``_rtol`` times the trace, for the rounding of the closed form and of
+  the exact traces it is compared with (see ``_rtol``).
+
+A fold is checked pair by pair: ``ci_fuse`` of the first k estimates
+against the referee's pair of ``ci_fuse`` of the first k - 1 and the k-th.
 """
 
 import math
@@ -12,7 +25,10 @@ import pytest
 
 import ci_referee
 from cstj_sim.dynamics import TargetState
-from cstj_sim.estimation import Estimate, _FusedTrace, _information_matrices, ci_fuse
+from cstj_sim.estimation import Estimate, _fused_trace, _information_matrices, ci_fuse
+
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
+_STEP = 1e-6  # the golden-section tolerance of both searches
 
 
 def _cov(rng, cond, scale=1.0, basis=None):
@@ -44,11 +60,12 @@ PAIR_CLASSES = {
     "near_identical": _near_identical,
     "b_scaled_1e-6": lambda rng: (_cov(rng, 1e2), _cov(rng, 1e2, 1e-6)),
     "b_scaled_1e6": lambda rng: (_cov(rng, 1e2), _cov(rng, 1e2, 1e6)),
-    # beyond the bound's cap: every comparison is exact
     "b_scaled_1e-12": lambda rng: (_cov(rng, 10.0), _cov(rng, 10.0, 1e-12)),
     "ill_1e6_both": lambda rng: (_cov(rng, 1e6), _cov(rng, 1e6)),
 }
-EXACT_ONLY = ("b_scaled_1e-12", "ill_1e6_both")
+# classes whose ``_rtol`` reaches 1e-3, where a bound that loose says nothing
+# about the closed form's accuracy
+LOOSE = ("b_scaled_1e-12", "ill_1e6_both")
 
 # probe weights, crowding both ends of [0, 1]
 WEIGHTS = sorted(
@@ -63,16 +80,53 @@ def _estimate(rng, cov):
     return Estimate(TargetState.from_vector(rng.normal(size=6) * 10.0), cov)
 
 
-def _assert_same_bytes(estimates):
-    got, want = ci_fuse(estimates), ci_referee.ci_fuse(estimates)
-    assert got.mean.as_vector().tobytes() == want.mean.as_vector().tobytes()
-    assert got.covariance.tobytes() == want.covariance.tobytes()
-    return got
+def _exact(info_a, info_b, w: float) -> float:
+    try:
+        return float(np.trace(np.linalg.inv(w * info_a + (1.0 - w) * info_b)))
+    except np.linalg.LinAlgError:
+        return math.inf
 
 
-def _fused_trace(cov_a, cov_b):
-    (info_a, cond_a), (info_b, cond_b) = _information_matrices(np.array([cov_a, cov_b]))
-    return _FusedTrace(info_a, info_b, cond_a, cond_b)
+def _rtol(info_a, info_b) -> float:
+    """A relative error bound on the closed-form trace of a pair, as against the exact one.
+
+    64 u max(k_a k_b, k_b max(lam_max, 1 / lam_min)), with u the unit
+    roundoff, k_a and k_b the condition numbers of the two information
+    matrices and lam the generalised eigenvalues of I_a against I_b. The
+    exact trace carries the rounding of a 6x6 inverse as ill-conditioned as
+    the worse input; the second term guards inputs of very different scale,
+    where near w = 1 the sum is dominated by c_i / lam_i for the smallest
+    lam_i. Infinite where the closed form does not apply.
+    """
+    cond_a, cond_b = np.linalg.cond(info_a), np.linalg.cond(info_b)
+    try:
+        inv_chol = np.linalg.inv(np.linalg.cholesky(info_b))
+    except np.linalg.LinAlgError:
+        return math.inf
+    lams = np.linalg.eigvalsh(inv_chol @ info_a @ inv_chol.T)
+    if not lams[0] > 0.0:
+        return math.inf
+    return 64.0 * _UNIT_ROUNDOFF * max(cond_a * cond_b, cond_b * max(lams[-1], 1.0 / lams[0]))
+
+
+def _assert_within_bound_of_referee(a: Estimate, b: Estimate, got: Estimate) -> None:
+    """``got`` fuses the pair (a, b): its exact trace against the referee's, per the module docstring."""
+    want = ci_referee._ci_pair(a, b)
+    info_a, info_b = (ci_referee._information_matrix(e.covariance) for e in (a, b))
+    w_star = ci_referee._golden_section_min(lambda w: _exact(info_a, info_b, w), 0.0, 1.0, _STEP)
+    want_trace = float(np.trace(want.covariance))
+    rise = max(_exact(info_a, info_b, min(max(w_star + s, 0.0), 1.0)) for s in (-_STEP, _STEP)) - want_trace
+    rtol = _rtol(info_a, info_b)
+    got_trace = float(np.trace(got.covariance))
+    assert got_trace <= want_trace + max(rise, 0.0) + 2.0 * rtol * want_trace, (got_trace, want_trace, rise, rtol)
+
+
+def _assert_fold_within_bound(estimates) -> Estimate:
+    fused = ci_fuse(estimates[:1])
+    for k in range(2, len(estimates) + 1):
+        previous, fused = fused, ci_fuse(estimates[:k])
+        _assert_within_bound_of_referee(previous, estimates[k - 1], fused)
+    return fused
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 12])
@@ -84,7 +138,9 @@ def test_seeded_folds_match_referee(n):
             _estimate(rng, _cov(rng, rng.uniform(1.0, 1e3), rng.uniform(0.1, 10.0)) * np.outer(spread, spread))
             for _ in range(n)
         ]
-        _assert_same_bytes(estimates)
+        fused = _assert_fold_within_bound(estimates)
+        if n == 1:
+            assert fused is estimates[0]
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_CLASSES))
@@ -92,20 +148,13 @@ def test_pair_classes_match_referee(name):
     rng = np.random.default_rng(sum(map(ord, name)))
     for _ in range(20):
         cov_a, cov_b = PAIR_CLASSES[name](rng)
-        _assert_same_bytes([_estimate(rng, cov_a), _estimate(rng, cov_b)])
-
-
-@pytest.mark.parametrize("name", EXACT_ONLY)
-def test_pairs_past_the_cap_use_exact_traces_only(name):
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        assert _fused_trace(*PAIR_CLASSES[name](rng)).terms is None
+        _assert_fold_within_bound([_estimate(rng, cov_a), _estimate(rng, cov_b)])
 
 
 def test_identical_pair_matches_referee():
     rng = np.random.default_rng(2)
     est = _estimate(rng, _cov(rng, 50.0))
-    _assert_same_bytes([est, Estimate(est.mean, est.covariance.copy())])
+    _assert_fold_within_bound([est, Estimate(est.mean, est.covariance.copy())])
 
 
 @pytest.mark.parametrize("boundary", ["w0", "w1"])
@@ -117,7 +166,7 @@ def test_boundary_optimum_matches_referee(boundary):
     a, b = (_estimate(rng, wide), _estimate(rng, tight))
     if boundary == "w1":
         a, b = b, a
-    fused = _assert_same_bytes([a, b])
+    fused = _assert_fold_within_bound([a, b])
     winner = b if boundary == "w0" else a
     np.testing.assert_allclose(fused.covariance, winner.covariance, rtol=1e-9)
     np.testing.assert_allclose(fused.mean.as_vector(), winner.mean.as_vector(), rtol=1e-9)
@@ -127,10 +176,11 @@ def test_regularised_covariance_matches_referee():
     rng = np.random.default_rng(4)
     basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     flat = basis @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 1e-14]) @ basis.T
-    assert _information_matrices(0.5 * (flat + flat.T)[None])[0][1] == math.inf  # the +1e-9 path
+    # the +1e-9 path: unregularised, the largest information would be near 1e14
+    assert np.linalg.eigvalsh(_information_matrices(0.5 * (flat + flat.T)[None])[0]).max() < 1.1e9
     estimates = [_estimate(rng, _cov(rng, 10.0)), _estimate(rng, flat), _estimate(rng, _cov(rng, 10.0))]
-    _assert_same_bytes(estimates)
-    _assert_same_bytes(estimates[::-1])
+    _assert_fold_within_bound(estimates)
+    _assert_fold_within_bound(estimates[::-1])
 
 
 def test_failed_cholesky_matches_referee():
@@ -139,22 +189,25 @@ def test_failed_cholesky_matches_referee():
     basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     indefinite = basis @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, -1e-6]) @ basis.T
     est = _estimate(rng, indefinite)
-    info, _ = _information_matrices(est.covariance[None])[0]
+    info = _information_matrices(est.covariance[None])[0]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(info)
-    _assert_same_bytes([_estimate(rng, _cov(rng, 10.0)), est])
+    _assert_fold_within_bound([_estimate(rng, _cov(rng, 10.0)), est])
 
 
-@pytest.mark.parametrize("name", sorted(set(PAIR_CLASSES) - set(EXACT_ONLY)))
+@pytest.mark.parametrize("name", sorted(set(PAIR_CLASSES) - set(LOOSE)))
 def test_closed_form_error_within_an_eighth_of_bound(name):
     rng = np.random.default_rng(sum(map(ord, name)) + 1)
     checked = 0
     for _ in range(20):
-        trace = _fused_trace(*PAIR_CLASSES[name](rng))
-        if trace.terms is None:
+        cov_a, cov_b = PAIR_CLASSES[name](rng)
+        info_a, info_b = _information_matrices(np.array([cov_a, cov_b]))
+        rtol = _rtol(info_a, info_b)
+        if not rtol < 1e-3:
             continue
         checked += 1
+        trace = _fused_trace(info_a, info_b)
         for w in WEIGHTS:
-            exact = trace.exact(w)
-            assert abs(trace.closed_form(w) - exact) <= trace.rtol / 8.0 * exact, (w, trace.rtol)
+            exact = _exact(info_a, info_b, w)
+            assert abs(trace(w) - exact) <= rtol / 8.0 * exact, (w, rtol)
     assert checked >= 10

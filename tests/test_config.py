@@ -167,16 +167,17 @@ def test_unknown_mode_is_rejected_outside_the_parser():
 
 
 _DEFAULTS = ScenarioConfig()
-# every float field of a record gets a NaN case, so a new one is covered
+# every float field of a record gets a NaN and an inf case, so a new one is covered
 _RECORDS = (_DEFAULTS, _DEFAULTS.motion, _DEFAULTS.sensing, _DEFAULTS.antenna, _DEFAULTS.rf)
 _NON_FINITE = [
     *(
-        (record, f.name, math.nan)
+        (record, f.name, value)
+        for value in (math.nan, math.inf)
         for record in _RECORDS
         for f in dataclasses.fields(record)
         if f.type in ("float", float)
     ),
-    (_DEFAULTS.rf, "near_field_loss_db", math.inf),
+    (_DEFAULTS.motion, "accel_noise_cov", ((2.0, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, 2.0))),
     (_DEFAULTS.rf, "power_levels_db", (None, -10.0, math.nan, 7.0)),
     (_DEFAULTS.rf, "power_levels_db", (None, -10.0, math.inf)),
     (_DEFAULTS.actions, "radial_steps_m", (1.0, math.nan)),
@@ -192,6 +193,20 @@ _NON_FINITE = [
 def test_parameter_records_reject_nan_and_inf(record, field, value):
     with pytest.raises(ValueError):
         dataclasses.replace(record, **{field: value})
+
+
+def test_records_compare_by_value():
+    # == between equal configs is a bool, not an elementwise array comparison
+    init = TargetState.from_vector([40.0, 40.0, 40.0, 1.0, 0.0, 0.0])
+    assert ScenarioConfig() == ScenarioConfig()
+    assert ScenarioConfig(target_init=init) == ScenarioConfig(target_init=TargetState.from_vector(init.as_vector()))
+    assert ScenarioConfig(target_init=init) != ScenarioConfig()
+    assert dataclasses.replace(_DEFAULTS, seed=1) != _DEFAULTS
+    assert dataclasses.replace(_DEFAULTS, arena_max=[100.0, 100.0, 99.0]) != _DEFAULTS
+    assert parse_config_text(format_config(_DEFAULTS)) == _DEFAULTS
+    motion = MotionModel(1.0, np.diag([2.0, 2.0, 2.0]))
+    assert motion == _DEFAULTS.motion and hash(motion) == hash(_DEFAULTS.motion)
+    assert dataclasses.replace(motion, dt=0.5) != motion
 
 
 _CT = dataclasses.replace(_DEFAULTS, mode="ct")

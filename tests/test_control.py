@@ -7,7 +7,6 @@ from cstj_sim.control import (
     DecisionRecord,
     Fallback,
     _best_tracking,
-    _tracking_scores,
     admissible_set,
     ct_decide,
     sequential_decide,
@@ -15,6 +14,7 @@ from cstj_sim.control import (
 )
 from cstj_sim.dynamics import ActionGrid, AgentState, TargetState, enumerate_actions
 from cstj_sim.geometry_rf import AntennaParams, RfParams, aggregate_power_db
+from cstj_sim import sensing
 from cstj_sim.sensing import SensingParams
 from oracles import cone_contains, detection_prob, received_power_db, solve_jamming_reference
 
@@ -42,10 +42,10 @@ class TestTrackingObjective:
     """The detection probability each candidate scores, as the controller computes it."""
 
     def test_inside_full_detection(self):
-        assert _tracking_scores(_pred([1.0, 0, 0]), [[0.5, 0, 0]], SENSING)[0] == SENSING.p_d_max
+        assert sensing.detection_prob(_pred([1.0, 0, 0]), [[0.5, 0, 0]], SENSING)[0] == SENSING.p_d_max
 
     def test_beyond_cutoff(self):
-        assert _tracking_scores(_pred([51.5, 0, 0]), [[0.0, 0, 0]], SENSING)[0] == 0.0
+        assert sensing.detection_prob(_pred([51.5, 0, 0]), [[0.0, 0, 0]], SENSING)[0] == 0.0
 
     def test_argmax_matches_brute_force(self):
         rng = np.random.default_rng(0)

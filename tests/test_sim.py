@@ -43,6 +43,16 @@ def _fingerprint(logs) -> bytes:
     )
 
 
+def _logged_bytes_except_fusion(logs) -> bytes:
+    """Every value the step logs hold but the fused estimate and its tracking error."""
+    return pickle.dumps(
+        [
+            {f.name: getattr(log, f.name) for f in dataclasses.fields(log) if f.name not in ("fused", "tracking_error_m")}
+            for log in logs
+        ]
+    )
+
+
 class TestRunTrial:
     def test_zero_steps_is_refused(self):
         with pytest.raises(ValueError, match="n_steps"):
@@ -80,6 +90,17 @@ class TestRunTrial:
             logs = run_trial(cfg, trial)
             improved += logs[-1].tracking_error_m < logs[0].tracking_error_m
         assert improved >= 26
+
+    @pytest.mark.parametrize("n_agents, n_particles", [(4, 300), (12, 200)])
+    def test_fusion_never_feeds_the_loop(self, monkeypatch, n_agents, n_particles):
+        # the fused estimate only scores the run: replacing the fusion changes
+        # nothing else the trial logs, bit for bit
+        cfg = _small_cfg(n_agents=n_agents, n_particles=n_particles, n_steps=6)
+        plain = run_trial(cfg, 1)
+        monkeypatch.setattr(sim, "ci_fuse", lambda estimates: estimates[0])
+        first_only = run_trial(cfg, 1)
+        assert [log.tracking_error_m for log in first_only] != [log.tracking_error_m for log in plain]
+        assert _logged_bytes_except_fusion(first_only) == _logged_bytes_except_fusion(plain)
 
     def test_interference_safe_when_no_fallback(self):
         cfg = _small_cfg(n_steps=10, n_trials=6)
