@@ -141,6 +141,69 @@ def _log_measurement_densities(delta, dist, meas, p: SensingParams):
     return quad
 
 
+# For x < -746, e**x < 0.21 * 2**-1074: any exp within 0.79 ulp of the
+# subnormal grid rounds it to 0.0, which ``tests/test_estimation.py`` checks
+# on the numpy in use. numpy reaches that 0.0 by a slow path of about 20 ns
+# per element, against about 1 ns for a normal result.
+_EXP_ZERO_BELOW = -746.0
+
+
+def _exp_live(g):
+    """``np.exp(g)`` in place, bit for bit, taking ``exp`` only of elements that can be non-zero.
+
+    ``g`` must be C-contiguous. Elements below ``_EXP_ZERO_BELOW`` are set
+    to the 0.0 that ``exp`` would give them; the live ones, NaN included,
+    are gathered, raised and scattered back. Gathering by flat indices
+    takes about a quarter less time than by a boolean mask.
+    """
+    flat = g.reshape(-1)
+    live = np.flatnonzero(~(flat < _EXP_ZERO_BELOW))
+    values = flat[live]
+    np.exp(values, out=values)
+    g.fill(0.0)
+    flat[live] = values
+    return g
+
+
+def _sum_rows(g):
+    """Sum over the rows of ``g`` in numpy's pairwise order, accumulated in place.
+
+    Each column gets the bits that numpy's ``sum`` gives it as a contiguous
+    row: fewer than 8 terms are added one by one; 8 to 128 terms go into
+    eight running sums over blocks of 8, joined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, and the
+    remaining n % 8 terms are added one by one; longer runs are split at
+    half their length, rounded down to a multiple of 8, and the two halves
+    added. Returns a view of ``g[0]``; the other rows are overwritten.
+    """
+    n = len(g)
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        head = _sum_rows(g[:half])
+        head += _sum_rows(g[half:])
+        return head
+    tail = n - n % 8
+    if tail:
+        r = g[:8]
+        for i in range(8, tail, 8):
+            r += g[i : i + 8]
+        acc, r1, r2, r3, r4, r5, r6, r7 = r
+        acc += r1
+        r2 += r3
+        acc += r2
+        r4 += r5
+        r6 += r7
+        r4 += r6
+        acc += r4
+    else:
+        acc = g[0]
+        tail = 1
+    for row in g[tail:]:
+        acc += row
+    return acc
+
+
 def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
     """Log likelihood of the whole measurement set for each state row.
 
@@ -150,10 +213,13 @@ def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
     sensing degenerates to the obvious special cases.
 
     The densities come measurement-major (see
-    ``_log_measurement_densities``), but each particle's sum over the
-    returns runs on a C-contiguous (particle, measurement) copy: numpy
-    sums a contiguous row of 8 or more terms pairwise, while a sum over
-    the leading axis adds the rows one by one, which rounds differently.
+    ``_log_measurement_densities``). About half of them lie so far below
+    zero that ``exp`` rounds them to 0.0, slowly; ``_exp_live`` takes
+    ``exp`` of the rest only. Each particle's sum over the returns must
+    round as numpy's ``sum`` of a contiguous (particle, measurement) row
+    does, which is pairwise from 8 terms on, while a sum over the leading
+    axis adds the rows one by one. ``_sum_rows`` adds the rows in that
+    pairwise order, so no transposed copy is made.
     """
     n_meas = len(meas)
     delta = states[:, :3] - np.asarray(sensor_pos, dtype=float)
@@ -164,15 +230,12 @@ def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
         base = n_meas * math.log(lam * p.clutter_density) - lam
         if n_meas == 0:
             return base + _safe_log(1.0 - p_d)
-        g = _log_measurement_densities(delta, dist, meas, p)
-        np.exp(g, out=g)
-        g_sum = np.ascontiguousarray(g.T).sum(axis=1)
-        return base + _safe_log((1.0 - p_d) + p_d * g_sum / (lam * p.clutter_density))
+        g = _exp_live(_log_measurement_densities(delta, dist, meas, p))
+        return base + _safe_log((1.0 - p_d) + p_d * _sum_rows(g) / (lam * p.clutter_density))
     if n_meas == 0:
         return _safe_log(1.0 - p_d)
     if n_meas == 1:
-        g = _log_measurement_densities(delta, dist, meas, p)
-        np.exp(g, out=g)
+        g = _exp_live(_log_measurement_densities(delta, dist, meas, p))
         return _safe_log(p_d * g[0])
     return np.full(len(states), -np.inf)
 

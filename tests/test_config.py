@@ -191,7 +191,7 @@ _NON_FINITE = [
     ids=[f"{type(record).__name__}.{field}={value}" for record, field, value in _NON_FINITE],
 )
 def test_parameter_records_reject_nan_and_inf(record, field, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
         dataclasses.replace(record, **{field: value})
 
 

@@ -6,9 +6,12 @@ import pytest
 
 from cstj_sim.dynamics import MotionModel, TargetState, step_target
 from cstj_sim.estimation import (
+    _EXP_ZERO_BELOW,
     Estimate,
     ParticleSet,
+    _exp_live,
     _log_set_likelihood,
+    _sum_rows,
     _systematic_resample,
     _wrap_difference,
     ci_fuse,
@@ -212,6 +215,28 @@ class TestLikelihood:
         np.testing.assert_array_equal(_wrap_difference(diffs), wrap_azimuth(diffs))
 
 
+def _straddle_cut_off(s_pos, meas):
+    """Offsets at two adjacent sweep angles that put return 0's log density on either side of the ``exp`` cut-off."""
+    rho, az, inc = meas[0]
+
+    def offset(angle):
+        return rho * np.array([np.sin(inc) * np.cos(az + angle), np.sin(inc) * np.sin(az + angle), np.cos(inc)])
+
+    def log_density(angle):
+        delta = (s_pos + offset(angle))[None, :] - s_pos
+        dist = np.sqrt((delta * delta).sum(axis=-1))
+        return likelihood_referee._log_measurement_densities(delta, dist, meas[:1], SENSING)[0, 0]
+
+    lo, hi = 0.0, math.pi  # the density falls as the azimuth residual grows
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if log_density(mid) < _EXP_ZERO_BELOW:
+            hi = mid
+        else:
+            lo = mid
+    return [offset(lo), offset(hi)]
+
+
 def _referee_case(n, m, seed):
     """Seeded particles and returns with the layout's edge cases mixed in.
 
@@ -222,13 +247,16 @@ def _referee_case(n, m, seed):
     give residuals of +-pi and -2 pi. The other half of the particles sweep
     the azimuth from the first return's own to the opposite one, which
     drives the log densities through the band below -708 where ``exp``
-    gives subnormal results and then zero.
+    gives subnormal results and then zero; rows 3 and 4 sit on either side
+    of the cut-off below which the kernel skips ``exp``. Return 3 lies far
+    beyond every particle, so its densities are all below the cut-off.
     """
     rng = np.random.default_rng(seed)
     s_pos = rng.uniform(0.0, 100.0, 3)
     center = rng.normal(scale=15.0, size=3)
     meas = np.column_stack(spherical_coords(center + rng.normal(scale=1.0, size=(m, 3))))
     meas[:3, 1] = [math.pi, 0.0, -math.pi][: len(meas)]
+    meas[3:4, 0] += 1000.0
     rho, az, inc = meas[0] if m else spherical_coords(center)
     sweep = np.linspace(0.0, math.pi, n)
     offsets = rho * np.column_stack(
@@ -236,6 +264,8 @@ def _referee_case(n, m, seed):
     )
     offsets[n // 2 :] = center + rng.normal(scale=1.5, size=(n - n // 2, 3))
     offsets[: min(n, 3)] = [[0.0, 0.0, 0.0], [7.0, 0.0, 3.0], [-7.0, 0.0, 3.0]][: min(n, 3)]
+    if m and n >= 5:
+        offsets[3:5] = _straddle_cut_off(s_pos, meas)
     states = np.concatenate([s_pos + offsets, rng.normal(size=(n, 3))], axis=1)
     return states, meas, s_pos
 
@@ -244,7 +274,7 @@ class TestMeasurementMajorLikelihood:
     """The measurement-major kernel against the particle-major one it replaced, bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 5, 200, 2000])
-    @pytest.mark.parametrize("m", [0, 1, 2, 7, 8, 9, 16, 26, 40])
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 8, 9, 15, 16, 17, 26, 40, 127, 128, 129, 300])
     def test_matches_particle_major_kernel(self, m, n):
         states, meas, s_pos = _referee_case(n, m, seed=1000 * m + n)
         for sensing in (SENSING, dataclasses.replace(SENSING, clutter_rate=0.0)):
@@ -265,9 +295,75 @@ class TestMeasurementMajorLikelihood:
         assert {math.pi, -math.pi, -2.0 * math.pi} <= set(residuals.ravel().tolist())
         assert np.any((dens > 0.0) & (dens < np.finfo(float).tiny))
         assert np.any((log_dens < -708.0) & (dens == 0.0))
+        # whole particles and whole returns below the cut-off, and elements
+        # just on either side of it
+        dead = log_dens < _EXP_ZERO_BELOW
+        assert np.any(dead.all(axis=1)) and np.any(dead.all(axis=0))
+        assert np.any(dead & (log_dens > _EXP_ZERO_BELOW - 1e-9))
+        assert np.any(~dead & (log_dens < _EXP_ZERO_BELOW + 1e-9))
         # numpy adds a row of 8 or more terms pairwise; adding the returns
         # one by one gives other bits for some particles of this case
         assert np.any(dens.sum(axis=1) != np.cumsum(dens, axis=1)[:, -1])
+
+    def test_nan_return_gives_nan_where_the_referee_does(self):
+        # a NaN density must reach the sum, not be taken for one below the cut-off
+        states, meas, s_pos = _referee_case(200, 9, seed=9003)
+        meas[5] = np.nan
+        for sensing, returns in ((SENSING, meas), (dataclasses.replace(SENSING, clutter_rate=0.0), meas[5:6])):
+            got = _log_set_likelihood(states, returns, s_pos, sensing)
+            expected = likelihood_referee._log_set_likelihood(states, returns, s_pos, sensing)
+            assert np.isnan(expected).any()
+            assert np.array_equal(got, expected, equal_nan=True)
+
+
+class TestExpCutOff:
+    """The numpy in use rounds ``exp`` to exactly 0.0 below the kernel's cut-off."""
+
+    BELOW = np.concatenate(
+        [
+            [np.nextafter(_EXP_ZERO_BELOW, -np.inf)],
+            np.linspace(np.nextafter(_EXP_ZERO_BELOW, -np.inf), -1e4, 200_001),
+            [-np.inf],
+        ]
+    )
+
+    def test_the_boundary_is_real(self):
+        assert np.exp(-745.13) > 0.0
+        assert np.exp(np.full(17, -745.13)).min() > 0.0
+
+    @pytest.mark.parametrize("start", range(8))
+    def test_whole_sweep_at_every_alignment(self, start):
+        buffer = np.zeros(start + len(self.BELOW))
+        buffer[start:] = self.BELOW
+        assert not np.exp(buffer[start:]).any()
+
+    @pytest.mark.parametrize("length", range(1, 18))
+    def test_short_arrays_and_tails(self, length):
+        # numpy's exp runs SIMD lanes over full vectors and a scalar path on
+        # the remainder; short arrays at each offset put every sample in both
+        samples = self.BELOW[np.r_[0:8, 8 : len(self.BELOW) : 2001, -1]]
+        buffer = np.empty(length + 7)
+        for value in samples:
+            for start in range(8):
+                buffer.fill(value)
+                assert not np.exp(buffer[start : start + length]).any()
+
+    def test_exp_live_matches_exp(self):
+        rng = np.random.default_rng(14)
+        edges = [np.nan, -np.inf, np.inf, 0.0, -708.5, -745.13, _EXP_ZERO_BELOW]
+        edges += [np.nextafter(_EXP_ZERO_BELOW, -np.inf), np.nextafter(_EXP_ZERO_BELOW, 0.0)]
+        for values in (np.array(edges), rng.uniform(-800.0, 1.0, size=(7, 301))):
+            assert _exp_live(values.copy()).tobytes() == np.exp(values).tobytes()
+
+
+@pytest.mark.parametrize("columns", [1, 3, 200])
+def test_sum_rows_matches_numpy_row_sums(columns):
+    # numpy's own sum of each contiguous (particle, return) row is the referee
+    rng = np.random.default_rng(columns)
+    for n in range(1, 300):
+        g = np.exp(rng.normal(scale=3.0, size=(n, columns)))
+        expected = np.ascontiguousarray(g.T).sum(axis=1)
+        assert _sum_rows(g).tobytes() == expected.tobytes()
 
 
 class TestUpdate:
