@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TargetState
+from .dynamics import TargetState, vector3
 from .geometry_rf import AntennaParams, RfParams, db_to_linear, linear_to_db, received_power_map
 from .sensing import SensingParams, detection_prob
 
@@ -35,9 +35,13 @@ class Fallback(enum.Enum):
     POWER_OFF = "power_off_fallback"
 
 
-@dataclass
+@dataclass(slots=True)
 class DecisionRecord:
-    """One agent's committed move, transmit level, and antenna aim for a step."""
+    """One agent's committed move, transmit level, and antenna aim for a step.
+
+    Each vector field keeps the float (3,) array it is given (see ``vector3``),
+    so pass arrays that nothing writes to afterwards.
+    """
 
     agent_id: int
     chosen_position: np.ndarray
@@ -47,8 +51,8 @@ class DecisionRecord:
     fallback_used: Fallback
 
     def __post_init__(self):
-        self.chosen_position = np.asarray(self.chosen_position, dtype=float).reshape(3)
-        self.aim_point = np.asarray(self.aim_point, dtype=float).reshape(3)
+        self.chosen_position = vector3(self.chosen_position)
+        self.aim_point = vector3(self.aim_point)
 
 
 def admissible_set(predicted_target: TargetState, actions, p: SensingParams, threshold: float) -> np.ndarray:

@@ -9,16 +9,30 @@ from functools import lru_cache
 import numpy as np
 
 
-@dataclass
+def vector3(value) -> np.ndarray:
+    """``value`` as a float (3,) array.
+
+    A float (3,) array comes back as itself, with no view laid over it; other
+    input is converted and reshaped, so a wrong size raises.
+    """
+    vec = np.asarray(value, dtype=float)
+    return vec if vec.shape == (3,) else vec.reshape(3)
+
+
+@dataclass(slots=True)
 class TargetState:
-    """Kinematic state of the rogue drone: 3D position and velocity."""
+    """Kinematic state of the rogue drone: 3D position and velocity.
+
+    Each vector field keeps the float (3,) array it is given (see ``vector3``),
+    so pass arrays that nothing writes to afterwards.
+    """
 
     position: np.ndarray
     velocity: np.ndarray
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        self.velocity = np.asarray(self.velocity, dtype=float).reshape(3)
+        self.position = vector3(self.position)
+        self.velocity = vector3(self.velocity)
         if not (np.isfinite(self.position).all() and np.isfinite(self.velocity).all()):
             raise ValueError("state components must be finite")
 
@@ -91,7 +105,7 @@ class AgentState:
     position: np.ndarray
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
+        self.position = vector3(self.position)
 
 
 @dataclass(frozen=True)

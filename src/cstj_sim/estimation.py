@@ -43,7 +43,7 @@ class ParticleSet:
         return len(self.states)
 
 
-@dataclass
+@dataclass(slots=True)
 class Estimate:
     """State mean with its 6x6 covariance."""
 

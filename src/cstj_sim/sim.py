@@ -13,7 +13,6 @@ so results are reproducible and independent of trial scheduling.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -126,7 +125,7 @@ class ScenarioConfig:
             raise ValueError(f"ct_power_db must be one of the transmit levels in ct mode, got {self.ct_power_db}")
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentStepLog:
     agent_id: int
     estimate: Estimate
@@ -136,7 +135,7 @@ class AgentStepLog:
     uninformative_update: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class StepLog:
     step: int
     true_state: TargetState
@@ -289,10 +288,17 @@ def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
 
 
 def run_trials(cfg: ScenarioConfig, jobs: int = 1) -> list[list[StepLog]]:
-    """All trials of the configured Monte-Carlo run, ordered by trial index."""
+    """All trials of the configured Monte-Carlo run, ordered by trial index.
+
+    With ``jobs`` > 1 the trials run in a pool of that many worker processes.
+    The pool, and the import of its machinery, exist only then, so a serial
+    run (and importing the package) never loads ``concurrent.futures``.
+    """
     indices = range(cfg.n_trials)
     if jobs <= 1:
         return [run_trial(cfg, t) for t in indices]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(run_trial, repeat(cfg), indices))
 

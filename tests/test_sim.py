@@ -1,12 +1,17 @@
 import dataclasses
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cstj_sim
 from cstj_sim.control import DecisionRecord, Fallback
-from cstj_sim.dynamics import TargetState
+from cstj_sim.dynamics import AgentState, TargetState
 from cstj_sim.estimation import Estimate
 from cstj_sim import sim
 from cstj_sim.geometry_rf import aggregate_power_db, received_power_map
@@ -131,6 +136,38 @@ class TestRunTrial:
                 assert metrics.max_interference_db is None
             else:
                 assert metrics.max_interference_db == pytest.approx(log.max_interference_db, abs=1e-9)
+
+
+class TestLogRecords:
+    @pytest.mark.parametrize("mode", ["cstj", "ct"])
+    def test_records_are_slotted_and_own_their_vectors(self, mode):
+        # a record without a __dict__ and a vector that is no view over
+        # another array keep a trial's logs small while run_trials holds them
+        logs = run_trial(_small_cfg(mode=mode, n_steps=4, n_particles=100), 0)
+        vectors = []
+        for log in logs:
+            records = [log, log.true_state, log.fused, log.fused.mean]
+            vectors += [log.true_state.position, log.true_state.velocity, log.fused.mean.position]
+            for agent in log.agents:
+                records += [agent, agent.estimate, agent.estimate.mean, agent.decision]
+                vectors += [agent.estimate.mean.position, agent.decision.chosen_position, agent.decision.aim_point]
+            assert not any(hasattr(record, "__dict__") for record in records)
+        for vec in vectors:
+            assert vec.dtype == np.float64 and vec.shape == (3,) and vec.base is None
+
+    def test_vector_fields_keep_the_array_given_and_refuse_wrong_sizes(self):
+        position = np.array([1.0, 2.0, 3.0])
+        assert TargetState(position, [0, 0, 0]).position is position
+        assert AgentState(0, position).position is position
+        assert DecisionRecord(0, position, 0, position, None, Fallback.NONE).aim_point is position
+        np.testing.assert_array_equal(TargetState([[1, 2, 3]], [0, 0, 0]).position, position)
+        for wrong in ([1.0, 2.0], np.zeros(4)):
+            with pytest.raises(ValueError):
+                TargetState(wrong, [0, 0, 0])
+            with pytest.raises(ValueError):
+                AgentState(0, wrong)
+            with pytest.raises(ValueError):
+                DecisionRecord(0, [0, 0, 0], 0, wrong, None, Fallback.NONE)
 
 
 class TestComputeMetrics:
@@ -268,11 +305,25 @@ class TestMonteCarlo:
             np.testing.assert_allclose(a, b)
 
     def test_jobs_do_not_change_results(self):
+        # every logged value, covariances, agent estimates and decisions
+        # included, comes back from the worker processes bit for bit
         cfg = _small_cfg(n_trials=4)
         serial = run_trials(cfg, jobs=1)
         parallel = run_trials(cfg, jobs=4)
+        assert len(serial) == len(parallel) == 4
         for a, b in zip(serial, parallel):
-            assert _fingerprint(a) == _fingerprint(b)
+            assert pickle.dumps(a) == pickle.dumps(b)
+
+    def test_import_loads_no_pool_machinery(self):
+        # only run_trials with jobs > 1 needs the process pool
+        src = Path(cstj_sim.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        probe = (
+            "import sys, cstj_sim.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_trial_count_override(self):
         cfg = _small_cfg(n_trials=5)
