@@ -129,6 +129,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# run flag (argparse dest) -> the config key it overrides
+_RUN_FLAGS = {"seed": "sim.seed", "trials": "sim.trials", "mode": "sim.mode", "agents": "sim.agents", "steps": "sim.steps"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cstj-sim",
@@ -170,21 +174,9 @@ def _env_seed() -> int | None:
 
 
 def cmd_run(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["sim.seed"] = args.seed
-    if args.trials is not None:
-        overrides["sim.trials"] = args.trials
-    if args.mode is not None:
-        overrides["sim.mode"] = args.mode
-    if args.agents is not None:
-        overrides["sim.agents"] = args.agents
-    if args.steps is not None:
-        overrides["sim.steps"] = args.steps
-    fallbacks = {}
+    overrides = {key: value for dest, key in _RUN_FLAGS.items() if (value := getattr(args, dest)) is not None}
     env_seed = _env_seed()
-    if env_seed is not None:
-        fallbacks["sim.seed"] = env_seed
+    fallbacks = {} if env_seed is None else {"sim.seed": env_seed}
     cfg = parse_config(args.config, overrides=overrides, fallbacks=fallbacks)
     _run_one(cfg, Path(args.out), args.jobs)
     return 0

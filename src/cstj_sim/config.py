@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 
@@ -144,7 +143,7 @@ _KEYS = {
     "filter.particles": (None, "n_particles", _INT, "particles per agent filter, >= 1"),
 }
 
-# one-line unit/meaning notes per key, surfaced through --help and the README
+# one-line unit/meaning notes per key, surfaced through `cstj-sim run --help`
 KEY_DOCS = {key: note for key, (*_, note) in _KEYS.items()}
 
 
@@ -164,6 +163,12 @@ def format_config(cfg: ScenarioConfig) -> str:
 
 
 def parse_config_text(text: str, overrides: dict | None = None, fallbacks: dict | None = None) -> ScenarioConfig:
+    """Build a config from ``key = value`` lines, overrides and fallbacks.
+
+    A key takes its value from ``overrides``, else from the text, else from
+    ``fallbacks``, else from the ``ScenarioConfig`` defaults. Every key, from
+    whichever source, is checked against ``_KEYS``; an unknown one is an error.
+    """
     raw: dict[str, str] = {}
     key_lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -178,20 +183,17 @@ def parse_config_text(text: str, overrides: dict | None = None, fallbacks: dict 
             raise ConfigError(f"line {lineno}: duplicate key {key} (first set on line {key_lines[key]})")
         key_lines[key] = lineno
         raw[key] = value.strip()
-    unknown = sorted(set(raw) - set(_KEYS))
-    if unknown:
-        raise ConfigError("unknown configuration keys: " + ", ".join(unknown))
     values = config_values(ScenarioConfig())
     if _DEG_ALIAS in raw:
         if "antenna.opening_angle_rad" in raw:
             raise ConfigError("antenna opening angle given in both degrees and radians")
         del values["antenna.opening_angle_rad"]
-    if fallbacks:
-        for key, value in fallbacks.items():
-            raw.setdefault(key, str(value))
-    if overrides:
-        for key, value in overrides.items():
-            raw[key] = str(value)
+    for key, value in (fallbacks or {}).items():
+        raw.setdefault(key, str(value))
+    raw.update((key, str(value)) for key, value in (overrides or {}).items())
+    unknown = sorted(set(raw) - set(_KEYS))
+    if unknown:
+        raise ConfigError("unknown configuration keys: " + ", ".join(unknown))
     values.update(raw)
     return _build(values)
 
@@ -236,7 +238,18 @@ def _record(cls, kwargs: dict, record: str | None, keys):
         raise ConfigError(f"{', '.join(named)}: {err}") from None
 
 
-PRESET_NAMES = ("figure3_compare", "figure4_sweep")
+# the rows of each preset arm, over the rows all arms share; rows equal to a
+# default are pinned too, so that a change of default moves no preset
+_PRESET_SHARED = {"sim.mode": "cstj", "sim.agents": 4, "sim.steps": 50, "sim.trials": 50, "control.ct_power_db": 7.0}
+_PRESETS = {
+    "figure3_compare": {mode: {"sim.mode": mode} for mode in ("cstj", "ct")},
+    "figure4_sweep": {
+        f"agents_{k:02d}": {"sim.agents": k, "actions.radial_steps_m": "1.0,3.0", "actions.n_phi": 2,
+                            "actions.n_theta": 4, "rf.power_levels_db": "off,0,7,10"}
+        for k in (2, 4, 6, 8, 10, 12)
+    },
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str, seed: int = 0) -> list[tuple[str, ScenarioConfig]]:
@@ -244,18 +257,11 @@ def preset(name: str, seed: int = 0) -> list[tuple[str, ScenarioConfig]]:
 
     figure3_compare pairs the interference-aware controller against the
     tracking-only baseline on identical scenarios; figure4_sweep varies the
-    team size over {2, 4, 6, 8, 10, 12} with a reduced move/power grid.
+    team size over {2, 4, 6, 8, 10, 12} with a reduced move/power grid. Each
+    arm is exactly the config that a file of its rows, the shared rows and
+    ``sim.seed`` gives.
     """
-    base = _record(ScenarioConfig, {"n_steps": 50, "n_trials": 50, "seed": seed}, None, _KEYS)
-    if name == "figure3_compare":
-        shared = replace(base, n_agents=4, ct_power_db=7.0)
-        return [("cstj", replace(shared, mode="cstj")), ("ct", replace(shared, mode="ct"))]
-    if name == "figure4_sweep":
-        shared = replace(
-            base,
-            mode="cstj",
-            actions=ActionGrid((1.0, 3.0), 2, 4),
-            rf=replace(base.rf, power_levels_db=(None, 0.0, 7.0, 10.0)),
-        )
-        return [(f"agents_{k:02d}", replace(shared, n_agents=k)) for k in (2, 4, 6, 8, 10, 12)]
-    raise ConfigError(f"unknown preset: {name}")
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset: {name}")
+    shared = {**_PRESET_SHARED, "sim.seed": seed}
+    return [(label, parse_config_text("", overrides={**shared, **rows})) for label, rows in _PRESETS[name].items()]

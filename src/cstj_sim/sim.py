@@ -52,7 +52,7 @@ def _float_tuple(values, n: int) -> tuple:
 
 @dataclass
 class ScenarioConfig:
-    """Everything one trial needs; see the CLI module for file keys and units.
+    """Everything one trial needs; ``config._KEYS`` gives the file keys and units.
 
     The vectors are held as tuples of floats, so that configs compare by value.
     """

@@ -164,3 +164,66 @@ def test_preset_writes_every_output(tmp_path, monkeypatch):
     for label in ("cstj", "ct"):
         for name, file in files.items():
             assert manifest[f"manifest.path.{label}.{name}"] == str(out / label / file)
+
+
+def _key_values(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+
+
+@pytest.mark.parametrize(
+    "flag, key, value",
+    [
+        ("--seed", "sim.seed", "9"),
+        ("--trials", "sim.trials", "2"),
+        ("--mode", "sim.mode", "ct"),
+        ("--agents", "sim.agents", "2"),
+        ("--steps", "sim.steps", "2"),
+    ],
+)
+def test_each_run_flag_reaches_the_resolved_config(flag, key, value, tmp_path, monkeypatch):
+    monkeypatch.delenv("CSTJ_SIM_SEED", raising=False)
+    path = _config_file(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out), flag, value]) == 0
+    # the flag sets its own key and leaves every other as the file has it
+    expected = config.config_values(config.parse_config(path))
+    assert expected[key] != value
+    expected[key] = value
+    assert _key_values(out / "config_resolved.txt") == expected
+
+
+# command, --seed, the config file's sim.seed, $CSTJ_SIM_SEED, the seed taken;
+# None leaves that source out
+SEED_CASES = [
+    ("run", 11, 12, 13, 11),
+    ("run", None, 12, 13, 12),
+    ("run", None, None, 13, 13),
+    ("run", None, None, None, 0),
+    ("preset", 11, None, 13, 11),
+    ("preset", None, None, 13, 13),
+    ("preset", None, None, None, 0),
+]
+
+
+@pytest.mark.parametrize("command, flag, file, env, expected", SEED_CASES)
+def test_seed_priority(command, flag, file, env, expected, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_trials", lambda cfg, jobs: [])
+    if env is None:
+        monkeypatch.delenv("CSTJ_SIM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CSTJ_SIM_SEED", str(env))
+    out = tmp_path / "out"
+    if command == "run":
+        path = _config_file(tmp_path)
+        if file is not None:
+            path.write_text(path.read_text() + f"sim.seed = {file}\n")
+        argv = ["run", "--config", str(path), "--out", str(out)]
+    else:
+        argv = ["preset", "figure3_compare", "--out", str(out)]
+    if flag is not None:
+        argv += ["--seed", str(flag)]
+    assert cli.main(argv) == 0
+    manifests = sorted(out.rglob("manifest.txt"))
+    assert len(manifests) == (1 if command == "run" else 3)
+    for manifest in manifests:
+        assert _key_values(manifest)["manifest.seed"] == str(expected)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from collections import Counter
 
@@ -7,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstj_sim.config import _KEYS, KEY_DOCS, ConfigError, config_values, format_config, parse_config_text
+from cstj_sim.config import (
+    _KEYS,
+    KEY_DOCS,
+    PRESET_NAMES,
+    ConfigError,
+    config_values,
+    format_config,
+    parse_config_text,
+    preset,
+)
 from cstj_sim.dynamics import ActionGrid, MotionModel, TargetState
 from cstj_sim.geometry_rf import AntennaParams, RfParams
 from cstj_sim.sensing import SensingParams
@@ -249,3 +259,58 @@ def test_key_table_maps_once_to_every_field():
             expected.append((None, f.name))
     canonical = [(record, name) for record, name, (_, fmt), _ in _KEYS.values() if fmt is not None]
     assert Counter(canonical) == Counter(expected)
+
+
+@pytest.mark.parametrize("source", ["text", "overrides", "fallbacks"])
+def test_unknown_key_is_an_error_from_every_source(source):
+    # a misspelt key must fail, not leave its field at the default without a word
+    with pytest.raises(ConfigError, match=r"unknown configuration keys: sim\.agent$"):
+        if source == "text":
+            parse_config_text("sim.agent = 3\n")
+        else:
+            parse_config_text("", **{source: {"sim.agent": 3}})
+
+
+# sha256 of format_config for every preset arm at seeds 0 and 7. A change of
+# a default or of the parser must not move a preset.
+PRESET_SHA256 = {
+    ("figure3_compare", 0): {
+        "cstj": "2b6ab65620c59a6104d966d029f8e5e2d37fdf2659ba54347e56ce8743e96031",
+        "ct": "6d2a5673ae936f56316932aba0d95e187eb90108a66abde386ab02a8f56dda6f",
+    },
+    ("figure3_compare", 7): {
+        "cstj": "173686725105423e5556ad2f1b7a6a4e6db4f32e6f647fe8e32059a35aee67b4",
+        "ct": "e3dff8ec1b8897393a4bb5babee8e633870c2ab324fe3e088562fff35562d0cd",
+    },
+    ("figure4_sweep", 0): {
+        "agents_02": "f6ba102bc04279ba301fd14bdd639f5ed85110f0f1446504960ba923507736f7",
+        "agents_04": "99f98723ad41081d66909a8e2b0b056e0322ea7a76e44f03122329b14ad89c5a",
+        "agents_06": "8c4634a9e779becc6526301a7d17878602ee2e27d517d5e9d8e1e16ba7d506e0",
+        "agents_08": "06bdd1aa4833e2e52284cdd921878ca5b078c73f44ae37ae335c3139a50b67d4",
+        "agents_10": "d3ae25274dc1354f9dd8729f563376a3d967233ee621deb9f08e607d334272f4",
+        "agents_12": "d3d10a3f72d0fff645fe601a35dde8713e74cdf8875e6922034faa1b8866417c",
+    },
+    ("figure4_sweep", 7): {
+        "agents_02": "f4dcb49b4b42b8ebb78397b766b95c2ed186b661816d164455a57057d180d08e",
+        "agents_04": "bbf376af8871bec1c6c412ed92515faee4bd8e898d917fc0a789912c6ba9c440",
+        "agents_06": "2a60afc0b23c9e72655ed8b83796690ee88230b20ecea54f84904db45e0e11b8",
+        "agents_08": "f029b388661b95968c3fe342f2aca9b52ee61f14fe8782d2f9fbf5a8460b308d",
+        "agents_10": "2d12f7904b5f12dafd32e8ac59bb110a27dec15c5ab9c0c2812f94c969204ed0",
+        "agents_12": "d3a23d233493c7eae10a4ee36420beb13d244b5d6bbb1717d692f365b449f74f",
+    },
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PRESET_SHA256))
+def test_preset_arms_are_pinned(name, seed):
+    arms = preset(name, seed=seed)
+    digests = {label: hashlib.sha256(format_config(cfg).encode()).hexdigest() for label, cfg in arms}
+    # the labels come in their documented order
+    assert list(digests) == list(PRESET_SHA256[name, seed])
+    assert digests == PRESET_SHA256[name, seed]
+
+
+def test_every_preset_is_pinned_and_an_unknown_one_is_an_error():
+    assert {name for name, _ in PRESET_SHA256} == set(PRESET_NAMES)
+    with pytest.raises(ConfigError, match="unknown preset: figure5"):
+        preset("figure5")
