@@ -12,7 +12,8 @@ Both limits are decided for every pair at once, on arrays of linear power:
 received power from each committed sender at each candidate and at each
 teammate, summed over senders in id order, then compared with the dB
 threshold as ``10 log10(total) < limit``. An off transmitter, or a receiver
-outside a cone, contributes NaN in dB and zero in linear power.
+outside a cone, contributes exactly zero, so a zero total (-inf dB) is
+always below the limit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TargetState, vector3
-from .geometry_rf import AntennaParams, RfParams, db_to_linear, linear_to_db, received_power_map
+from .geometry_rf import AntennaParams, RfParams, linear_to_db, received_power_map, sender_sum
 from .sensing import SensingParams, detection_prob
 
 
@@ -67,28 +68,6 @@ def _best_tracking(predicted_target: TargetState, candidates, p: SensingParams) 
     return candidates[int(np.argmax(detection_prob(predicted_target, candidates, p)))].copy()
 
 
-def _linear(power_db) -> np.ndarray:
-    """Linear power of dB values; NaN (off or uncovered) counts as zero."""
-    return np.nan_to_num(db_to_linear(power_db))
-
-
-def _sender_sum(linear: np.ndarray) -> np.ndarray:
-    """Sum over the leading sender axis in sender order, ((p0 + p1) + p2) + ...
-
-    ``ndarray.sum`` reduces a contiguous axis of 8 or more terms pairwise, so
-    its bits would depend on the array's shape; accumulating does not.
-    """
-    if len(linear) == 0:
-        return np.zeros(linear.shape[1:])
-    return np.add.accumulate(linear, axis=0)[-1]
-
-
-def _below(total_linear, limit_db: float) -> np.ndarray:
-    """``10 log10(total) < limit`` elementwise; a zero total is always below."""
-    with np.errstate(divide="ignore"):
-        return linear_to_db(total_linear) < limit_db
-
-
 def solve_jamming(
     agent_id: int,
     candidates,
@@ -104,11 +83,13 @@ def solve_jamming(
     candidate position from committed transmitters stays below the
     interference threshold, and (b) for every committed teammate, the
     aggregate of all other committed transmitters plus this agent's new
-    contribution stays below it too. Each aggregate is a linear power sum,
-    taken in sender (id) order with the new contribution last, and compared
-    with the threshold in dB. Delivered power counts as zero when the
-    predicted drone lies outside the candidate's cone or the level is off.
-    Ties break toward the lower power level, then the lower candidate index.
+    contribution stays below it too. Each aggregate is a linear power sum
+    (``sender_sum``), taken in sender (id) order with the new contribution
+    last, and compared with the threshold in dB. Delivered power is exactly
+    zero when the predicted drone lies outside the candidate's cone or the
+    level is off. Ties break toward the lower power level, then the lower
+    candidate index. The objective is recorded as ``10 log10`` of the
+    delivered power, None when it is zero.
 
     Fallback ladder when no transmitting pair is feasible: move to the
     best-tracking candidate that still satisfies (a) with the antenna off;
@@ -127,20 +108,19 @@ def solve_jamming(
 
     # (sender, candidate + receiver): power from each committed sender at each
     # candidate, then at each committed teammate; no antenna covers its own apex
-    received = _linear(received_power_map(tx_db, tx_pos, tx_aim, ant, rf, np.vstack([candidates, tx_pos[:, 0]])))
-    inbound_ok = _below(_sender_sum(received[:, : len(candidates)]), limit_db)
-    base = _sender_sum(received[:, len(candidates) :])
+    received = received_power_map(tx_db, tx_pos, tx_aim, ant, rf, np.vstack([candidates, tx_pos[:, 0]]))
+    inbound_ok = linear_to_db(sender_sum(received[:, : len(candidates)])) < limit_db
+    base = sender_sum(received[:, len(candidates) :])
     # (level, receiver, candidate): each teammate's load with this agent's contribution added
     added = received_power_map(levels_db[:, None, None], candidates, aim, ant, rf, tx_pos)
-    outbound_ok = _below(base[:, None] + _linear(added), limit_db).all(axis=1)
+    outbound_ok = (linear_to_db(base[:, None] + added) < limit_db).all(axis=1)
     feasible = inbound_ok & outbound_ok  # (level, candidate)
 
     if feasible[1:].any():
         # (level, candidate): power delivered toward the predicted drone
         delivery = received_power_map(levels_db[:, None], candidates, aim, ant, rf, aim)
-        score = np.where(feasible, _linear(delivery), -1.0)
-        w, k = divmod(int(np.argmax(score)), len(candidates))
-        objective_db = None if np.isnan(delivery[w, k]) else float(delivery[w, k])
+        w, k = divmod(int(np.argmax(np.where(feasible, delivery, -1.0))), len(candidates))
+        objective_db = float(linear_to_db(delivery[w, k])) if delivery[w, k] > 0.0 else None
         return DecisionRecord(agent_id, candidates[k].copy(), w, aim, objective_db, Fallback.NONE)
 
     if inbound_ok.any():

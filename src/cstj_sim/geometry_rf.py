@@ -1,10 +1,13 @@
-"""Directional-antenna cone geometry and dB link-budget arithmetic.
+"""Directional-antenna cone geometry and the one representation of power.
 
-Positions are 3-vectors in metres, powers and losses in dB. Every antenna
+Positions are 3-vectors in metres. Transmit levels, losses and limits are
+given in dB; received power is linear from the map on. Every antenna
 illuminates a right circular cone (height ``effective_range_m``, opening
 angle ``opening_angle_rad``) steered along an aim vector; a receiver outside
 the cone picks up no power at all, which ``received_power_map`` represents
-as NaN.
+as exactly 0.0, as it does for the off level (-inf dB). Totals are summed in
+linear power by ``sender_sum`` and converted back by ``linear_to_db``; this
+module alone converts between the two scales.
 """
 
 from __future__ import annotations
@@ -62,12 +65,12 @@ class RfParams:
         object.__setattr__(self, "power_levels_db", (None, *on))
 
     def power_db(self, index):
-        """Transmit power in dB of level ``index`` (an int or an int array); NaN for off."""
-        return np.array([np.nan, *self.power_levels_db[1:]])[index]
+        """Transmit power in dB of level ``index`` (an int or an int array); -inf for off."""
+        return np.array([-np.inf, *self.power_levels_db[1:]])[index]
 
 
 def received_power_map(tx_power_db: float, tx_pos, tx_aim, ant: AntennaParams, rf: RfParams, rx_pos):
-    """Received power in dB with cone gating; NaN where the receiver is uncovered.
+    """Received linear power with cone gating; 0.0 where the receiver is uncovered.
 
     A receiver is covered when its angle off the aim axis is at most half
     the opening angle and its projection on the axis is at most
@@ -75,7 +78,7 @@ def received_power_map(tx_power_db: float, tx_pos, tx_aim, ant: AntennaParams, r
     whose aim coincides with its own position covers nothing. One offset
     from the transmitter and its norm serve both the cone test and the path
     loss. Broadcasts over a trailing (..., 3) axis on transmitter, aim or
-    receiver positions. A NaN transmit power (the off level) gives NaN.
+    receiver positions. The off level (-inf dB) gives 0.0 too.
     """
     tx_pos = np.asarray(tx_pos, dtype=float)
     axis = np.asarray(tx_aim, dtype=float) - tx_pos
@@ -89,21 +92,33 @@ def received_power_map(tx_power_db: float, tx_pos, tx_aim, ant: AntennaParams, r
     inside = (dist > 0.0) & (along <= ant.effective_range_m) & (along >= dist * cos_half) & ~degenerate
     safe = np.where(inside, dist, 1.0)
     loss = rf.near_field_loss_db + 10.0 * rf.path_loss_exponent * np.log10(safe) + rf.attenuation_db
-    return np.where(inside, tx_power_db - loss, np.nan)
+    return np.where(inside, db_to_linear(tx_power_db - loss), 0.0)
 
 
 def db_to_linear(x):
-    return 10.0 ** (np.asarray(x, dtype=float) / 10.0)
+    """Linear power of dB values; -inf dB gives 0.0.
+
+    Always the ``np.power`` ufunc: numpy's scalar ``**`` calls another
+    routine, whose last bit can differ (in about one value in twenty on an
+    AVX-512 host), so a single receiver would not get the bits it gets
+    within an array.
+    """
+    return np.power(10.0, np.asarray(x, dtype=float) / 10.0)
 
 
 def linear_to_db(x):
-    return 10.0 * np.log10(x)
+    """``10 log10`` of linear power; 0.0 gives -inf dB."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(x)
 
 
-def aggregate_power_db(contributions_db):
-    """Sum dB contributions in the linear power domain; None for no input."""
-    vals = list(contributions_db)
-    if not vals:
-        return None
-    total = db_to_linear(np.asarray(vals, dtype=float)).sum()
-    return float(linear_to_db(total))
+def sender_sum(linear) -> np.ndarray:
+    """Sum over the leading sender axis in sender order, ((p0 + p1) + p2) + ...
+
+    ``ndarray.sum`` reduces a contiguous axis of 8 or more terms pairwise, so
+    its bits would depend on the array's shape; accumulating does not. An
+    empty sender axis sums to zero.
+    """
+    if len(linear) == 0:
+        return np.zeros(linear.shape[1:])
+    return np.add.accumulate(linear, axis=0)[-1]

@@ -33,7 +33,7 @@ from .dynamics import (
     step_target,
 )
 from .estimation import Estimate, ci_fuse, eap, init_particles, predict, predicted_state, update
-from .geometry_rf import AntennaParams, RfParams, aggregate_power_db, received_power_map
+from .geometry_rf import AntennaParams, RfParams, db_to_linear, linear_to_db, received_power_map, sender_sum
 from .sensing import SensingParams, collect
 
 _STREAM_SCENARIO = 0
@@ -144,7 +144,7 @@ class StepLog:
     tracking_error_m: float
     target_power_db: float | None
     max_interference_db: float | None
-    pair_interference_db: np.ndarray  # (n, n): power at row agent from column agent, NaN if none
+    pair_interference_db: np.ndarray  # (n, n): dB at row agent from column agent, NaN where zero
     any_fallback: bool
     violation: bool
 
@@ -169,30 +169,32 @@ def compute_metrics(
     """Step metrics against the true drone state and the executed decisions.
 
     Jamming metrics use the true drone position (what physically matters),
-    not the predicted one the controller aimed at.
+    not the predicted one the controller aimed at. Each receiver's total is
+    summed in linear power in sender order, as the controller sums it; only
+    the logged values are in dB, with None for a zero total and NaN for a
+    zero pair entry.
     """
     diff = fused.mean.position - true_state.position
     tracking_error = float(np.sqrt((diff * diff).sum()))
 
     tx_db = rf.power_db([d.power_index for d in decisions])
-    if np.isnan(tx_db).all():
+    if np.isneginf(tx_db).all():
         # nobody transmits: what the power map would give, without building it
         n = len(decisions)
         return StepMetrics(tracking_error, None, [None] * n, np.full((n, n), np.nan), None, False)
     positions = np.array([d.chosen_position for d in decisions]).reshape(-1, 3)
     aims = np.array([d.aim_point for d in decisions]).reshape(-1, 3)
     # (receiver, sender), the drone as the last receiver; no antenna covers
-    # its own apex, so the diagonal is NaN
+    # its own apex, so the diagonal is zero
     receivers = np.vstack([positions, true_state.position])
     received = received_power_map(tx_db, positions, aims, ant, rf, receivers[:, None])
-    pair = received[:-1]
-    # Each total sums only the present values, so it keeps the bits of
-    # aggregate_power_db over a list of them (numpy sums 8 or more pairwise).
-    target_power = aggregate_power_db(received[-1][~np.isnan(received[-1])])
-    per_agent = [aggregate_power_db(row[~np.isnan(row)]) for row in pair]
-    present = [v for v in per_agent if v is not None]
-    max_interference = max(present) if present else None
-    violation = any(v is not None and v >= rf.interference_threshold_db for v in per_agent)
+    pair = np.where(received[:-1] > 0.0, linear_to_db(received[:-1]), np.nan)
+    totals = linear_to_db(sender_sum(received.T))  # -inf where nothing arrives
+    logged = [None if v == -np.inf else float(v) for v in totals]
+    target_power, per_agent = logged[-1], logged[:-1]
+    worst = totals[:-1].max()
+    max_interference = None if worst == -np.inf else float(worst)
+    violation = bool(worst >= rf.interference_threshold_db)
     return StepMetrics(tracking_error, target_power, per_agent, pair, max_interference, violation)
 
 
@@ -337,12 +339,10 @@ def mean_target_power_db(logs_by_trial: list[list[StepLog]]) -> float | None:
     Steps where nothing reached the drone count as zero linear power; returns
     None if no step delivered anything.
     """
-    linear = [
-        0.0 if log.target_power_db is None else 10.0 ** (log.target_power_db / 10.0)
-        for trial in logs_by_trial
-        for log in trial
-    ]
-    if not linear:
+    linear = db_to_linear(
+        [-np.inf if log.target_power_db is None else log.target_power_db for trial in logs_by_trial for log in trial]
+    )
+    if linear.size == 0:
         return None
-    mean = float(np.mean(linear))
-    return None if mean <= 0.0 else float(10.0 * np.log10(mean))
+    mean = linear.mean()
+    return None if mean <= 0.0 else float(linear_to_db(mean))

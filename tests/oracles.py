@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from cstj_sim.control import DecisionRecord, Fallback
-from cstj_sim.geometry_rf import received_power_map
+from cstj_sim.geometry_rf import linear_to_db, received_power_map
 
 
 def wrap_angle(a: float) -> float:
@@ -197,12 +197,12 @@ def received_power_db(tx_power_db, tx_pos, tx_aim, ant, rf, rx_pos):
     """Power in dB delivered to ``rx_pos``; None when off or outside the cone.
 
     Unlike the rest of this module it wraps the package's
-    ``received_power_map``: the tests that build their expectations from it
-    demand the package's bits.
+    ``received_power_map`` and ``linear_to_db``: the tests that build their
+    expectations from it demand the package's bits.
     """
     if tx_power_db is None:
         return None
     value = received_power_map(float(tx_power_db), tx_pos, tx_aim, ant, rf, rx_pos)
     if np.ndim(value) != 0:
         raise ValueError("received_power_db expects scalar endpoints")
-    return None if np.isnan(value) else float(value)
+    return None if value == 0.0 else float(linear_to_db(value))

@@ -13,7 +13,7 @@ from cstj_sim.control import (
     solve_jamming,
 )
 from cstj_sim.dynamics import ActionGrid, AgentState, TargetState, enumerate_actions
-from cstj_sim.geometry_rf import AntennaParams, RfParams, aggregate_power_db
+from cstj_sim.geometry_rf import AntennaParams, RfParams, linear_to_db, received_power_map
 from cstj_sim import sensing
 from cstj_sim.sensing import SensingParams
 from oracles import cone_contains, detection_prob, received_power_db, solve_jamming_reference
@@ -99,6 +99,15 @@ class TestAdmissibleSet:
 
 def _decision(agent_id, position, power_index, aim):
     return DecisionRecord(agent_id, position, power_index, aim, None, Fallback.NONE)
+
+
+def _load_db(rx_pos, senders):
+    """Total power at ``rx_pos`` in dB: each sender's linear power added in the order given."""
+    total = 0.0
+    for sender in senders:
+        level = RF.power_db(sender.power_index)
+        total += received_power_map(level, sender.chosen_position, sender.aim_point, ANT, RF, rx_pos)
+    return linear_to_db(total)
 
 
 class TestSolveJamming:
@@ -207,32 +216,12 @@ class TestSolveJamming:
                 continue
             checked += 1
             # inbound: what the new agent receives at its chosen spot
-            inbound = []
-            for other in decided:
-                level = RF.power_levels_db[other.power_index]
-                if level is None:
-                    continue
-                c = received_power_db(level, other.chosen_position, other.aim_point, ANT, RF, rec.chosen_position)
-                if c is not None:
-                    inbound.append(c)
-            total = aggregate_power_db(inbound)
-            assert total is None or total < RF.interference_threshold_db
-            # outbound: what every committed receiver now absorbs
+            assert _load_db(rec.chosen_position, decided) < RF.interference_threshold_db
+            # outbound: what every committed receiver now absorbs, the new
+            # agent's contribution last
             for receiver in decided:
-                vals = []
-                for sender in decided + [rec]:
-                    if sender.agent_id == receiver.agent_id:
-                        continue
-                    level = RF.power_levels_db[sender.power_index]
-                    if level is None:
-                        continue
-                    c = received_power_db(
-                        level, sender.chosen_position, sender.aim_point, ANT, RF, receiver.chosen_position
-                    )
-                    if c is not None:
-                        vals.append(c)
-                total = aggregate_power_db(vals)
-                assert total is None or total < RF.interference_threshold_db
+                senders = [s for s in decided + [rec] if s.agent_id != receiver.agent_id]
+                assert _load_db(receiver.chosen_position, senders) < RF.interference_threshold_db
         assert checked >= 10  # the sweep must actually exercise transmitting decisions
 
     def test_objective_monotone_in_power(self):
@@ -317,20 +306,8 @@ class TestSequentialDecide:
                 continue
             audited += 1
             for receiver in decisions:
-                vals = []
-                for sender in decisions:
-                    if sender.agent_id == receiver.agent_id:
-                        continue
-                    level = RF.power_levels_db[sender.power_index]
-                    if level is None:
-                        continue
-                    c = received_power_db(
-                        level, sender.chosen_position, sender.aim_point, ANT, RF, receiver.chosen_position
-                    )
-                    if c is not None:
-                        vals.append(c)
-                total = aggregate_power_db(vals)
-                assert total is None or total < RF.interference_threshold_db
+                senders = [s for s in decisions if s.agent_id != receiver.agent_id]
+                assert _load_db(receiver.chosen_position, senders) < RF.interference_threshold_db
         assert audited >= 10
 
     def test_empty_candidate_set_takes_tracking_fallback(self):
@@ -351,14 +328,8 @@ class TestSequentialDecide:
             for a in agents
         ]
         for receiver in decisions:
-            vals = []
-            for sender in decisions:
-                if sender.agent_id == receiver.agent_id:
-                    continue
-                level = RF.power_levels_db[sender.power_index]
-                if level is not None:
-                    vals.append(0.0)
-            assert aggregate_power_db(vals) is None
+            senders = [s for s in decisions if s.agent_id != receiver.agent_id]
+            assert _load_db(receiver.chosen_position, senders) == -np.inf
 
     def test_unsorted_agents_rejected(self):
         agents = [AgentState(1, [0.0, 0, 0]), AgentState(0, [1.0, 0, 0])]

@@ -8,10 +8,13 @@ from hypothesis import example, given, strategies as st
 from cstj_sim.geometry_rf import (
     AntennaParams,
     RfParams,
-    aggregate_power_db,
+    db_to_linear,
+    linear_to_db,
     received_power_map,
+    sender_sum,
 )
 from oracles import aggregate_increase_db
+import power_referee
 
 RF = RfParams(32.4, 2.5, 6.0206, (None, -10.0, 0.0, 7.0, 10.0), -50.0)
 ANT = AntennaParams(100.0, math.radians(80.0))
@@ -23,12 +26,17 @@ COVER = AntennaParams(1e7, math.radians(80.0))
 def _path_loss_db(distance):
     """Path loss to receivers on the covering cone's axis: 0 dB sent less the power received."""
     rx = np.multiply.outer(distance, [1.0, 0.0, 0.0])
-    return -received_power_map(0.0, ORIGIN, [1.0, 0.0, 0.0], COVER, RF, rx)
+    return -linear_to_db(received_power_map(0.0, ORIGIN, [1.0, 0.0, 0.0], COVER, RF, rx))
 
 
 def _covered(apex, aim, point):
-    """Cone membership as the power map sees it: a receiver outside gets NaN."""
-    return not np.isnan(received_power_map(0.0, apex, aim, ANT, RF, point))
+    """Cone membership as the power map sees it: a receiver outside gets zero power."""
+    return bool(received_power_map(0.0, apex, aim, ANT, RF, point) > 0.0)
+
+
+def _total_db(values_db):
+    """The sender-order total of dB contributions, in dB."""
+    return float(linear_to_db(sender_sum(db_to_linear(values_db))))
 
 
 class TestPathLoss:
@@ -76,7 +84,7 @@ class TestConeContains:
 
     def test_degenerate_axis_covers_nothing(self):
         points = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, -1.0, 0]])
-        assert np.isnan(received_power_map(0.0, ORIGIN, ORIGIN, ANT, RF, points)).all()
+        assert (received_power_map(0.0, ORIGIN, ORIGIN, ANT, RF, points) == 0.0).all()
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(42)
@@ -97,19 +105,20 @@ class TestConeContains:
 class TestReceivedPower:
     def test_on_axis_one_metre(self):
         got = received_power_map(10.0, ORIGIN, [0, 0, 10.0], ANT, RF, [0, 0, 1.0])
-        assert got == pytest.approx(10.0 - 38.4206, rel=1e-12)
+        assert linear_to_db(got) == pytest.approx(10.0 - 38.4206, rel=1e-12)
 
     def test_outside_cone_is_absent(self):
-        assert np.isnan(received_power_map(10.0, ORIGIN, [0, 0, 10.0], ANT, RF, [0, 0, -5.0]))
+        assert received_power_map(10.0, ORIGIN, [0, 0, 10.0], ANT, RF, [0, 0, -5.0]) == 0.0
 
     def test_off_level_is_absent(self):
-        assert np.isnan(received_power_map(np.nan, ORIGIN, [0, 0, 10.0], ANT, RF, [0, 0, 1.0]))
+        assert RF.power_db(0) == -np.inf
+        assert received_power_map(RF.power_db(0), ORIGIN, [0, 0, 10.0], ANT, RF, [0, 0, 1.0]) == 0.0
 
     def test_strictly_decreasing_along_axis(self):
         distances = np.linspace(0.5, ANT.effective_range_m, 40)
         points = np.stack([np.zeros(40), np.zeros(40), distances], axis=1)
         powers = received_power_map(7.0, ORIGIN, [0, 0, 10.0], ANT, RF, points)
-        assert not np.isnan(powers).any()
+        assert (powers > 0.0).all()
         assert (np.diff(powers) < 0).all()
 
 
@@ -121,7 +130,7 @@ def _edge_cases():
         ("degenerate_aim", 7.0, ORIGIN, ORIGIN, [[1.0, 0, 0], [0, 0, 1.0], [0, -1.0, 0]]),
         ("cone_surface", 7.0, ORIGIN, [0.0, 0.0, 10.0], 10.0 * np.array([math.sin(half), 0.0, math.cos(half)])),
         ("axial_range_end", 7.0, ORIGIN, [0.0, 0.0, 10.0], [0.0, 0.0, ANT.effective_range_m]),
-        ("off_level", np.nan, ORIGIN, [0.0, 0.0, 10.0], [0.0, 0.0, 1.0]),
+        ("off_level", RF.power_db(0), ORIGIN, [0.0, 0.0, 10.0], [0.0, 0.0, 1.0]),
     ]
 
 
@@ -132,7 +141,7 @@ def _broadcast_cases():
     aims = senders + rng.uniform(-30.0, 30.0, (4, 3))
     candidates = rng.uniform(0.0, 100.0, (25, 3))
     drone = rng.uniform(0.0, 100.0, 3)
-    tx_db = np.array([np.nan, -10.0, 7.0, 10.0])
+    tx_db = np.array([RF.power_db(0), -10.0, 7.0, 10.0])
     levels = RF.power_db(np.arange(len(RF.power_levels_db)))
     return [
         # (sender, receiver): teammates (own apex included) and the drone
@@ -149,11 +158,13 @@ def _broadcast_cases():
 class TestPowerMapBytes:
     """The power map's bytes on seeded inputs, pinned from the two-pass kernel.
 
-    The digests are the sha256 of each output's float64 bytes, taken from
+    The digests are the sha256 of each dB output's float64 bytes, taken from
     the implementation that tested the cone in a separate pass before it
-    computed the path loss. There, a receiver on the cone surface or at the
-    end of the axial range is covered; the apex, a degenerate aim and the
-    off level give NaN.
+    computed the path loss; ``power_referee`` keeps the dB map that
+    reproduced them, with NaN as its off level. There, a receiver on the
+    cone surface or at the end of the axial range is covered; the apex, a
+    degenerate aim and the off level give NaN. The linear map must be
+    ``10 ** (dB / 10)`` of those bytes, 0.0 for NaN.
     """
 
     DIGESTS = {
@@ -182,26 +193,39 @@ class TestPowerMapBytes:
     @pytest.mark.parametrize("case", [*_edge_cases(), *_broadcast_cases()], ids=lambda c: c[0])
     def test_bytes_pinned(self, case):
         name, tx_db, tx_pos, tx_aim, rx_pos = case
+        ref = power_referee.received_power_map(np.where(tx_db == -np.inf, np.nan, tx_db), tx_pos, tx_aim, ANT, RF, rx_pos)
+        assert ref.dtype == np.float64 and ref.shape == self.SHAPES[name]
+        assert hashlib.sha256(ref.tobytes()).hexdigest() == self.DIGESTS[name]
         out = received_power_map(tx_db, tx_pos, tx_aim, ANT, RF, rx_pos)
         assert out.dtype == np.float64 and out.shape == self.SHAPES[name]
-        assert hashlib.sha256(out.tobytes()).hexdigest() == self.DIGESTS[name]
+        assert out.tobytes() == np.where(np.isnan(ref), 0.0, 10.0 ** (ref / 10.0)).tobytes()
 
 
 class TestAggregatePower:
     @given(st.floats(min_value=-150.0, max_value=50.0))
     def test_single_contribution_identity(self, x):
-        assert aggregate_power_db([x]) == pytest.approx(x, abs=1e-9)
+        assert _total_db([x]) == pytest.approx(x, abs=1e-9)
 
     def test_doubling_adds_three_db(self):
-        assert aggregate_power_db([-30.0, -30.0]) == pytest.approx(-30.0 + 10 * math.log10(2), rel=1e-12)
+        assert _total_db([-30.0, -30.0]) == pytest.approx(-30.0 + 10 * math.log10(2), rel=1e-12)
 
     def test_empty_is_absent(self):
-        assert aggregate_power_db([]) is None
+        total = sender_sum(np.zeros((0, 3)))
+        assert total.shape == (3,) and (total == 0.0).all()
+        assert sender_sum(np.zeros(0)) == 0.0
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=20))
+    def test_adds_in_sender_order_at_any_count(self, values):
+        # numpy's own sum goes pairwise from 8 terms on; this one never does
+        total = 0.0
+        for v in values:
+            total += v
+        assert sender_sum(np.array(values)) == total
 
     @given(st.lists(st.floats(min_value=-120.0, max_value=20.0), min_size=2, max_size=8))
     def test_permutation_invariant(self, values):
         shuffled = list(reversed(values))
-        assert aggregate_power_db(values) == pytest.approx(aggregate_power_db(shuffled), rel=1e-12)
+        assert _total_db(values) == pytest.approx(_total_db(shuffled), rel=1e-12)
 
     @given(
         st.lists(st.floats(min_value=-120.0, max_value=20.0), min_size=1, max_size=6),
@@ -215,7 +239,7 @@ class TestAggregatePower:
         idx = idx % len(values)
         bumped = list(values)
         bumped[idx] += bump
-        before, after = aggregate_power_db(values), aggregate_power_db(bumped)
+        before, after = _total_db(values), _total_db(bumped)
         assert after >= before
         # a rise of about one ulp of the total may round away in float64;
         # anything the exact oracle puts above two ulps must show

@@ -9,6 +9,9 @@ tests and the harness's own tests do not count.
 Every field of a dataclass in ``src/cstj_sim`` must likewise be read: some
 ``Attribute`` node that loads a name equal to the field's appears in the
 package or the harness.
+
+Only ``geometry_rf`` converts between dB and linear power: no other package
+module refers to ``log10`` or raises 10 to a power.
 """
 
 import ast
@@ -84,6 +87,33 @@ def unread_fields(package: Path = PACKAGE, harness: Path = HARNESS) -> list[str]
     return unread
 
 
+def _is_ten(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 10
+
+
+def scale_conversions(package: Path = PACKAGE) -> list[str]:
+    """``module:line`` of each dB/linear conversion outside ``geometry_rf``.
+
+    A conversion is a reference to ``log10``, or 10 raised to a power by
+    ``**``, ``pow`` or ``power``.
+    """
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "geometry_rf":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                conversion = callee in ("pow", "power") and bool(node.args) and _is_ten(node.args[0])
+            elif isinstance(node, ast.BinOp):
+                conversion = isinstance(node.op, ast.Pow) and _is_ten(node.left)
+            else:
+                conversion = getattr(node, "id", getattr(node, "attr", None)) == "log10"
+            if conversion:
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
 def test_every_definition_is_used_or_exported():
     assert unreferenced_definitions() == []
 
@@ -118,3 +148,20 @@ def test_guard_sees_an_unread_field(tmp_path):
         encoding="utf-8",
     )
     assert unread_fields(package, tmp_path / "no_harness") == ["a.Record.written", "a.Stored.kept"]
+
+
+def test_only_geometry_rf_converts_power_scales():
+    assert scale_conversions() == []
+
+
+def test_guard_sees_a_scale_conversion(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "geometry_rf.py").write_text("import numpy as np\n\n\ndef db(x):\n    return 10 * np.log10(x)\n")
+    (package / "a.py").write_text(
+        "import math\nimport numpy as np\n\n\n"
+        "def f(x):\n    return 10.0 ** (x / 10.0), 2 ** x, x ** 10, np.exp(x)\n\n\n"
+        "def g(x):\n    return math.log10(x), np.power(10.0, x), pow(10, x), np.power(x, 10)\n",
+        encoding="utf-8",
+    )
+    assert sorted(scale_conversions(package)) == ["a:10", "a:10", "a:10", "a:6"]
