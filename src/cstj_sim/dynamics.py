@@ -57,6 +57,8 @@ class MotionModel:
     dt: float
     accel_noise_cov: tuple  # 3x3, held as rows of floats so that models compare and hash
     _noise_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    _transition: np.ndarray = field(init=False, repr=False, compare=False)  # F: position += dt * velocity
+    _gain: np.ndarray = field(init=False, repr=False, compare=False)  # G: acceleration into the state
 
     def __post_init__(self):
         # written so that NaN and inf fail them
@@ -73,19 +75,17 @@ class MotionModel:
         u, s, _ = np.linalg.svd(cov)
         object.__setattr__(self, "accel_noise_cov", tuple(map(tuple, cov.tolist())))
         object.__setattr__(self, "_noise_factor", (u * np.sqrt(s)).T)
+        object.__setattr__(self, "_transition", np.eye(6) + self.dt * np.eye(6, k=3))
+        object.__setattr__(self, "_gain", 0.5 * self.dt**2 * np.eye(6, 3) + self.dt * np.eye(6, 3, k=-3))
 
-    def transition_matrix(self) -> np.ndarray:
-        """6x6 state transition: position advances by dt * velocity."""
-        phi = np.eye(6)
-        phi[:3, 3:] = self.dt * np.eye(3)
-        return phi
+    def advance(self, states: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        """``states @ F.T + nu @ G.T``: (..., 6) states one step on, driven by (..., 3) accelerations.
 
-    def noise_gain(self) -> np.ndarray:
-        """6x3 gain mapping an acceleration draw into the state update."""
-        gamma = np.zeros((6, 3))
-        gamma[:3] = 0.5 * self.dt**2 * np.eye(3)
-        gamma[3:] = self.dt * np.eye(3)
-        return gamma
+        A (6,) state gets the bits of ``p + dt v + 0.5 dt**2 nu`` and ``v + dt nu`` (OpenBLAS
+        0.3.31, x86-64); at a dt that is not a power of two a batch, where BLAS fuses
+        multiply-adds, may differ from them in the last bit.
+        """
+        return states @ self._transition.T + nu @ self._gain.T
 
     def accel_noise(self, rng: np.random.Generator, shape=()) -> np.ndarray:
         """Acceleration draws of shape (*shape, 3).
@@ -129,10 +129,7 @@ class ActionGrid:
 
 def step_target(state: TargetState, model: MotionModel, rng: np.random.Generator) -> TargetState:
     """Advance the drone one step with a fresh acceleration-noise draw."""
-    nu = model.accel_noise(rng)
-    position = state.position + model.dt * state.velocity + 0.5 * model.dt**2 * nu
-    velocity = state.velocity + model.dt * nu
-    return TargetState(position, velocity)
+    return TargetState.from_vector(model.advance(state.as_vector(), model.accel_noise(rng)))
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,10 @@
 """Per-agent SIR particle filter with a clutter-aware measurement-set
 likelihood, EAP extraction, and sequential covariance-intersection fusion.
 
+The filter runs on the simulator's own model: it propagates with
+``MotionModel.advance``, which moves the drone, and scores with ``sensing``'s
+h(x) (``spherical_coords``) and range-noise law (``SensingParams.range_sigma``).
+
 A degenerate update (effective sample size below n/2) resamples from a
 defensive mixture: the predicted particles plus draws around each return
 that passes a gate against the predicted cloud, all weighted by the balance
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MotionModel, TargetState
-from .sensing import SensingParams, detection_prob_at_distance
+from .sensing import SensingParams, detection_prob_at_distance, spherical_coords, wrap_difference
 
 
 @dataclass
@@ -70,8 +74,7 @@ def init_particles(prior_mean: TargetState, prior_cov, n: int, rng: np.random.Ge
 
 def predict(ps: ParticleSet, model: MotionModel, rng: np.random.Generator) -> ParticleSet:
     """Propagate every particle through the motion model; weights unchanged."""
-    nu = model.accel_noise(rng, (len(ps),))
-    states = ps.states @ model.transition_matrix().T + nu @ model.noise_gain().T
+    states = model.advance(ps.states, model.accel_noise(rng, (len(ps),)))
     return ParticleSet(states, ps.weights.copy())
 
 
@@ -80,32 +83,24 @@ def predicted_state(ps: ParticleSet) -> TargetState:
     return TargetState.from_vector(ps.weights @ ps.states)
 
 
+def _moments(ps: ParticleSet) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted mean (6,) and covariance (6, 6) of the particle set."""
+    mean = ps.weights @ ps.states
+    centered = ps.states - mean
+    return mean, (ps.weights * centered.T) @ centered
+
+
 def _safe_log(values):
     with np.errstate(divide="ignore"):
         return np.log(values)
 
 
-def _wrap_difference(d):
-    """``sensing.wrap_azimuth`` of differences of two angles in [-pi, pi], bit for bit.
-
-    On that domain ``np.mod`` shifts by at most one period, and the shift
-    alone gives the same floats: subtracting 2 pi from a value in
-    [2 pi, 3 pi] is exact. Each shift is taken as a 0-or-1 multiple of
-    2 pi; a zero shift changes at most the sign of a zero, which the final
-    subtraction from pi discards. ``d`` is left as it is.
-    """
-    y = np.subtract(np.pi, d)
-    y -= (y >= 2.0 * np.pi) * (2.0 * np.pi)
-    y += (y < 0.0) * (2.0 * np.pi)
-    return np.subtract(np.pi, y, out=y)
-
-
-def _log_measurement_densities(delta, dist, meas, p: SensingParams):
+def _log_measurement_densities(dist, azimuth, inclination, meas, p: SensingParams):
     """(n_meas, n_particles) log Gaussian densities of each measurement.
 
-    ``delta`` holds the particle offsets from the sensor and ``dist`` their
-    norms. The azimuth residual is wrapped into (-pi, pi]; the range noise
-    scale grows linearly with the particle's distance from the sensor.
+    ``dist``, ``azimuth`` and ``inclination`` are h(x) of each particle
+    (``sensing.spherical_coords``). The azimuth residual is wrapped into
+    (-pi, pi]; the range noise scale is ``p.range_sigma(dist)``.
 
     The grid is measurement-major: a set has a few dozen returns at most
     and a filter thousands of particles, so every elementwise pass runs
@@ -115,10 +110,7 @@ def _log_measurement_densities(delta, dist, meas, p: SensingParams):
     order of operations, so each element equals the plain expression bit
     for bit, whatever the layout.
     """
-    dx, dy, dz = delta[:, 0], delta[:, 1], delta[:, 2]
-    azimuth = np.arctan2(dy, dx)
-    inclination = np.arctan2(np.hypot(dx, dy), dz)
-    sigma_rho = p.sigma_rho0_m + p.beta_rho * dist
+    sigma_rho = p.range_sigma(dist)
     log_norm = (
         np.log(sigma_rho)
         + math.log(p.sigma_theta_rad)
@@ -128,7 +120,7 @@ def _log_measurement_densities(delta, dist, meas, p: SensingParams):
     quad = np.subtract(meas[:, 0, None], dist)
     quad /= sigma_rho
     quad *= quad
-    term = _wrap_difference(np.subtract(meas[:, 1, None], azimuth))
+    term = wrap_difference(np.subtract(meas[:, 1, None], azimuth))
     term /= p.sigma_theta_rad
     term *= term
     quad += term
@@ -222,20 +214,19 @@ def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
     pairwise order, so no transposed copy is made.
     """
     n_meas = len(meas)
-    delta = states[:, :3] - np.asarray(sensor_pos, dtype=float)
-    dist = np.sqrt((delta * delta).sum(axis=-1))
+    dist, azimuth, inclination = spherical_coords(states[:, :3] - np.asarray(sensor_pos, dtype=float))
     p_d = detection_prob_at_distance(dist, p)
     lam = p.clutter_rate
     if lam > 0:
         base = n_meas * math.log(lam * p.clutter_density) - lam
         if n_meas == 0:
             return base + _safe_log(1.0 - p_d)
-        g = _exp_live(_log_measurement_densities(delta, dist, meas, p))
+        g = _exp_live(_log_measurement_densities(dist, azimuth, inclination, meas, p))
         return base + _safe_log((1.0 - p_d) + p_d * _sum_rows(g) / (lam * p.clutter_density))
     if n_meas == 0:
         return _safe_log(1.0 - p_d)
     if n_meas == 1:
-        g = _exp_live(_log_measurement_densities(delta, dist, meas, p))
+        g = _exp_live(_log_measurement_densities(dist, azimuth, inclination, meas, p))
         return _safe_log(p_d * g[0])
     return np.full(len(states), -np.inf)
 
@@ -269,7 +260,7 @@ def _return_gaussians(meas, origin, p: SensingParams):
     (ca, ci), (sa, si) = np.cos(meas[:, 1:]).T, np.sin(meas[:, 1:]).T
     basis = np.array([[si * ca, -sa, ci * ca], [si * sa, ca, ci * sa], [ci, 0.0 * ci, -si]]).transpose(2, 0, 1)
     means = origin + rho[:, None] * basis[:, :, 0]
-    sigma_rho = p.sigma_rho0_m + p.beta_rho * rho
+    sigma_rho = p.range_sigma(rho)
     # the angular noise acts at the drone's distance, which a return within
     # a few sigma of the sensor (or clipped to range 0) understates
     lever = np.hypot(rho, sigma_rho)
@@ -304,9 +295,7 @@ def _mixture_resample(ps: ParticleSet, log_w, meas, sensor_pos, p: SensingParams
     return passes the gate or the cloud's Gaussian fit is singular.
     """
     n = len(ps)
-    mean = ps.weights @ ps.states
-    centered = ps.states - mean
-    cov = (ps.weights * centered.T) @ centered
+    mean, cov = _moments(ps)
     try:
         chol = np.linalg.cholesky(cov + 1e-9 * np.eye(6))
     except np.linalg.LinAlgError:
@@ -396,22 +385,17 @@ def update(
         return ParticleSet(ps.states.copy(), ps.weights.copy()), True
     weights = np.exp(log_w - peak)
     weights /= weights.sum()
-    states = ps.states
     if effective_sample_size(weights) < 0.5 * len(weights):
-        mixed = _mixture_resample(ps, log_w, measurements, sensor_pos, p, rng) if len(measurements) else None
-        if mixed is not None:
-            return ParticleSet(mixed, np.full(len(weights), 1.0 / len(weights))), False
-        indices = _systematic_resample(weights, rng)
-        states = states[indices]
-        weights = np.full(len(weights), 1.0 / len(weights))
-    return ParticleSet(states.copy(), weights), False
+        states = _mixture_resample(ps, log_w, measurements, sensor_pos, p, rng) if len(measurements) else None
+        if states is None:
+            states = ps.states[_systematic_resample(weights, rng)]
+        return ParticleSet(states, np.full(len(weights), 1.0 / len(weights))), False
+    return ParticleSet(ps.states.copy(), weights), False
 
 
 def eap(ps: ParticleSet) -> Estimate:
     """Weighted mean and covariance of the particle set."""
-    mean = ps.weights @ ps.states
-    centered = ps.states - mean
-    cov = (ps.weights * centered.T) @ centered
+    mean, cov = _moments(ps)
     return Estimate(TargetState.from_vector(mean), cov)
 
 

@@ -33,6 +33,21 @@ def wrap_azimuth(angle):
     return float(wrapped) if np.ndim(wrapped) == 0 else wrapped
 
 
+def wrap_difference(d):
+    """``wrap_azimuth`` of differences of two angles in [-pi, pi], bit for bit.
+
+    On that domain ``np.mod`` shifts by at most one period, and the shift
+    alone gives the same floats: subtracting 2 pi from a value in
+    [2 pi, 3 pi] is exact. Each shift is taken as a 0-or-1 multiple of
+    2 pi; a zero shift changes at most the sign of a zero, which the final
+    subtraction from pi discards. ``d`` is left as it is.
+    """
+    y = np.subtract(np.pi, d)
+    y -= (y >= 2.0 * np.pi) * (2.0 * np.pi)
+    y += (y < 0.0) * (2.0 * np.pi)
+    return np.subtract(np.pi, y, out=y)
+
+
 def fold_inclination(angle):
     """Reflect angles into [0, pi] (mirror at both boundaries)."""
     if isinstance(angle, float):
@@ -73,6 +88,10 @@ class SensingParams:
         """Uniform density over range x azimuth x inclination."""
         return 1.0 / (self.rho_max_m * 2.0 * math.pi * math.pi)
 
+    def range_sigma(self, rho):
+        """Range-noise standard deviation at range ``rho``: sigma_rho0 + beta rho; broadcasts."""
+        return self.sigma_rho0_m + self.beta_rho * rho
+
 
 def detection_prob_at_distance(distance, p: SensingParams):
     """Detection probability at sensor-target distance; broadcasts."""
@@ -93,7 +112,7 @@ def detection_prob(x: TargetState, s_pos, p: SensingParams):
 
 
 def spherical_coords(delta):
-    """(range, azimuth, inclination) for offset vectors; broadcasts over (..., 3)."""
+    """The measurement function: (range, azimuth, inclination) of offset vectors; broadcasts over (..., 3)."""
     delta = np.asarray(delta, dtype=float)
     dx, dy, dz = delta[..., 0], delta[..., 1], delta[..., 2]
     rng = np.sqrt((delta * delta).sum(axis=-1))
@@ -116,8 +135,7 @@ def sample_measurement(
         raise ValueError("coincident sensor and target: angles undefined")
     # arctan2 may give -pi, which the (-pi, pi] convention writes as pi
     range_m, azimuth, inclination = float(range_m), wrap_azimuth(float(azimuth)), float(inclination)
-    sigma_rho = p.sigma_rho0_m + p.beta_rho * range_m
-    noisy_range = range_m + sigma_rho * rng.standard_normal()
+    noisy_range = range_m + p.range_sigma(range_m) * rng.standard_normal()
     noisy_azimuth = azimuth + p.sigma_theta_rad * rng.standard_normal()
     noisy_inclination = inclination + p.sigma_phi_rad * rng.standard_normal()
     return (

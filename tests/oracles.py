@@ -13,6 +13,16 @@ from cstj_sim.control import DecisionRecord, Fallback
 from cstj_sim.geometry_rf import linear_to_db, received_power_map
 
 
+def transition_matrix(dt: float) -> np.ndarray:
+    """6x6 constant-velocity transition F: position advances by dt * velocity."""
+    return np.array([[1.0 * (i == j) + dt * (j == i + 3) for j in range(6)] for i in range(6)])
+
+
+def noise_gain(dt: float) -> np.ndarray:
+    """6x3 gain G of an acceleration draw: 0.5 dt^2 into position, dt into velocity."""
+    return np.array([[0.5 * dt**2 * (i == j) + dt * (i == j + 3) for j in range(3)] for i in range(6)])
+
+
 def wrap_angle(a: float) -> float:
     return math.pi - (math.pi - a) % (2.0 * math.pi)
 

@@ -12,7 +12,7 @@ from cstj_sim.dynamics import (
     enumerate_actions,
     step_target,
 )
-from oracles import enumerate_actions_reference
+from oracles import enumerate_actions_reference, noise_gain
 
 MODEL = MotionModel(1.0, np.diag([2.0, 2.0, 2.0]))
 GRID = ActionGrid((1.0, 3.0, 5.0), 2, 4)
@@ -46,16 +46,18 @@ class TestStepTarget:
         rng = np.random.default_rng(7)
         n = 100_000
         nu = rng.multivariate_normal(np.zeros(3), MODEL.accel_noise_cov, size=n)
-        draws = nu @ MODEL.noise_gain().T
+        draws = MODEL.advance(np.zeros((n, 6)), nu)
         sample_cov = np.cov(draws.T, bias=True)
-        expected = MODEL.noise_gain() @ MODEL.accel_noise_cov @ MODEL.noise_gain().T
+        gain = noise_gain(MODEL.dt)
+        expected = gain @ MODEL.accel_noise_cov @ gain.T
         assert np.abs(sample_cov - expected).max() < 0.05 * np.abs(expected).max()
 
     def test_transition_matrix_composition(self):
+        # without noise, a step of 0.5 s then one of 1.5 s is one step of 2 s
         m1, m2, m12 = MotionModel(0.5, np.eye(3)), MotionModel(1.5, np.eye(3)), MotionModel(2.0, np.eye(3))
-        np.testing.assert_allclose(
-            m1.transition_matrix() @ m2.transition_matrix(), m12.transition_matrix()
-        )
+        states = np.random.default_rng(8).normal(size=(20, 6))
+        still = np.zeros((20, 3))
+        np.testing.assert_allclose(m2.advance(m1.advance(states, still), still), m12.advance(states, still))
 
 
 class TestEnumerateActions:

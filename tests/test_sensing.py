@@ -18,6 +18,7 @@ from cstj_sim.sensing import (
     sample_measurement,
     spherical_coords,
     wrap_azimuth,
+    wrap_difference,
 )
 
 DEFAULTS = SensingParams(
@@ -66,6 +67,15 @@ class TestAngleForms:
     def test_any_finite_angle_agrees_bit_for_bit(self, fn, angles):
         scalar, array = _scalar_and_array_forms(fn, angles)
         assert scalar == array
+
+    def test_wrap_difference_matches_wrap_azimuth(self):
+        # measurement azimuths lie in (-pi, pi], particle azimuths in [-pi, pi]
+        rng = np.random.default_rng(13)
+        edges = np.array([-math.pi, -1e-300, -0.0, 0.0, 1e-300, math.pi])
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, -edges)])
+        angles = np.clip(np.concatenate([near, rng.uniform(-math.pi, math.pi, 600)]), -math.pi, math.pi)
+        diffs = angles[:, None] - angles[None, :]
+        np.testing.assert_array_equal(wrap_difference(diffs), wrap_azimuth(diffs))
 
     def test_ranges(self):
         assert wrap_azimuth(-math.pi) == math.pi

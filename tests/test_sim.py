@@ -14,7 +14,7 @@ from cstj_sim.control import DecisionRecord, Fallback
 from cstj_sim.dynamics import AgentState, TargetState
 from cstj_sim.estimation import Estimate
 from cstj_sim import sim
-from cstj_sim.config import preset
+from cstj_sim.config import parse_config_text, preset
 from cstj_sim.geometry_rf import linear_to_db, received_power_map, sender_sum
 from cstj_sim.sim import (
     ScenarioConfig,
@@ -132,6 +132,37 @@ class TestRunTrial:
                     if log.max_interference_db is not None:
                         assert log.max_interference_db < limit
         assert crowded >= 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"filter.particles": 1},
+            {"filter.particles": 1, "sim.mode": "ct"},
+            {"sensing.lambda_c": 0},
+            {"rf.power_levels_db": "off"},
+        ],
+    )
+    def test_inputs_the_workloads_never_reach_keep_the_gate(self, overrides):
+        # the benchmark's gate on inputs its workloads never give: with one
+        # particle every covariance is zero, so fusion takes the regularised
+        # inverse; without clutter the likelihood has its special cases; with
+        # every radio off the control has nothing to transmit
+        cfg = parse_config_text("", {"sim.seed": 5, "sim.steps": 8, "filter.particles": 300, **overrides})
+        logs = run_trial(cfg, 0)
+        assert len(logs) == cfg.n_steps
+        for log in logs:
+            estimates = [a.estimate for a in log.agents]
+            values = [log.fused.mean.as_vector(), log.fused.covariance, log.tracking_error_m]
+            values += [e.mean.as_vector() for e in estimates] + [e.covariance for e in estimates]
+            optional = [log.target_power_db, log.max_interference_db, *(a.interference_db for a in log.agents)]
+            assert all(np.isfinite(v).all() for v in values + [v for v in optional if v is not None])
+            if cfg.n_particles == 1:
+                assert not any(e.covariance.any() for e in estimates)
+            assert not np.isinf(log.pair_interference_db).any()
+            error = float(np.linalg.norm(log.fused.mean.position - log.true_state.position))
+            assert log.tracking_error_m == pytest.approx(error, rel=1e-12, abs=1e-12)
+            if cfg.mode == "cstj":
+                assert log.any_fallback or not log.violation
 
     def test_ct_mode_keeps_constant_power(self):
         cfg = _small_cfg(mode="ct")

@@ -12,6 +12,10 @@ package or the harness.
 
 Only ``geometry_rf`` converts between dB and linear power: no other package
 module refers to ``log10`` or raises 10 to a power.
+
+Only ``sensing`` computes the measurement function and the range-noise law:
+no other package module refers to ``arctan2``, ``atan2``, ``sigma_rho0_m`` or
+``beta_rho``.
 """
 
 import ast
@@ -114,6 +118,25 @@ def scale_conversions(package: Path = PACKAGE) -> list[str]:
     return found
 
 
+_MEASUREMENT_MODEL = ("arctan2", "atan2", "sigma_rho0_m", "beta_rho")
+
+
+def measurement_model_copies(package: Path = PACKAGE) -> list[str]:
+    """``module:line`` of each reference to a measurement-model name outside ``sensing``.
+
+    A reference is a name or attribute in ``_MEASUREMENT_MODEL``; a keyword
+    argument that sets a parameter is none.
+    """
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "sensing":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if getattr(node, "id", getattr(node, "attr", None)) in _MEASUREMENT_MODEL:
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
 def test_every_definition_is_used_or_exported():
     assert unreferenced_definitions() == []
 
@@ -165,3 +188,20 @@ def test_guard_sees_a_scale_conversion(tmp_path):
         encoding="utf-8",
     )
     assert sorted(scale_conversions(package)) == ["a:10", "a:10", "a:10", "a:6"]
+
+
+def test_only_sensing_computes_the_measurement_model():
+    assert measurement_model_copies() == []
+
+
+def test_guard_sees_a_measurement_model_copy(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "sensing.py").write_text("import numpy as np\n\n\ndef h(d, p):\n    return np.arctan2(d[1], d[0]), p.beta_rho\n")
+    (package / "a.py").write_text(
+        "import math\nfrom numpy import arctan2\n\n\n"
+        "def f(p, d, x, y):\n    return p.sigma_rho0_m + p.beta_rho * d, math.atan2(y, x)\n\n\n"
+        "def g(params, x, y):\n    return arctan2(y, x), params(sigma_rho0_m=1.0, beta_rho=0.0)\n",
+        encoding="utf-8",
+    )
+    assert sorted(measurement_model_copies(package)) == ["a:10", "a:6", "a:6", "a:6"]
