@@ -62,10 +62,13 @@ def admissible_set(predicted_target: TargetState, actions, p: SensingParams, thr
     return actions[detection_prob(predicted_target, actions, p) > threshold]
 
 
-def _best_tracking(predicted_target: TargetState, candidates, p: SensingParams) -> np.ndarray:
-    """The first candidate with the highest detection probability."""
-    candidates = np.asarray(candidates, dtype=float)
-    return candidates[int(np.argmax(detection_prob(predicted_target, candidates, p)))].copy()
+def _tracking_decision(
+    agent_id: int, predicted_target: TargetState, moves, p: SensingParams, power_index: int, fallback: Fallback
+) -> DecisionRecord:
+    """Move to the first of ``moves`` that best detects the predicted drone, aim at it, record no objective."""
+    moves = np.asarray(moves, dtype=float)
+    best = moves[int(np.argmax(detection_prob(predicted_target, moves, p)))].copy()
+    return DecisionRecord(agent_id, best, power_index, predicted_target.position.copy(), None, fallback)
 
 
 def solve_jamming(
@@ -124,10 +127,8 @@ def solve_jamming(
         return DecisionRecord(agent_id, candidates[k].copy(), w, aim, objective_db, Fallback.NONE)
 
     if inbound_ok.any():
-        position, fallback = _best_tracking(predicted_target, candidates[inbound_ok], sensing), Fallback.POWER_OFF
-    else:
-        position, fallback = _best_tracking(predicted_target, candidates, sensing), Fallback.TRACKING
-    return DecisionRecord(agent_id, position, 0, aim, None, fallback)
+        return _tracking_decision(agent_id, predicted_target, candidates[inbound_ok], sensing, 0, Fallback.POWER_OFF)
+    return _tracking_decision(agent_id, predicted_target, candidates, sensing, 0, Fallback.TRACKING)
 
 
 def sequential_decide(
@@ -152,10 +153,7 @@ def sequential_decide(
     for agent, predicted, actions in zip(agents, predicted_targets, action_sets):
         candidates = admissible_set(predicted, actions, sensing, tracking_threshold)
         if len(candidates) == 0:
-            record = DecisionRecord(
-                agent.id, _best_tracking(predicted, actions, sensing), 0,
-                predicted.position.copy(), None, Fallback.TRACKING,
-            )
+            record = _tracking_decision(agent.id, predicted, actions, sensing, 0, Fallback.TRACKING)
         else:
             record = solve_jamming(agent.id, candidates, predicted, decided, ant, rf, sensing)
         decided.append(record)
@@ -171,9 +169,6 @@ def ct_decide(
 ) -> list[DecisionRecord]:
     """Tracking-only baseline: best-tracking move, fixed power, no constraints."""
     return [
-        DecisionRecord(
-            agent.id, _best_tracking(predicted, actions, sensing), power_index,
-            predicted.position.copy(), None, Fallback.NONE,
-        )
+        _tracking_decision(agent.id, predicted, actions, sensing, power_index, Fallback.NONE)
         for agent, predicted, actions in zip(agents, predicted_targets, action_sets)
     ]

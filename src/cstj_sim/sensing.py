@@ -19,24 +19,24 @@ import numpy as np
 from .dynamics import TargetState
 
 
-# A float goes through Python's ``%``, which computes the same floats as
-# ``np.mod`` (fmod, then one correction toward the divisor's sign, signed
-# zeros included) without the round trip through a 0-d array.
+# the period of both angle maps, as a Python float so that a float angle stays one
 _TWO_PI = 2.0 * math.pi
 
 
 def wrap_azimuth(angle):
-    """Wrap angles into (-pi, pi]."""
-    if isinstance(angle, float):
-        return math.pi - (math.pi - float(angle)) % _TWO_PI
-    wrapped = np.pi - np.mod(np.pi - np.asarray(angle, dtype=float), 2.0 * np.pi)
-    return float(wrapped) if np.ndim(wrapped) == 0 else wrapped
+    """Wrap angles into (-pi, pi]: a float to a float, a float array to an array.
+
+    ``%`` is Python's on a float and ``np.remainder`` on an array or numpy
+    scalar; both compute the same floats (fmod, then one correction toward
+    the divisor's sign, signed zeros included).
+    """
+    return math.pi - (math.pi - angle) % _TWO_PI
 
 
 def wrap_difference(d):
     """``wrap_azimuth`` of differences of two angles in [-pi, pi], bit for bit.
 
-    On that domain ``np.mod`` shifts by at most one period, and the shift
+    On that domain the remainder shifts by at most one period, and the shift
     alone gives the same floats: subtracting 2 pi from a value in
     [2 pi, 3 pi] is exact. Each shift is taken as a 0-or-1 multiple of
     2 pi; a zero shift changes at most the sign of a zero, which the final
@@ -49,11 +49,8 @@ def wrap_difference(d):
 
 
 def fold_inclination(angle):
-    """Reflect angles into [0, pi] (mirror at both boundaries)."""
-    if isinstance(angle, float):
-        return abs((float(angle) + math.pi) % _TWO_PI - math.pi)
-    folded = np.abs(np.mod(np.asarray(angle, dtype=float) + np.pi, 2.0 * np.pi) - np.pi)
-    return float(folded) if np.ndim(folded) == 0 else folded
+    """Reflect angles into [0, pi] (mirror at both boundaries); one expression, as in ``wrap_azimuth``."""
+    return abs((angle + math.pi) % _TWO_PI - math.pi)
 
 
 @dataclass(frozen=True)

@@ -178,10 +178,6 @@ def compute_metrics(
     tracking_error = float(np.sqrt((diff * diff).sum()))
 
     tx_db = rf.power_db([d.power_index for d in decisions])
-    if np.isneginf(tx_db).all():
-        # nobody transmits: what the power map would give, without building it
-        n = len(decisions)
-        return StepMetrics(tracking_error, None, [None] * n, np.full((n, n), np.nan), None, False)
     positions = np.array([d.chosen_position for d in decisions]).reshape(-1, 3)
     aims = np.array([d.aim_point for d in decisions]).reshape(-1, 3)
     # (receiver, sender), the drone as the last receiver; no antenna covers

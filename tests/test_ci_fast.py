@@ -195,6 +195,28 @@ def test_failed_cholesky_matches_referee():
     _assert_fold_within_bound([_estimate(rng, _cov(rng, 10.0)), est])
 
 
+def test_stack_inverts_each_covariance_as_alone():
+    # a well-conditioned covariance is inverted raw; a zero and a rank-5 one
+    # get 1e-9 I first; the one batched inverse gives each the bytes of
+    # inverting it alone, then symmetrising
+    rng = np.random.default_rng(6)
+    basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    rank5 = basis @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 0.0]) @ basis.T
+    stack = np.array([_cov(rng, 10.0), np.zeros((6, 6)), rank5])
+    stack = 0.5 * (stack + stack.transpose(0, 2, 1))  # symmetrising again changes no bit
+    infos = _information_matrices(stack)
+    for cov, info, shift in zip(stack, infos, (0.0, 1e-9, 1e-9)):
+        alone = np.linalg.inv(cov + shift * np.eye(6) if shift else cov)
+        assert info.tobytes() == (0.5 * (alone + alone.T)).tobytes()
+
+
+def test_covariance_singular_after_regularisation_raises():
+    # -1e-9 I plus the 1e-9 I regularisation is exactly zero
+    stack = np.array([_cov(np.random.default_rng(7), 10.0), -1e-9 * np.eye(6)])
+    with pytest.raises(ValueError, match="singular covariance after regularization"):
+        _information_matrices(stack)
+
+
 @pytest.mark.parametrize("name", sorted(set(PAIR_CLASSES) - set(LOOSE)))
 def test_closed_form_error_within_an_eighth_of_bound(name):
     rng = np.random.default_rng(sum(map(ord, name)) + 1)

@@ -6,7 +6,7 @@ import pytest
 from cstj_sim.control import (
     DecisionRecord,
     Fallback,
-    _best_tracking,
+    _tracking_decision,
     admissible_set,
     ct_decide,
     sequential_decide,
@@ -38,6 +38,14 @@ def _pred(position) -> TargetState:
     return TargetState(position, [0.0, 0.0, 0.0])
 
 
+def _assert_tracking_record(rec: DecisionRecord, target: TargetState, power_index: int, fallback: Fallback):
+    """A best-tracking decision aims at the predicted drone and records no objective."""
+    np.testing.assert_array_equal(rec.aim_point, target.position)
+    assert rec.objective_value_db is None
+    assert rec.power_index == power_index
+    assert rec.fallback_used is fallback
+
+
 class TestTrackingObjective:
     """The detection probability each candidate scores, as the controller computes it."""
 
@@ -53,7 +61,7 @@ class TestTrackingObjective:
             target = _pred(rng.uniform(0, 40, 3))
             actions = enumerate_actions(AgentState(0, rng.uniform(0, 40, 3)), GRID)
             scores = [detection_prob(target.position, a, SENSING) for a in actions]
-            best = _best_tracking(target, actions, SENSING)
+            best = _tracking_decision(0, target, actions, SENSING, 0, Fallback.NONE).chosen_position
             assert detection_prob(target.position, best, SENSING) == max(scores)
 
 
@@ -134,8 +142,7 @@ class TestSolveJamming:
         candidates = np.array([jammer_pos + d for d in directions])  # all at 1 m
         jammer = _decision(7, jammer_pos, len(RF.power_levels_db) - 1, [0.0, 0.0, 10.0])
         rec = solve_jamming(8, candidates, target, [jammer], ANT, RF, SENSING)
-        assert rec.fallback_used is Fallback.TRACKING
-        assert rec.power_index == 0
+        _assert_tracking_record(rec, target, 0, Fallback.TRACKING)
         received = received_power_db(10.0, jammer_pos, [0.0, 0.0, 10.0], ANT, RF, rec.chosen_position)
         assert received == pytest.approx(10.0 - 38.4206)  # indeed above the -50 dB limit
         scores = [detection_prob(target.position, c, SENSING) for c in candidates]
@@ -148,8 +155,7 @@ class TestSolveJamming:
         receiver = _decision(3, np.array([0.0, 0.0, 2.5]), 0, [0.0, 0.0, 5.0])  # off, receives only
         candidates = np.array([[0.0, 0.0, 2.0], [0.0, 0.5, 2.0]])
         rec = solve_jamming(4, candidates, target, [receiver], ANT, RF, SENSING)
-        assert rec.fallback_used is Fallback.POWER_OFF
-        assert rec.power_index == 0
+        _assert_tracking_record(rec, target, 0, Fallback.POWER_OFF)
         np.testing.assert_array_equal(rec.chosen_position, [0.0, 0.0, 2.0])  # best tracking
 
     def test_matches_reference_enumeration(self):
@@ -315,8 +321,7 @@ class TestSequentialDecide:
         far_target = _pred([40.0, 0.0, 0.0])  # unreachable above threshold: best is 5 m closer
         actions = enumerate_actions(agent, GRID)
         decisions = sequential_decide([agent], [far_target], [actions], ANT, RF, SENSING, 0.8)
-        assert decisions[0].fallback_used is Fallback.TRACKING
-        assert decisions[0].power_index == 0
+        _assert_tracking_record(decisions[0], far_target, 0, Fallback.TRACKING)
         scores = [detection_prob(far_target.position, a, SENSING) for a in actions]
         np.testing.assert_array_equal(decisions[0].chosen_position, actions[int(np.argmax(scores))])
 
@@ -343,6 +348,7 @@ class TestCtDecide:
         target = _pred([40.0, 0.0, 0.0])
         actions = enumerate_actions(agent, GRID)
         decisions = ct_decide([agent], [target], [actions], SENSING, 3)
+        _assert_tracking_record(decisions[0], target, 3, Fallback.NONE)
         scores = [detection_prob(target.position, a, SENSING) for a in actions]
         np.testing.assert_array_equal(decisions[0].chosen_position, actions[int(np.argmax(scores))])
 

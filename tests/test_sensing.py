@@ -51,7 +51,10 @@ def _scalar_and_array_forms(fn, angles):
 
 
 class TestAngleForms:
-    """Floats take Python's ``%``, arrays ``np.mod``; both must give the same bits."""
+    """One expression takes Python's ``%`` on a float and ``np.remainder`` on an array.
+
+    Both must give the same bits, on numpy scalars and 0-d arrays too.
+    """
 
     ODD_PI = [k * math.pi for k in range(-201, 202, 2)]
     EDGES = [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, *ODD_PI]
@@ -61,6 +64,12 @@ class TestAngleForms:
     def test_edges_agree_bit_for_bit(self, fn):
         scalar, array = _scalar_and_array_forms(fn, self.EDGES)
         assert scalar == array
+
+    @pytest.mark.parametrize("fn", [wrap_azimuth, fold_inclination])
+    @pytest.mark.parametrize("form", [np.float64, np.array], ids=["float64", "0-d array"])
+    def test_numpy_scalar_edges_agree_bit_for_bit(self, fn, form):
+        scalar, _ = _scalar_and_array_forms(fn, self.EDGES)
+        assert np.array([fn(form(a)) for a in self.EDGES]).tobytes() == scalar
 
     @pytest.mark.parametrize("fn", [wrap_azimuth, fold_inclination])
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))

@@ -16,6 +16,9 @@ module refers to ``log10`` or raises 10 to a power.
 Only ``sensing`` computes the measurement function and the range-noise law:
 no other package module refers to ``arctan2``, ``atan2``, ``sigma_rho0_m`` or
 ``beta_rho``.
+
+No package function branches on ``isinstance(..., float)``: a float form
+beside an array form is a second path for one computation.
 """
 
 import ast
@@ -137,6 +140,28 @@ def measurement_model_copies(package: Path = PACKAGE) -> list[str]:
     return found
 
 
+_FLOAT_TYPES = ("float", "floating")
+
+
+def float_branches(package: Path = PACKAGE) -> list[str]:
+    """``module:line`` of each ``isinstance`` test against a float type in the package.
+
+    A float type is ``float`` or ``floating``, by name or attribute, alone or
+    in a tuple of types.
+    """
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+                continue
+            types = node.args[1:]
+            if types and isinstance(types[0], ast.Tuple):
+                types = types[0].elts
+            if any(getattr(t, "id", getattr(t, "attr", None)) in _FLOAT_TYPES for t in types):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
 def test_every_definition_is_used_or_exported():
     assert unreferenced_definitions() == []
 
@@ -205,3 +230,21 @@ def test_guard_sees_a_measurement_model_copy(tmp_path):
         encoding="utf-8",
     )
     assert sorted(measurement_model_copies(package)) == ["a:10", "a:6", "a:6", "a:6"]
+
+
+def test_no_float_and_array_twins():
+    assert float_branches() == []
+
+
+def test_guard_sees_a_float_branch(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "import numpy as np\n\n\n"
+        "def f(x):\n    return x if isinstance(x, float) else np.asarray(x)\n\n\n"
+        "def g(x, state):\n"
+        "    if isinstance(x, (int, float)) or isinstance(x, np.floating):\n        return x\n"
+        "    return isinstance(state, dict), type(x) is float\n",
+        encoding="utf-8",
+    )
+    assert float_branches(package) == ["a:5", "a:9", "a:9"]
