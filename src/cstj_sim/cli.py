@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--seed", type=int, default=None, help="master seed override")
     run_p.add_argument("--trials", type=int, default=None, help="Monte-Carlo trial count override")
-    run_p.add_argument("--mode", choices=("cstj", "ct"), default=None, help="controller mode override")
+    run_p.add_argument("--mode", default=None, help="controller mode override: cstj or ct")
     run_p.add_argument("--agents", type=int, default=None, help="agent count override")
     run_p.add_argument("--steps", type=int, default=None, help="steps-per-trial override")
     run_p.add_argument("--jobs", type=_positive_int, default=1, help="parallel trial workers (output independent)")

@@ -68,7 +68,7 @@ def _tracking_decision(
     """Move to the first of ``moves`` that best detects the predicted drone, aim at it, record no objective."""
     moves = np.asarray(moves, dtype=float)
     best = moves[int(np.argmax(detection_prob(predicted_target, moves, p)))].copy()
-    return DecisionRecord(agent_id, best, power_index, predicted_target.position.copy(), None, fallback)
+    return DecisionRecord(agent_id, best, power_index, predicted_target.position, None, fallback)
 
 
 def solve_jamming(
@@ -102,7 +102,7 @@ def solve_jamming(
     if len(candidates) == 0:
         raise ValueError("solve_jamming needs a nonempty candidate set")
     limit_db = rf.interference_threshold_db
-    aim = predicted_target.position.copy()
+    aim = predicted_target.position
     decided = list(decided)
     levels_db = rf.power_db(np.arange(len(rf.power_levels_db)))
     tx_db = rf.power_db([r.power_index for r in decided])[:, None]

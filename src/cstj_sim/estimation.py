@@ -420,12 +420,13 @@ def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
 def _information_matrices(covs: np.ndarray) -> np.ndarray:
     """The symmetrised inverse of each covariance in a (k, 6, 6) stack, by one batched inverse.
 
-    A covariance with every eigenvalue above ``1e-12 max(1, lambda_max)`` is
-    inverted as it is: its condition number is under 1e12, far below 1 / eps,
-    so its inverse is finite. Any other gets ``1e-9`` added to its diagonal;
-    if that is singular too, or an entry was NaN, a ``ValueError`` says so.
+    Each covariance must be exactly symmetric, as ``Estimate`` makes every
+    one it holds. One with every eigenvalue above ``1e-12 max(1, lambda_max)``
+    is inverted as it is: its condition number is under 1e12, far below
+    1 / eps, so its inverse is finite. Any other gets ``1e-9`` added to its
+    diagonal; if that is singular too, or an entry was NaN, a ``ValueError``
+    says so.
     """
-    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     eigs = np.linalg.eigvalsh(covs)
     raw = eigs.min(axis=1) > 1e-12 * np.maximum(1.0, eigs.max(axis=1))
     try:

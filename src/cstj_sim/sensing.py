@@ -90,19 +90,18 @@ class SensingParams:
         return self.sigma_rho0_m + self.beta_rho * rho
 
 
-def detection_prob_at_distance(distance, p: SensingParams):
-    """Detection probability at sensor-target distance; broadcasts."""
+def detection_prob_at_distance(distance, p: SensingParams) -> np.ndarray:
+    """Detection probability at sensor-target distance, as an array of the distance's shape."""
     d = np.asarray(distance, dtype=float)
     decayed = np.maximum(0.0, p.p_d_max - p.eta_per_m * (d - p.r0_m))
-    prob = np.where(d < p.r0_m, p.p_d_max, decayed)
-    return float(prob) if np.ndim(prob) == 0 else prob
+    return np.where(d < p.r0_m, p.p_d_max, decayed)
 
 
-def detection_prob(x: TargetState, s_pos, p: SensingParams):
+def detection_prob(x: TargetState, s_pos, p: SensingParams) -> np.ndarray:
     """Detection probability of the drone at ``x`` from each sensor position.
 
-    Broadcasts over a trailing (..., 3) axis of ``s_pos``; a float for one
-    position.
+    Broadcasts over a trailing (..., 3) axis of ``s_pos``; a 0-d array for
+    one position.
     """
     delta = x.position - np.asarray(s_pos, dtype=float)
     return detection_prob_at_distance(np.sqrt((delta * delta).sum(axis=-1)), p)

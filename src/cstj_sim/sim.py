@@ -1,14 +1,18 @@
 """Scenario runner: full pursuit trials, step metrics, and Monte-Carlo sweeps.
 
-Every step executes, in order: per-agent predict and predicted-state
-extraction, candidate thresholding and the sequential jamming decisions (or
-the tracking-only baseline), simultaneous agent moves, the drone's own noisy
-advance, per-agent measurement collection and filter update, covariance-
-intersection fusion, and metric computation against the true drone state.
+Every step runs its phases in order, each over the whole team before the
+next begins: predict and predicted-state extraction, candidate thresholding
+and the sequential jamming decisions (or the tracking-only baseline),
+simultaneous agent moves, the drone's own noisy advance, measurement
+collection, filter update and EAP, covariance-intersection fusion, and metric
+computation against the true drone state.
 
 Determinism: a single master seed expands into independent per-trial,
 per-agent, per-subsystem streams through counter-based seed-sequence keys,
-so results are reproducible and independent of trial scheduling.
+so results are reproducible and independent of trial scheduling. Each agent
+draws only from its own filter and sensing streams, and the drone only from
+its own, so whether a phase runs over the team before the next phase or each
+agent runs all its phases in turn changes no draw.
 """
 
 from __future__ import annotations
@@ -203,9 +207,8 @@ def _spawn_in_sphere(center, radius, rng) -> np.ndarray:
 def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
     """Run one seeded trial and return its per-step logs."""
     scen_rng = _rng(cfg.seed, trial_index, _STREAM_SCENARIO)
-    if cfg.target_init is not None:
-        truth = TargetState(cfg.target_init.position.copy(), cfg.target_init.velocity.copy())
-    else:
+    truth = cfg.target_init
+    if truth is None:
         truth = TargetState(
             scen_rng.uniform(cfg.arena_min, cfg.arena_max),
             scen_rng.uniform(-2.0, 2.0, size=3),
@@ -221,52 +224,41 @@ def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
     target_rng = _rng(cfg.seed, trial_index, _STREAM_TARGET)
     sense_rngs = [_rng(cfg.seed, trial_index, _STREAM_SENSE, j) for j in range(cfg.n_agents)]
     filter_rngs = [_rng(cfg.seed, trial_index, _STREAM_FILTER, j) for j in range(cfg.n_agents)]
-    particles = [
-        init_particles(prior_mean, prior_cov, cfg.n_particles, filter_rngs[j])
-        for j in range(cfg.n_agents)
-    ]
+    particles = [init_particles(prior_mean, prior_cov, cfg.n_particles, rng) for rng in filter_rngs]
     ct_index = cfg.rf.power_levels_db.index(cfg.ct_power_db) if cfg.mode == "ct" else 0
 
     logs: list[StepLog] = []
     for step in range(1, cfg.n_steps + 1):
-        predictions = []
-        for j in range(cfg.n_agents):
-            particles[j] = predict(particles[j], cfg.motion, filter_rngs[j])
-            predictions.append(predicted_state(particles[j]))
-        action_sets = [enumerate_actions(agents[j], cfg.actions) for j in range(cfg.n_agents)]
+        particles = [predict(ps, cfg.motion, rng) for ps, rng in zip(particles, filter_rngs)]
+        predictions = [predicted_state(ps) for ps in particles]
+        action_sets = [enumerate_actions(agent, cfg.actions) for agent in agents]
         if cfg.mode == "ct":
             decisions = ct_decide(agents, predictions, action_sets, cfg.sensing, ct_index)
         else:
             decisions = sequential_decide(
                 agents, predictions, action_sets, cfg.antenna, cfg.rf, cfg.sensing, cfg.tracking_threshold
             )
-        for j in range(cfg.n_agents):
-            agents[j].position = decisions[j].chosen_position.copy()
+        for agent, decision in zip(agents, decisions):
+            agent.position = decision.chosen_position
 
         truth = step_target(truth, cfg.motion, target_rng)
 
-        estimates = []
-        meas_counts = []
-        uninformative = []
-        for j in range(cfg.n_agents):
-            measurements = collect(truth, agents[j].position, cfg.sensing, sense_rngs[j])
-            particles[j], flag = update(particles[j], measurements, agents[j].position, cfg.sensing, filter_rngs[j])
-            estimates.append(eap(particles[j]))
-            meas_counts.append(len(measurements))
-            uninformative.append(flag)
+        measurements = [collect(truth, agent.position, cfg.sensing, rng) for agent, rng in zip(agents, sense_rngs)]
+        particles, uninformative = zip(
+            *[
+                update(ps, meas, agent.position, cfg.sensing, rng)
+                for ps, meas, agent, rng in zip(particles, measurements, agents, filter_rngs)
+            ]
+        )
+        estimates = [eap(ps) for ps in particles]
         fused = ci_fuse(estimates)
         metrics = compute_metrics(truth, fused, decisions, cfg.antenna, cfg.rf)
 
         agent_logs = [
-            AgentStepLog(
-                agents[j].id,
-                estimates[j],
-                decisions[j],
-                meas_counts[j],
-                metrics.agent_interference_db[j],
-                uninformative[j],
+            AgentStepLog(agent.id, estimate, decision, len(meas), interference, flag)
+            for agent, estimate, decision, meas, interference, flag in zip(
+                agents, estimates, decisions, measurements, metrics.agent_interference_db, uninformative
             )
-            for j in range(cfg.n_agents)
         ]
         logs.append(
             StepLog(

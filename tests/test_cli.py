@@ -192,6 +192,15 @@ def test_each_run_flag_reaches_the_resolved_config(flag, key, value, tmp_path, m
     assert _key_values(out / "config_resolved.txt") == expected
 
 
+def test_unknown_mode_flag_fails_before_writing(tmp_path, capsys):
+    # the config's own mode check refuses it, as for a mode in the file
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(_config_file(tmp_path)), "--out", str(out), "--mode", "bogus"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: sim.mode: mode must be 'cstj' or 'ct', got 'bogus'\n"
+    assert not out.exists()
+
+
 # command, --seed, the config file's sim.seed, $CSTJ_SIM_SEED, the seed taken;
 # None leaves that source out
 SEED_CASES = [

@@ -1,4 +1,6 @@
 import dataclasses
+import enum
+import hashlib
 import math
 import os
 import pickle
@@ -25,6 +27,7 @@ from cstj_sim.sim import (
     step_means,
 )
 from oracles import received_power_db
+from test_cli import _golden_configs
 
 
 def _small_cfg(**kwargs) -> ScenarioConfig:
@@ -183,6 +186,50 @@ class TestRunTrial:
                 assert metrics.max_interference_db is None
             else:
                 assert metrics.max_interference_db == pytest.approx(log.max_interference_db, abs=1e-9)
+
+
+def _logged_digest(value, h=None) -> str:
+    """SHA-256 over every value a run logs, walked field by field, floats by their exact bits."""
+    h = hashlib.sha256() if h is None else h
+    if dataclasses.is_dataclass(value):
+        h.update(type(value).__name__.encode())
+        for f in dataclasses.fields(value):
+            _logged_digest(getattr(value, f.name), h)
+    elif isinstance(value, list):
+        h.update(f"list{len(value)}".encode())
+        for item in value:
+            _logged_digest(item, h)
+    elif isinstance(value, np.ndarray):
+        h.update(f"{value.dtype}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, enum.Enum):
+        h.update(repr(value.value).encode())
+    else:
+        # repr gives the shortest string that reads back as the same double
+        h.update(repr(value).encode())
+    return h.hexdigest()
+
+
+class TestLoggedBits:
+    """Every value ``run_trials`` logs for each golden config, bit for bit.
+
+    ``test_golden_csv_bytes`` sees only what the CSV writes, 9 significant
+    digits of a few columns; this sees every array and float of every
+    record, including covariances, agent estimates and decisions. A refactor
+    that claims to keep behaviour must leave these digests as they are. The
+    bytes belong to this host's numpy build, like ``TestPowerMapBytes``':
+    another BLAS or numpy version may round differently.
+    """
+
+    DIGESTS = {
+        "cstj_4": "9ddfdbe715ef07c850197fae550af9163657cd127b8027ce87498f49982ca96b",
+        "ct_4": "7100a90eef0de972861057be1340d1a3cdd737ea90ef90c5fe411e413bc072c4",
+        "agents_12": "d6bb46486e4660a6cb191f7cb6dd601825bae0175ec6cc9d4ffe1296ad1cff49",
+    }
+
+    @pytest.mark.parametrize("label", sorted(DIGESTS))
+    def test_every_logged_bit(self, label):
+        assert _logged_digest(run_trials(_golden_configs()[label])) == self.DIGESTS[label]
 
 
 class TestLogRecords:

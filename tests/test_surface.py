@@ -17,8 +17,10 @@ Only ``sensing`` computes the measurement function and the range-noise law:
 no other package module refers to ``arctan2``, ``atan2``, ``sigma_rho0_m`` or
 ``beta_rho``.
 
-No package function branches on ``isinstance(..., float)``: a float form
-beside an array form is a second path for one computation.
+No package function branches on ``isinstance(..., float)``, or picks
+between a ``float(...)`` and an array by a conditional expression on
+``ndim``: a float form beside an array form is a second path for one
+computation.
 """
 
 import ast
@@ -143,15 +145,25 @@ def measurement_model_copies(package: Path = PACKAGE) -> list[str]:
 _FLOAT_TYPES = ("float", "floating")
 
 
-def float_branches(package: Path = PACKAGE) -> list[str]:
-    """``module:line`` of each ``isinstance`` test against a float type in the package.
+def _calls(node, name: str) -> bool:
+    return any(isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == name for sub in ast.walk(node))
 
-    A float type is ``float`` or ``floating``, by name or attribute, alone or
-    in a tuple of types.
+
+def float_branches(package: Path = PACKAGE) -> list[str]:
+    """``module:line`` of each float/array branch in the package.
+
+    A branch is an ``isinstance`` test against a float type (``float`` or
+    ``floating``, by name or attribute, alone or in a tuple of types), or a
+    conditional expression whose test reads ``ndim`` and one of whose
+    branches calls ``float``.
     """
     found = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.IfExp):
+                if "ndim" in _names(node.test) and (_calls(node.body, "float") or _calls(node.orelse, "float")):
+                    found.append(f"{path.stem}:{node.lineno}")
+                continue
             if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
                 continue
             types = node.args[1:]
@@ -244,7 +256,11 @@ def test_guard_sees_a_float_branch(tmp_path):
         "def f(x):\n    return x if isinstance(x, float) else np.asarray(x)\n\n\n"
         "def g(x, state):\n"
         "    if isinstance(x, (int, float)) or isinstance(x, np.floating):\n        return x\n"
-        "    return isinstance(state, dict), type(x) is float\n",
+        "    return isinstance(state, dict), type(x) is float\n\n\n"
+        "def h(x):\n"
+        "    y = float(x) if np.ndim(x) == 0 else x\n"
+        "    z = x if x.ndim else float(x[()])\n"
+        "    return y, z, float(x) if x.size == 1 else x, int(x) if np.ndim(x) == 0 else x\n",
         encoding="utf-8",
     )
-    assert float_branches(package) == ["a:5", "a:9", "a:9"]
+    assert sorted(float_branches(package)) == ["a:15", "a:16", "a:5", "a:9", "a:9"]
