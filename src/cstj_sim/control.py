@@ -8,12 +8,12 @@ would receive from already-committed teammates, and what its transmission
 would add at each committed teammate. Agents decide sequentially in id
 order, so later agents see all earlier commitments.
 
-Both limits are decided for every pair at once, on arrays of linear power:
-received power from each committed sender at each candidate and at each
-teammate, summed over senders in id order, then compared with the dB
-threshold as ``10 log10(total) < limit``. An off transmitter, or a receiver
-outside a cone, contributes exactly zero, so a zero total (-inf dB) is
-always below the limit.
+Every pair is scored at once in linear power, one power map per sender set:
+the committed senders' reaches the candidates and teammates, the candidates'
+reaches the teammates and the predicted drone. Loads are summed over senders
+in id order and compared with the dB threshold as ``10 log10(total) < limit``.
+An off transmitter, or a receiver outside a cone, contributes exactly zero,
+so a zero total (-inf dB) is always below the limit.
 """
 
 from __future__ import annotations
@@ -114,14 +114,13 @@ def solve_jamming(
     received = received_power_map(tx_db, tx_pos, tx_aim, ant, rf, np.vstack([candidates, tx_pos[:, 0]]))
     inbound_ok = linear_to_db(sender_sum(received[:, : len(candidates)])) < limit_db
     base = sender_sum(received[:, len(candidates) :])
-    # (level, receiver, candidate): each teammate's load with this agent's contribution added
-    added = received_power_map(levels_db[:, None, None], candidates, aim, ant, rf, tx_pos)
-    outbound_ok = (linear_to_db(base[:, None] + added) < limit_db).all(axis=1)
+    # (level, receiver, candidate): this agent's power at each teammate, then at the predicted drone
+    sent = received_power_map(levels_db[:, None, None], candidates, aim, ant, rf, np.vstack([tx_pos[:, 0], aim])[:, None])
+    outbound_ok = (linear_to_db(base[:, None] + sent[:, :-1]) < limit_db).all(axis=1)
+    delivery = sent[:, -1]
     feasible = inbound_ok & outbound_ok  # (level, candidate)
 
     if feasible[1:].any():
-        # (level, candidate): power delivered toward the predicted drone
-        delivery = received_power_map(levels_db[:, None], candidates, aim, ant, rf, aim)
         w, k = divmod(int(np.argmax(np.where(feasible, delivery, -1.0))), len(candidates))
         objective_db = float(linear_to_db(delivery[w, k])) if delivery[w, k] > 0.0 else None
         return DecisionRecord(agent_id, candidates[k].copy(), w, aim, objective_db, Fallback.NONE)

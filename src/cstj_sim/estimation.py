@@ -27,7 +27,7 @@ from .sensing import SensingParams, detection_prob_at_distance, spherical_coords
 
 @dataclass
 class ParticleSet:
-    """Weighted particle approximation of one agent's filtering density."""
+    """Weighted particles of one agent's filtering density; sets share arrays, which nothing writes in place."""
 
     states: np.ndarray  # (n, 6) rows of position + velocity
     weights: np.ndarray  # (n,), nonnegative, summing to one
@@ -75,7 +75,7 @@ def init_particles(prior_mean: TargetState, prior_cov, n: int, rng: np.random.Ge
 def predict(ps: ParticleSet, model: MotionModel, rng: np.random.Generator) -> ParticleSet:
     """Propagate every particle through the motion model; weights unchanged."""
     states = model.advance(ps.states, model.accel_noise(rng, (len(ps),)))
-    return ParticleSet(states, ps.weights.copy())
+    return ParticleSet(states, ps.weights)
 
 
 def predicted_state(ps: ParticleSet) -> TargetState:
@@ -375,14 +375,14 @@ def update(
     reweighting of the predicted particles.
 
     Returns the new particle set and an "uninformative update" flag: when the
-    likelihood underflows to zero for every particle the prior weights are
-    kept and the flag is set.
+    likelihood underflows to zero for every particle, ``ps`` itself comes
+    back and the flag is set.
     """
     log_l = _log_set_likelihood(ps.states, measurements, sensor_pos, p)
     log_w = _safe_log(ps.weights) + log_l
     peak = log_w.max()
     if not np.isfinite(peak):
-        return ParticleSet(ps.states.copy(), ps.weights.copy()), True
+        return ps, True
     weights = np.exp(log_w - peak)
     weights /= weights.sum()
     if effective_sample_size(weights) < 0.5 * len(weights):
@@ -390,7 +390,7 @@ def update(
         if states is None:
             states = ps.states[_systematic_resample(weights, rng)]
         return ParticleSet(states, np.full(len(weights), 1.0 / len(weights))), False
-    return ParticleSet(ps.states.copy(), weights), False
+    return ParticleSet(ps.states, weights), False
 
 
 def eap(ps: ParticleSet) -> Estimate:

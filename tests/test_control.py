@@ -13,9 +13,11 @@ from cstj_sim.control import (
     solve_jamming,
 )
 from cstj_sim.dynamics import ActionGrid, AgentState, TargetState, enumerate_actions
+from cstj_sim.estimation import Estimate
 from cstj_sim.geometry_rf import AntennaParams, RfParams, linear_to_db, received_power_map
 from cstj_sim import sensing
 from cstj_sim.sensing import SensingParams
+from cstj_sim.sim import compute_metrics
 from oracles import cone_contains, detection_prob, received_power_db, solve_jamming_reference
 
 ANT = AntennaParams(100.0, math.radians(80.0))
@@ -229,6 +231,29 @@ class TestSolveJamming:
                 senders = [s for s in decided + [rec] if s.agent_id != receiver.agent_id]
                 assert _load_db(receiver.chosen_position, senders) < RF.interference_threshold_db
         assert checked >= 10  # the sweep must actually exercise transmitting decisions
+
+    def test_objective_is_what_the_scorer_logs(self):
+        # with every committed teammate silent and the drone at the aim, the
+        # scorer's delivered power is the controller's objective, bit for bit
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(100):
+            target = _pred(rng.uniform(10, 60, 3))
+            center = rng.uniform(10, 60, 3)
+            candidates = center + rng.uniform(-6, 6, (int(rng.integers(1, 19)), 3))
+            decided = [
+                _decision(i, center + rng.uniform(-12, 12, 3), 0, rng.uniform(10, 60, 3))
+                for i in range(int(rng.integers(0, 12)))
+            ]
+            rec = solve_jamming(12, candidates, target, decided, ANT, RF, SENSING)
+            if rec.power_index == 0:
+                continue
+            checked += 1
+            drone = TargetState(rec.aim_point, [0.0, 0.0, 0.0])
+            fused = Estimate(drone, np.eye(6))
+            metrics = compute_metrics(drone, fused, [*decided, rec], ANT, RF)
+            assert metrics.target_power_db == rec.objective_value_db
+        assert checked >= 50  # the sweep must mostly transmit
 
     def test_objective_monotone_in_power(self):
         # fixed candidate toward a fixed drone: delivered power rises with the level

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cstj_sim import estimation
 from cstj_sim.dynamics import MotionModel, TargetState, step_target
 from cstj_sim.estimation import (
     _EXP_ZERO_BELOW,
@@ -467,6 +468,66 @@ class TestUpdate:
         # the draws around the returns halve the error of resampling the cloud alone
         mse = lambda means: ((means - posterior_mean) ** 2).sum(axis=1).mean()
         assert mse(mixed) < 0.75 * mse(plain)
+
+
+def _read_only_set(states, weights) -> ParticleSet:
+    states, weights = np.array(states, dtype=float), np.array(weights, dtype=float)
+    states.setflags(write=False)
+    weights.setflags(write=False)
+    return ParticleSet(states, weights)
+
+
+def test_filter_steps_never_write_into_a_set(monkeypatch):
+    """``predict`` and ``update`` hand arrays on from set to set, so no step may write into one.
+
+    Every set starts read-only, so any write in place raises. The three
+    updates reweight only, resample through the mixture, and underflow.
+    """
+    rng = np.random.default_rng(13)
+    cases = []
+    # wide noise against a 2 m cloud keeps the update a plain reweighting
+    truth = TargetState([20.0, 20.0, 20.0], [0, 0, 0])
+    wide = SensingParams(0.9, 0.01, 2.0, 0.5, 0.5, 5.0, 0.05, 3.0, SENSING.rho_max_m)
+    s_pos = np.array([15.0, 15.0, 15.0])
+    meas = np.array([sample_measurement(truth, s_pos, wide, rng)])
+    states = truth.as_vector() + rng.normal(scale=2.0, size=(300, 6))
+    cases.append((_read_only_set(states, np.full(300, 1 / 300)), meas, s_pos, wide))
+    # a 2 m cloud 5 m from the sensor against the angular noise: degenerate,
+    # with the return inside the cloud's gate
+    center = np.array([4.0, 3.0, 2.0, 1.0, 0.0, -1.0])
+    truth = TargetState.from_vector(center + [1.0, -0.5, 0.5, 0.0, 0.0, 0.0])
+    meas = np.array([sample_measurement(truth, np.zeros(3), SENSING, rng)])
+    states = center + rng.normal(scale=2.0, size=(400, 6))
+    cases.append((_read_only_set(states, np.full(400, 1 / 400)), meas, np.zeros(3), SENSING))
+    # two returns with the clutter process off: the likelihood underflows
+    silent = SensingParams(0.5, 0.0, 2.0, 0.1, 0.1, 0.1, 0.0, 0.0, SENSING.rho_max_m)
+    meas = _random_measurements(rng, 2)
+    cases.append((_read_only_set(rng.normal(size=(50, 6)), np.full(50, 1 / 50)), meas, np.zeros(3), silent))
+
+    mixed = []
+    mixture_resample = estimation._mixture_resample
+
+    def spy(*args):
+        states = mixture_resample(*args)
+        mixed.append(states is not None)
+        return states
+
+    monkeypatch.setattr(estimation, "_mixture_resample", spy)
+    results, flags = [], []
+    for ps, meas, s_pos, p in cases:
+        predicted = predict(ps, MODEL, rng)
+        predicted_state(ps)
+        predicted_state(predicted)
+        out, uninformative = update(ps, meas, s_pos, p, rng)
+        results += [predicted, out]
+        flags.append(uninformative)
+    fused = ci_fuse([eap(ps) for ps in results])
+
+    assert flags == [False, False, True] and mixed == [True]
+    reweighted, silenced = cases[0][0], cases[2][0]
+    assert results[0].weights is reweighted.weights and results[1].states is reweighted.states
+    assert results[5] is silenced
+    assert np.all(np.isfinite(fused.covariance))
 
 
 def _flat_sensing():

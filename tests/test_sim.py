@@ -210,6 +210,21 @@ def _logged_digest(value, h=None) -> str:
     return h.hexdigest()
 
 
+def _bench_scale_configs():
+    """One short trial of each bench workload that decides by ``solve_jamming``, at seed 101.
+
+    Built as the bench builds fig3_cstj (4 agents, 2000 particles) and
+    swarm12_short (12 agents, 200 particles), cut to one trial and, for
+    fig3_cstj, 10 steps.
+    """
+    fig3 = dict(preset("figure3_compare", seed=101))["cstj"]
+    swarm = dict(preset("figure4_sweep", seed=101))["agents_12"]
+    return {
+        "fig3_cstj_2000": dataclasses.replace(fig3, n_steps=10, n_trials=1),
+        "swarm12_200": dataclasses.replace(swarm, n_particles=200, n_steps=15, n_trials=1),
+    }
+
+
 class TestLoggedBits:
     """Every value ``run_trials`` logs for each golden config, bit for bit.
 
@@ -217,19 +232,24 @@ class TestLoggedBits:
     digits of a few columns; this sees every array and float of every
     record, including covariances, agent estimates and decisions. A refactor
     that claims to keep behaviour must leave these digests as they are. The
-    bytes belong to this host's numpy build, like ``TestPowerMapBytes``':
-    another BLAS or numpy version may round differently.
+    golden configs run 100 to 300 particles; the bench-scale configs run the
+    particle counts and teams the bench times. The bytes belong to this
+    host's numpy build, like ``TestPowerMapBytes``': another BLAS or numpy
+    version may round differently.
     """
 
     DIGESTS = {
         "cstj_4": "9ddfdbe715ef07c850197fae550af9163657cd127b8027ce87498f49982ca96b",
         "ct_4": "7100a90eef0de972861057be1340d1a3cdd737ea90ef90c5fe411e413bc072c4",
         "agents_12": "d6bb46486e4660a6cb191f7cb6dd601825bae0175ec6cc9d4ffe1296ad1cff49",
+        "fig3_cstj_2000": "1c90c19e43ba8186fdbe02f995399fb48b5a5e1f4315b5d54639eb1c8b17e39e",
+        "swarm12_200": "16974f672e58fa1b2db619cc6f7833e3dcf03327106b3bddb96be4188120dae7",
     }
 
     @pytest.mark.parametrize("label", sorted(DIGESTS))
     def test_every_logged_bit(self, label):
-        assert _logged_digest(run_trials(_golden_configs()[label])) == self.DIGESTS[label]
+        configs = {**_golden_configs(), **_bench_scale_configs()}
+        assert _logged_digest(run_trials(configs[label])) == self.DIGESTS[label]
 
 
 class TestLogRecords:

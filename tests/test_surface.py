@@ -21,6 +21,10 @@ No package function branches on ``isinstance(..., float)``, or picks
 between a ``float(...)`` and an array by a conditional expression on
 ``ndim``: a float form beside an array form is a second path for one
 computation.
+
+No package function maps power twice from one sender geometry: two
+``received_power_map`` calls with the same sender positions and aims belong
+in one call over both sets of receivers.
 """
 
 import ast
@@ -174,6 +178,28 @@ def float_branches(package: Path = PACKAGE) -> list[str]:
     return found
 
 
+def repeated_map_geometry(package: Path = PACKAGE) -> list[str]:
+    """``module:function`` of each function with two ``received_power_map`` calls on one sender geometry.
+
+    Two calls share a geometry when their sender positions and aims
+    (arguments 2 and 3) parse to the same tree.
+    """
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            geometries = [
+                tuple(ast.dump(arg) for arg in sub.args[1:3])
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Call)
+                and getattr(sub.func, "id", getattr(sub.func, "attr", None)) == "received_power_map"
+            ]
+            if len(set(geometries)) < len(geometries):
+                found.append(f"{path.stem}:{node.name}")
+    return found
+
+
 def test_every_definition_is_used_or_exported():
     assert unreferenced_definitions() == []
 
@@ -264,3 +290,27 @@ def test_guard_sees_a_float_branch(tmp_path):
         encoding="utf-8",
     )
     assert sorted(float_branches(package)) == ["a:15", "a:16", "a:5", "a:9", "a:9"]
+
+
+def test_one_power_map_per_sender_geometry():
+    assert repeated_map_geometry() == []
+
+
+def test_guard_sees_a_repeated_map_geometry(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "from geometry_rf import received_power_map\nimport geometry_rf\n\n\n"
+        "def twice(db, pos, aim, ant, rf, rx, drone):\n"
+        "    at_rx = received_power_map(db, pos, aim, ant, rf, rx)\n"
+        "    return at_rx, received_power_map(db[:, None], pos, aim, ant, rf, drone)\n\n\n"
+        "def by_module(db, pos, aim, ant, rf, rx):\n"
+        "    first = geometry_rf.received_power_map(db, pos[:, None], aim, ant, rf, rx)\n"
+        "    return first + received_power_map(db, pos[:, None], aim, ant, rf, rx)\n\n\n"
+        "def two_geometries(db, pos, aim, ant, rf, rx):\n"
+        "    return received_power_map(db, pos, aim, ant, rf, rx), received_power_map(db, aim, pos, ant, rf, rx)\n\n\n"
+        "def once(db, pos, aim, ant, rf, rx):\n    return received_power_map(db, pos, aim, ant, rf, rx)\n\n\n"
+        "def once_more(db, pos, aim, ant, rf, rx):\n    return received_power_map(db, pos, aim, ant, rf, rx)\n",
+        encoding="utf-8",
+    )
+    assert sorted(repeated_map_geometry(package)) == ["a:by_module", "a:twice"]
