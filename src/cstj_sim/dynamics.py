@@ -1,4 +1,8 @@
-"""Rogue-drone motion model and the pursuit team's discrete move set."""
+"""Rogue-drone motion model, the pursuit team's discrete move set, and ``norm``.
+
+``norm`` is the package's one Euclidean length (ranges, cone distances, the
+tracking error), so its summation order is fixed in one place.
+"""
 
 from __future__ import annotations
 
@@ -17,6 +21,18 @@ def vector3(value) -> np.ndarray:
     """
     vec = np.asarray(value, dtype=float)
     return vec if vec.shape == (3,) else vec.reshape(3)
+
+
+def norm(delta: np.ndarray) -> np.ndarray:
+    """Euclidean length over the trailing (..., 3) axis of a float array.
+
+    Computed as ``sqrt((dx * dx + dy * dy) + dz * dz)``: x, then y, then z.
+    Logged bits depend on that order. It is also the order of numpy's sum
+    over a length-3 axis, so ``np.sqrt((d * d).sum(axis=-1))`` agrees bit
+    for bit.
+    """
+    dx, dy, dz = delta[..., 0], delta[..., 1], delta[..., 2]
+    return np.sqrt((dx * dx + dy * dy) + dz * dz)
 
 
 @dataclass(slots=True)
@@ -150,7 +166,7 @@ def _grid_offsets(grid: ActionGrid) -> np.ndarray:
     offsets = np.asarray(raw, dtype=float)
     # the lattice degenerates at the poles; drop offsets within 1e-9 m of a kept one
     diff = offsets[:, None, :] - offsets[None, :, :]
-    close = np.sqrt((diff * diff).sum(axis=-1)) <= 1e-9
+    close = norm(diff) <= 1e-9
     keep = []
     for i in range(len(offsets)):
         if not any(close[i, j] for j in keep):

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import norm
+
 
 @dataclass(frozen=True)
 class AntennaParams:
@@ -82,11 +84,11 @@ def received_power_map(tx_power_db: float, tx_pos, tx_aim, ant: AntennaParams, r
     """
     tx_pos = np.asarray(tx_pos, dtype=float)
     axis = np.asarray(tx_aim, dtype=float) - tx_pos
-    axis_norm = np.sqrt((axis * axis).sum(axis=-1))
+    axis_norm = norm(axis)
     degenerate = axis_norm == 0.0
     unit = axis / np.where(degenerate, 1.0, axis_norm)[..., None]
     delta = np.asarray(rx_pos, dtype=float) - tx_pos
-    dist = np.sqrt((delta * delta).sum(axis=-1))
+    dist = norm(delta)
     along = (delta * unit).sum(axis=-1)
     cos_half = math.cos(ant.opening_angle_rad / 2.0)
     inside = (dist > 0.0) & (along <= ant.effective_range_m) & (along >= dist * cos_half) & ~degenerate

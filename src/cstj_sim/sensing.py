@@ -7,6 +7,8 @@ number of false alarms spread uniformly over the measurement space.
 
 A measurement set is an (n, 3) float array with one row per return:
 range in m, in [0, rho_max]; azimuth in (-pi, pi]; inclination in [0, pi].
+Every range, and every distance the detection curve reads, is
+``dynamics.norm`` of a sensor-to-drone offset.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TargetState
+from .dynamics import TargetState, norm
 
 
 # the period of both angle maps, as a Python float so that a float angle stays one
@@ -36,15 +38,27 @@ def wrap_azimuth(angle):
 def wrap_difference(d):
     """``wrap_azimuth`` of differences of two angles in [-pi, pi], bit for bit.
 
-    On that domain the remainder shifts by at most one period, and the shift
-    alone gives the same floats: subtracting 2 pi from a value in
-    [2 pi, 3 pi] is exact. Each shift is taken as a 0-or-1 multiple of
-    2 pi; a zero shift changes at most the sign of a zero, which the final
-    subtraction from pi discards. ``d`` is left as it is.
+    With ``y = pi - d`` in [-pi, 3 pi], the remainder shifts ``y`` by one
+    period at most, and ``y - floor(y / 2 pi) * 2 pi`` gives the same floats:
+    - the floor is -1, 0 or 1 on that domain. At -1 the shift is the one
+      rounded ``y + 2 pi`` the remainder's sign correction makes; at 1 it is
+      ``y - 2 pi``, exact on [2 pi, 3 pi], as the remainder's fmod is.
+    - ``y / 2 pi`` rounds to 1.0 only when ``y >= 2 pi``: the largest double
+      below 2 pi is 2 pi - 2**-50, whose quotient rounds to 1 - 2**-53.
+    - A negative ``y`` never gives a zero quotient: a nonzero ``y`` is at
+      least 2**-51 in size, since near pi ``pi - d`` is exact and a multiple
+      of 2**-51.
+    - NaN stays NaN, and -0.0 ends as +0.0; the final subtraction from pi
+      discards a zero's sign anyway. +-inf lies outside the domain
+      (``arctan2`` output and finite returns).
+    The shift is built in one buffer beside ``y``, so the kernel holds one
+    temporary the size of ``d``; ``d`` is left as it is.
     """
     y = np.subtract(np.pi, d)
-    y -= (y >= 2.0 * np.pi) * (2.0 * np.pi)
-    y += (y < 0.0) * (2.0 * np.pi)
+    shift = np.divide(y, _TWO_PI)
+    np.floor(shift, out=shift)
+    shift *= _TWO_PI
+    y -= shift
     return np.subtract(np.pi, y, out=y)
 
 
@@ -103,30 +117,27 @@ def detection_prob(x: TargetState, s_pos, p: SensingParams) -> np.ndarray:
     Broadcasts over a trailing (..., 3) axis of ``s_pos``; a 0-d array for
     one position.
     """
-    delta = x.position - np.asarray(s_pos, dtype=float)
-    return detection_prob_at_distance(np.sqrt((delta * delta).sum(axis=-1)), p)
+    return detection_prob_at_distance(norm(x.position - np.asarray(s_pos, dtype=float)), p)
 
 
 def spherical_coords(delta):
     """The measurement function: (range, azimuth, inclination) of offset vectors; broadcasts over (..., 3)."""
     delta = np.asarray(delta, dtype=float)
     dx, dy, dz = delta[..., 0], delta[..., 1], delta[..., 2]
-    rng = np.sqrt((delta * delta).sum(axis=-1))
     azimuth = np.arctan2(dy, dx)
     inclination = np.arctan2(np.hypot(dx, dy), dz)
-    return rng, azimuth, inclination
+    return norm(delta), azimuth, inclination
 
 
-def sample_measurement(
-    x: TargetState, s_pos, p: SensingParams, rng: np.random.Generator
-) -> tuple[float, float, float]:
-    """Noisy (range, azimuth, inclination) return of the drone, as Python floats.
+def sample_measurement(coords, p: SensingParams, rng: np.random.Generator) -> tuple[float, float, float]:
+    """Noisy (range, azimuth, inclination) return, as Python floats, of a drone seen at ``coords``.
 
-    The range is clamped into [0, rho_max], the azimuth wrapped and the
-    inclination folded into their ranges. Raises where sensor and drone
-    coincide, since the angles are undefined there.
+    ``coords`` is the noise-free ``spherical_coords`` of one sensor-to-drone
+    offset. The range is clamped into [0, rho_max], the azimuth wrapped and
+    the inclination folded into their ranges. Raises where sensor and drone
+    coincide (range 0), since the angles are undefined there.
     """
-    range_m, azimuth, inclination = spherical_coords(x.position - np.asarray(s_pos, dtype=float))
+    range_m, azimuth, inclination = coords
     if range_m == 0.0:
         raise ValueError("coincident sensor and target: angles undefined")
     # arctan2 may give -pi, which the (-pi, pi] convention writes as pi
@@ -154,10 +165,13 @@ def collect(x: TargetState, s_pos, p: SensingParams, rng: np.random.Generator) -
     """One step's measurement set: maybe the target return, plus clutter, shuffled.
 
     Returns an (n, 3) array of (range [m], azimuth in (-pi, pi], inclination
-    in [0, pi]) rows. The draws come in a fixed order: the detection draw,
-    the target return's noise, the clutter, then the shuffle.
+    in [0, pi]) rows. The drone's offset from the sensor and its spherical
+    coordinates are built once and serve both the detection draw and the
+    return. The draws come in a fixed order: the detection draw, the target
+    return's noise, the clutter, then the shuffle.
     """
-    detected = rng.random() < detection_prob(x, s_pos, p)
-    target = [sample_measurement(x, s_pos, p, rng)] if detected else []
+    coords = spherical_coords(x.position - np.asarray(s_pos, dtype=float))
+    detected = rng.random() < detection_prob_at_distance(coords[0], p)
+    target = [sample_measurement(coords, p, rng)] if detected else []
     rows = np.concatenate([np.reshape(target, (-1, 3)), sample_clutter(p, rng)])
     return rows[rng.permutation(len(rows))]

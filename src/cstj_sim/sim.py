@@ -34,6 +34,7 @@ from .dynamics import (
     MotionModel,
     TargetState,
     enumerate_actions,
+    norm,
     step_target,
 )
 from .estimation import Estimate, ci_fuse, eap, init_particles, predict, predicted_state, update
@@ -178,8 +179,7 @@ def compute_metrics(
     the logged values are in dB, with None for a zero total and NaN for a
     zero pair entry.
     """
-    diff = fused.mean.position - true_state.position
-    tracking_error = float(np.sqrt((diff * diff).sum()))
+    tracking_error = float(norm(fused.mean.position - true_state.position))
 
     tx_db = rf.power_db([d.power_index for d in decisions])
     positions = np.array([d.chosen_position for d in decisions]).reshape(-1, 3)
@@ -200,7 +200,7 @@ def compute_metrics(
 
 def _spawn_in_sphere(center, radius, rng) -> np.ndarray:
     direction = rng.normal(size=3)
-    direction /= np.sqrt((direction * direction).sum())
+    direction /= norm(direction)
     return center + radius * rng.random() ** (1.0 / 3.0) * direction
 
 

@@ -10,6 +10,7 @@ from cstj_sim.dynamics import (
     MotionModel,
     TargetState,
     enumerate_actions,
+    norm,
     step_target,
 )
 from oracles import enumerate_actions_reference, noise_gain
@@ -58,6 +59,33 @@ class TestStepTarget:
         states = np.random.default_rng(8).normal(size=(20, 6))
         still = np.zeros((20, 3))
         np.testing.assert_allclose(m2.advance(m1.advance(states, still), still), m12.advance(states, still))
+
+
+class TestNorm:
+    """``norm`` keeps the bits of the ``np.sqrt((d * d).sum(axis=-1))`` it replaced."""
+
+    @pytest.mark.parametrize("shape", [(3,), (40, 3), (6, 1, 3), (25, 25, 3)])
+    def test_matches_sum_of_squares_byte_for_byte(self, shape):
+        rng = np.random.default_rng(17)
+        # row scales 1e-160..1e160: squares that underflow, and sums that overflow to inf in both forms
+        rows = shape[0] if len(shape) > 1 else 1
+        points = rng.normal(size=(rows, 3)) * 10.0 ** np.linspace(-160.0, 160.0, rows)[:, None]
+        if shape == (25, 25, 3):
+            delta = points[:, None] - points[None, :]  # pairwise differences, as the move grid takes them
+        else:
+            delta = points.reshape(shape)
+        with np.errstate(over="ignore", under="ignore"):
+            expected = np.sqrt((delta * delta).sum(axis=-1))
+            got = norm(delta)
+        assert got.shape == expected.shape == shape[:-1]
+        assert got.tobytes() == expected.tobytes()
+        if rows > 1:
+            assert np.isinf(got).any() and (got < 1e-150).any()
+
+    def test_one_vector_matches_its_sum(self):
+        rng = np.random.default_rng(18)
+        for delta in rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(2000, 3)):
+            assert norm(delta).tobytes() == np.sqrt((delta * delta).sum()).tobytes()
 
 
 class TestEnumerateActions:

@@ -378,7 +378,7 @@ class TestUpdate:
         wide = SensingParams(0.9, 0.01, 2.0, 0.5, 0.5, 5.0, 0.05, 3.0, SENSING.rho_max_m)
         states = truth.as_vector() + rng.normal(scale=2.0, size=(300, 6))
         weights = np.full(300, 1 / 300)
-        measurements = np.array([sample_measurement(truth, s_pos, wide, rng)])
+        measurements = np.array([sample_measurement(spherical_coords(truth.position - s_pos), wide, rng)])
         oracle = weights * np.exp(_log_set_likelihood(states, measurements, s_pos, wide))
         oracle /= oracle.sum()
         assert effective_sample_size(oracle) >= 150  # construction keeps the no-resample branch
@@ -435,7 +435,7 @@ class TestUpdate:
         gain[3:, :3] = 0.5 * np.eye(3)
         cov = gain @ gain.T
         truth = TargetState.from_vector(center + [1.5, -1.0, 0.5, 0.0, 0.0, 0.0])
-        measurements = [sample_measurement(truth, s_pos, SENSING, rng)]
+        measurements = [sample_measurement(spherical_coords(truth.position - s_pos), SENSING, rng)]
         for dx, dy, dz in ([-3.0, 2.0, 1.0], [2.0, 3.0, -2.5]):
             x, y, z = center[:3] + [dx, dy, dz]
             rho = math.sqrt(x * x + y * y + z * z)
@@ -489,14 +489,14 @@ def test_filter_steps_never_write_into_a_set(monkeypatch):
     truth = TargetState([20.0, 20.0, 20.0], [0, 0, 0])
     wide = SensingParams(0.9, 0.01, 2.0, 0.5, 0.5, 5.0, 0.05, 3.0, SENSING.rho_max_m)
     s_pos = np.array([15.0, 15.0, 15.0])
-    meas = np.array([sample_measurement(truth, s_pos, wide, rng)])
+    meas = np.array([sample_measurement(spherical_coords(truth.position - s_pos), wide, rng)])
     states = truth.as_vector() + rng.normal(scale=2.0, size=(300, 6))
     cases.append((_read_only_set(states, np.full(300, 1 / 300)), meas, s_pos, wide))
     # a 2 m cloud 5 m from the sensor against the angular noise: degenerate,
     # with the return inside the cloud's gate
     center = np.array([4.0, 3.0, 2.0, 1.0, 0.0, -1.0])
     truth = TargetState.from_vector(center + [1.0, -0.5, 0.5, 0.0, 0.0, 0.0])
-    meas = np.array([sample_measurement(truth, np.zeros(3), SENSING, rng)])
+    meas = np.array([sample_measurement(spherical_coords(truth.position), SENSING, rng)])
     states = center + rng.normal(scale=2.0, size=(400, 6))
     cases.append((_read_only_set(states, np.full(400, 1 / 400)), meas, np.zeros(3), SENSING))
     # two returns with the clutter process off: the likelihood underflows

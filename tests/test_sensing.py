@@ -80,11 +80,20 @@ class TestAngleForms:
     def test_wrap_difference_matches_wrap_azimuth(self):
         # measurement azimuths lie in (-pi, pi], particle azimuths in [-pi, pi]
         rng = np.random.default_rng(13)
-        edges = np.array([-math.pi, -1e-300, -0.0, 0.0, 1e-300, math.pi])
+        # pi - 2**-50 (exact): its difference from 0 puts y = pi - d at the largest double below 2 pi
+        edges = np.array([-math.pi, -1e-300, -0.0, 0.0, 1e-300, math.pi - 2.0**-50, math.pi])
         near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, -edges)])
         angles = np.clip(np.concatenate([near, rng.uniform(-math.pi, math.pi, 600)]), -math.pi, math.pi)
-        diffs = angles[:, None] - angles[None, :]
-        np.testing.assert_array_equal(wrap_difference(diffs), wrap_azimuth(diffs))
+        diffs = (angles[:, None] - angles[None, :]).ravel()
+        # the shift's edges of y = pi - d: just below 2 pi, 2 pi, 3 pi, -pi;
+        # y is never -0.0 (pi - pi is +0.0), so d = +-0.0 and d = pi stand for the zeros
+        y_edges = {np.nextafter(2.0 * math.pi, 0.0), 2.0 * math.pi, 3.0 * math.pi, -math.pi, 0.0, math.pi}
+        assert y_edges <= set(np.subtract(math.pi, diffs).tolist())
+        assert {np.float64(-0.0).tobytes(), np.float64(math.pi).tobytes()} <= {d.tobytes() for d in diffs}
+        expected = wrap_azimuth(diffs)
+        # bytes, so that -0.0 and +0.0 differ
+        np.testing.assert_array_equal(wrap_difference(diffs).view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(diffs, (angles[:, None] - angles[None, :]).ravel())
 
     def test_ranges(self):
         assert wrap_azimuth(-math.pi) == math.pi
@@ -137,7 +146,13 @@ class TestMeasurementFn:
 
     def test_coincident_raises(self):
         with pytest.raises(ValueError, match="coincident"):
-            sample_measurement(_at([1.0, 1.0, 1.0]), [1.0, 1.0, 1.0], DEFAULTS, np.random.default_rng(0))
+            sample_measurement(_observe(np.zeros(3)), DEFAULTS, np.random.default_rng(0))
+        # collect reaches it only through a detection
+        certain = dataclasses.replace(DEFAULTS, p_d_max=1.0, clutter_rate=0.0)
+        with pytest.raises(ValueError, match="coincident"):
+            collect(_at([1.0, 1.0, 1.0]), [1.0, 1.0, 1.0], certain, np.random.default_rng(0))
+        blind = dataclasses.replace(DEFAULTS, p_d_max=0.0, clutter_rate=0.0)
+        assert collect(_at([1.0, 1.0, 1.0]), [1.0, 1.0, 1.0], blind, np.random.default_rng(0)).shape == (0, 3)
 
     def test_round_trip_to_cartesian(self):
         rng = np.random.default_rng(3)
@@ -160,7 +175,7 @@ class TestSampleMeasurement:
     def test_zero_noise_equals_truth(self):
         rng = np.random.default_rng(0)
         truth = _observe([3.0, 4.0, 5.0])
-        sampled = sample_measurement(_at([3.0, 4.0, 5.0]), [0, 0, 0], _noise_free(), rng)
+        sampled = sample_measurement(_observe([3.0, 4.0, 5.0]), _noise_free(), rng)
         assert all(type(v) is float for v in sampled)
         assert sampled[0] == pytest.approx(truth[0], abs=1e-9)
         assert sampled[1] == pytest.approx(truth[1], abs=1e-9)
@@ -170,7 +185,7 @@ class TestSampleMeasurement:
         target = _at([10.0, 0.0, 0.0])
         n = 100_000
         residuals = np.array(
-            [sample_measurement(target, [0, 0, 0], DEFAULTS, rng)[0] - 10.0 for _ in range(n)]
+            [sample_measurement(_observe(target.position), DEFAULTS, rng)[0] - 10.0 for _ in range(n)]
         )
         expected = DEFAULTS.sigma_rho0_m + DEFAULTS.beta_rho * 10.0  # 2.5 m
         assert residuals.std() == pytest.approx(expected, rel=0.02)
@@ -182,7 +197,7 @@ class TestSampleMeasurement:
         n = 100_000
         residuals = np.array(
             [
-                wrap_azimuth(sample_measurement(target, [0, 0, 0], DEFAULTS, rng)[1] - truth)
+                wrap_azimuth(sample_measurement(_observe(target.position), DEFAULTS, rng)[1] - truth)
                 for _ in range(n)
             ]
         )

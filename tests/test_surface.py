@@ -25,6 +25,10 @@ computation.
 No package function maps power twice from one sender geometry: two
 ``received_power_map`` calls with the same sender positions and aims belong
 in one call over both sets of receivers.
+
+Only ``dynamics.norm`` computes a Euclidean length: no other package code
+takes the square root of a sum of a value times itself, whose summation
+order would then decide logged bits in a second place.
 """
 
 import ast
@@ -200,6 +204,44 @@ def repeated_map_geometry(package: Path = PACKAGE) -> list[str]:
     return found
 
 
+def _is_self_product(node) -> bool:
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Mult):
+        return ast.dump(node.left) == ast.dump(node.right)
+    return isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Constant) and node.right.value == 2
+
+
+def _is_sum_of_self_product(node) -> bool:
+    """``(x * x).sum(...)``, ``np.sum(x * x, ...)``, or either with ``x ** 2``."""
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Attribute) and node.func.attr == "sum" and _is_self_product(node.func.value):
+        return True
+    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+    return callee == "sum" and bool(node.args) and _is_self_product(node.args[0])
+
+
+def hand_written_norms(package: Path = PACKAGE) -> list[str]:
+    """``module:line`` of each ``sqrt`` of a summed self-product outside ``dynamics.norm``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = set()
+        if path.stem == "dynamics":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "norm":
+                    owner = {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in owner or not isinstance(node, ast.Call) or not node.args:
+                continue
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) == "sqrt" and _is_sum_of_self_product(
+                node.args[0]
+            ):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
 def test_every_definition_is_used_or_exported():
     assert unreferenced_definitions() == []
 
@@ -314,3 +356,25 @@ def test_guard_sees_a_repeated_map_geometry(tmp_path):
         encoding="utf-8",
     )
     assert sorted(repeated_map_geometry(package)) == ["a:by_module", "a:twice"]
+
+
+def test_one_euclidean_norm():
+    assert hand_written_norms() == []
+
+
+def test_guard_sees_a_hand_written_norm(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "dynamics.py").write_text(
+        "import numpy as np\n\n\n"
+        "def norm(d):\n    return np.sqrt((d * d).sum(axis=-1))\n\n\n"
+        "def spread(d):\n    return np.sqrt((d * d).sum())\n",
+        encoding="utf-8",
+    )
+    (package / "a.py").write_text(
+        "import math\nimport numpy as np\nfrom numpy import sqrt\n\n\n"
+        "def f(d, e):\n    return np.sqrt((d * d).sum(axis=-1)), math.sqrt(np.sum(d ** 2)), sqrt((d[0] * d[0]).sum())\n\n\n"
+        "def g(d, e):\n    return np.sqrt((d * e).sum()), np.sqrt(d), np.sqrt(d * d), np.hypot(d, e), (d * d).sum()\n",
+        encoding="utf-8",
+    )
+    assert sorted(hand_written_norms(package)) == ["a:7", "a:7", "a:7", "dynamics:9"]
