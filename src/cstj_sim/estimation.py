@@ -3,7 +3,8 @@ likelihood, EAP extraction, and sequential covariance-intersection fusion.
 
 The filter runs on the simulator's own model: it propagates with
 ``MotionModel.advance``, which moves the drone, and scores with ``sensing``'s
-h(x) (``spherical_coords``) and range-noise law (``SensingParams.range_sigma``).
+h(x) (``spherical_coords``, that is ``dynamics.norm`` and
+``spherical_angles``) and range-noise law (``SensingParams.range_sigma``).
 
 A degenerate update (effective sample size below n/2) resamples from a
 defensive mixture: the predicted particles plus draws around each return
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MotionModel, TargetState
-from .sensing import SensingParams, detection_prob_at_distance, spherical_coords, wrap_difference
+from .dynamics import MotionModel, TargetState, norm
+from .sensing import SensingParams, detection_prob_at_distance, spherical_angles, wrap_difference
 
 
 @dataclass
@@ -95,11 +96,17 @@ def _safe_log(values):
         return np.log(values)
 
 
+def _log_norm(log_sigma_rho, p: SensingParams):
+    """Log normaliser of the measurement density, given the log of its range-noise scale."""
+    return log_sigma_rho + math.log(p.sigma_theta_rad) + math.log(p.sigma_phi_rad) + 1.5 * math.log(2.0 * math.pi)
+
+
 def _log_measurement_densities(dist, azimuth, inclination, meas, p: SensingParams):
     """(n_meas, n_particles) log Gaussian densities of each measurement.
 
     ``dist``, ``azimuth`` and ``inclination`` are h(x) of each particle
-    (``sensing.spherical_coords``). The azimuth residual is wrapped into
+    (``sensing.spherical_coords``: ``dynamics.norm`` and
+    ``sensing.spherical_angles``). The azimuth residual is wrapped into
     (-pi, pi]; the range noise scale is ``p.range_sigma(dist)``.
 
     The grid is measurement-major: a set has a few dozen returns at most
@@ -111,12 +118,7 @@ def _log_measurement_densities(dist, azimuth, inclination, meas, p: SensingParam
     for bit, whatever the layout.
     """
     sigma_rho = p.range_sigma(dist)
-    log_norm = (
-        np.log(sigma_rho)
-        + math.log(p.sigma_theta_rad)
-        + math.log(p.sigma_phi_rad)
-        + 1.5 * math.log(2.0 * math.pi)
-    )
+    log_norm = _log_norm(np.log(sigma_rho), p)
     quad = np.subtract(meas[:, 0, None], dist)
     quad /= sigma_rho
     quad *= quad
@@ -196,15 +198,27 @@ def _sum_rows(g):
     return acc
 
 
-def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
-    """Log likelihood of the whole measurement set for each state row.
+def _sums_stay_finite(dist, meas, p: SensingParams) -> bool:
+    """Whether every particle's sum of densities over the returns is sure to be finite.
 
-    ``meas`` is the (n_meas, 3) array of the set. Sums a "missed detection,
-    all clutter" hypothesis with one hypothesis per measurement being the
-    target return, each weighted by the Poisson clutter process; clutter-free
-    sensing degenerates to the obvious special cases.
+    It is when every return and the range-noise scale at every distance
+    are finite, which leaves each log density finite or -inf, and when
+    the densities' ceiling, ``exp(-log_norm)`` at the smallest scale
+    ``p.range_sigma(0)``, times the number of returns stays below e**709,
+    under half the largest double, so that no ``exp`` or sum overflows.
+    """
+    return (
+        math.isfinite(meas.sum())
+        and math.isfinite(p.range_sigma(float(dist.max())))
+        and math.log(len(meas)) - _log_norm(math.log(p.range_sigma(0.0)), p) < 709.0
+    )
 
-    The densities come measurement-major (see
+
+def _density_sums(delta, dist, meas, p: SensingParams):
+    """S, each particle's sum over the returns of its measurement densities.
+
+    ``delta`` holds the particles' offsets from the sensor and ``dist``
+    their norms. The densities come measurement-major (see
     ``_log_measurement_densities``). About half of them lie so far below
     zero that ``exp`` rounds them to 0.0, slowly; ``_exp_live`` takes
     ``exp`` of the rest only. Each particle's sum over the returns must
@@ -213,21 +227,66 @@ def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
     axis adds the rows one by one. ``_sum_rows`` adds the rows in that
     pairwise order, so no transposed copy is made.
     """
+    azimuth, inclination = spherical_angles(delta)
+    return _sum_rows(_exp_live(_log_measurement_densities(dist, azimuth, inclination, meas, p)))
+
+
+def _detectable_density_sums(delta, dist, p_d, meas, p: SensingParams):
+    """``_density_sums`` of the particles with a nonzero ``p_d``, and 0.0 for the others.
+
+    Every particle gets its S when all have a nonzero ``p_d``, which spares
+    the gather, and when some S may not be finite (``_sums_stay_finite``),
+    where 0.0 would not give the result that S gives (see
+    ``_log_set_likelihood``). Elementwise ufuncs give each element the same
+    bits whatever the array's length, and ``_sum_rows`` works per column,
+    so a gathered particle's S has the bits it has in the whole grid.
+    """
+    live = p_d.nonzero()[0]
+    if len(live) == len(dist) or not _sums_stay_finite(dist, meas, p):
+        return _density_sums(delta, dist, meas, p)
+    sums = np.zeros(len(dist))
+    sums[live] = _density_sums(delta.take(live, axis=0), dist.take(live), meas, p)
+    return sums
+
+
+def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
+    """Log likelihood of the whole measurement set for each state row.
+
+    ``meas`` is the (n_meas, 3) array of the set. Sums a "missed detection,
+    all clutter" hypothesis with one hypothesis per measurement being the
+    target return, each weighted by the Poisson clutter process; clutter-free
+    sensing degenerates to the obvious special cases.
+
+    With clutter a particle scores ``base + log((1 - p_d) + p_d S / K)``
+    (Ristic, Vo, Vo & Farina 2013), where S is its sum over the returns of
+    their densities and K the clutter intensity; without clutter, one
+    return scores ``log(p_d S)``. Where ``p_d`` is 0.0 and S is finite,
+    ``p_d S`` is a zero whatever S is, so ``1 + 0 S / K`` is exactly 1.0
+    and ``log(0 S)`` is -inf. The grid of densities is therefore built
+    only for the particles the sensor can detect, and the others get
+    S = 0.0 (``_detectable_density_sums``). At the default sensing those
+    are the particles more than 51.5 m from the sensor, most of a cloud
+    where the team has lost the drone. S can be NaN or infinite, and
+    ``0 S`` NaN, only when a return is not finite (one NaN return makes
+    every S NaN), a particle's distance or range-noise scale is not
+    finite, or the noise scales are so small that the densities overflow;
+    any of these keeps the whole grid (``_sums_stay_finite``).
+    """
     n_meas = len(meas)
-    dist, azimuth, inclination = spherical_coords(states[:, :3] - np.asarray(sensor_pos, dtype=float))
+    delta = states[:, :3] - np.asarray(sensor_pos, dtype=float)
+    dist = norm(delta)
     p_d = detection_prob_at_distance(dist, p)
     lam = p.clutter_rate
     if lam > 0:
         base = n_meas * math.log(lam * p.clutter_density) - lam
         if n_meas == 0:
             return base + _safe_log(1.0 - p_d)
-        g = _exp_live(_log_measurement_densities(dist, azimuth, inclination, meas, p))
-        return base + _safe_log((1.0 - p_d) + p_d * _sum_rows(g) / (lam * p.clutter_density))
+        sums = _detectable_density_sums(delta, dist, p_d, meas, p)
+        return base + _safe_log((1.0 - p_d) + p_d * sums / (lam * p.clutter_density))
     if n_meas == 0:
         return _safe_log(1.0 - p_d)
     if n_meas == 1:
-        g = _exp_live(_log_measurement_densities(dist, azimuth, inclination, meas, p))
-        return _safe_log(p_d * g[0])
+        return _safe_log(p_d * _detectable_density_sums(delta, dist, p_d, meas, p))
     return np.full(len(states), -np.inf)
 
 

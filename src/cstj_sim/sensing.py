@@ -123,10 +123,13 @@ def detection_prob(x: TargetState, s_pos, p: SensingParams) -> np.ndarray:
 def spherical_coords(delta):
     """The measurement function: (range, azimuth, inclination) of offset vectors; broadcasts over (..., 3)."""
     delta = np.asarray(delta, dtype=float)
+    return norm(delta), *spherical_angles(delta)
+
+
+def spherical_angles(delta: np.ndarray):
+    """The angles of ``spherical_coords``: (azimuth, inclination) of a float (..., 3) array of offsets."""
     dx, dy, dz = delta[..., 0], delta[..., 1], delta[..., 2]
-    azimuth = np.arctan2(dy, dx)
-    inclination = np.arctan2(np.hypot(dx, dy), dz)
-    return norm(delta), azimuth, inclination
+    return np.arctan2(dy, dx), np.arctan2(np.hypot(dx, dy), dz)
 
 
 def sample_measurement(coords, p: SensingParams, rng: np.random.Generator) -> tuple[float, float, float]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cstj_sim import estimation
-from cstj_sim.dynamics import MotionModel, TargetState, step_target
+from cstj_sim.dynamics import MotionModel, TargetState, norm, step_target
 from cstj_sim.estimation import (
     _EXP_ZERO_BELOW,
     Estimate,
@@ -25,6 +25,7 @@ from cstj_sim.estimation import (
 from cstj_sim.sensing import (
     SensingParams,
     collect,
+    detection_prob_at_distance,
     sample_measurement,
     spherical_coords,
     wrap_azimuth,
@@ -261,6 +262,56 @@ def _referee_case(n, m, seed):
     return states, meas, s_pos
 
 
+def _detection_edge(s_pos):
+    """Adjacent x coordinates, sensor's y and z, whose distances from the sensor give ``p_d > 0`` and ``p_d == 0``."""
+
+    def p_d(x):
+        return detection_prob_at_distance(norm(np.array([x, *s_pos[1:]]) - s_pos), SENSING)
+
+    lo, hi = s_pos[0], s_pos[0] + 100.0
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if p_d(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+# detection range of SENSING: p_d falls to 0.0 at 51.5 m
+_P_D_ZERO_M = SENSING.r0_m + SENSING.p_d_max / SENSING.eta_per_m
+# each cloud layout's distance from the sensor, as a multiple of that range, and spread in m
+_LAYOUTS = {"edge": (1.0, 8.0), "beyond": (1.5, 4.0), "inside": (0.6, 3.0), "infinite": (1.0, 8.0)}
+
+
+def _undetectable_case(layout, m, seed, n=200):
+    """A seeded cloud about the range where the detection probability reaches 0.0.
+
+    ``layout`` places it: "edge" straddles that range, and its rows 0-3 sit
+    at two adjacent floats on either side of it along x; "beyond" lies
+    wholly past it and "inside" wholly within it; "infinite" straddles it,
+    with rows 0-3 at an infinite, a NaN and an overflowing position. Return
+    0 sits exactly on row 2 (4 outside "edge"), so that particle's
+    densities are large; the others lie around random particles.
+    """
+    rng = np.random.default_rng(seed)
+    s_pos = rng.uniform(0.0, 100.0, 3)
+    radius, spread = _LAYOUTS[layout]
+    directions = rng.normal(size=(n, 3))
+    directions /= norm(directions)[:, None]
+    positions = s_pos + directions * (radius * _P_D_ZERO_M + rng.normal(scale=spread, size=(n, 1)))
+    if layout == "edge":
+        lo, hi = _detection_edge(s_pos)
+        positions[:4] = s_pos
+        positions[:4, 0] = [np.nextafter(lo, -np.inf), lo, hi, np.nextafter(hi, np.inf)]
+    elif layout == "infinite":
+        positions[:4] = [[np.inf, 0.0, 0.0], [-np.inf, np.inf, 1.0], [np.nan, 0.0, 0.0], [1e200, 0.0, 0.0]]
+    on = 2 if layout == "edge" else 4
+    nearby = positions[rng.integers(4, n, size=m)] + rng.normal(scale=1.0, size=(m, 3))
+    meas = np.column_stack(spherical_coords(np.concatenate([positions[on : on + 1], nearby[1:]])[:m] - s_pos))
+    return np.concatenate([positions, rng.normal(size=(n, 3))], axis=1), meas, s_pos
+
+
 class TestMeasurementMajorLikelihood:
     """The measurement-major kernel against the particle-major one it replaced, bit for bit."""
 
@@ -297,14 +348,74 @@ class TestMeasurementMajorLikelihood:
         assert np.any(dens.sum(axis=1) != np.cumsum(dens, axis=1)[:, -1])
 
     def test_nan_return_gives_nan_where_the_referee_does(self):
-        # a NaN density must reach the sum, not be taken for one below the cut-off
+        # a NaN density must reach the sum, not be taken for one below the
+        # cut-off, and it makes the sum NaN for particles the sensor cannot
+        # detect too: 0 * NaN is NaN
         states, meas, s_pos = _referee_case(200, 9, seed=9003)
+        states[::3, :3] = s_pos + 1.5 * _P_D_ZERO_M * states[::3, 3:] / norm(states[::3, 3:])[:, None]
         meas[5] = np.nan
+        undetectable = detection_prob_at_distance(norm(states[:, :3] - s_pos), SENSING) == 0.0
+        assert undetectable.sum() == len(states[::3])
         for sensing, returns in ((SENSING, meas), (dataclasses.replace(SENSING, clutter_rate=0.0), meas[5:6])):
             got = _log_set_likelihood(states, returns, s_pos, sensing)
             expected = likelihood_referee._log_set_likelihood(states, returns, s_pos, sensing)
-            assert np.isnan(expected).any()
+            assert np.isnan(expected[undetectable]).all()
             assert np.array_equal(got, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    @pytest.mark.parametrize("m", [0, 1, 2, 17])
+    def test_particles_beyond_detection_range(self, layout, m):
+        states, meas, s_pos = _undetectable_case(layout, m, seed=100 * m + list(_LAYOUTS).index(layout))
+        expected = {}
+        # the overflowing position's distance is inf, and the infinite
+        # positions' range residuals are -inf / inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            p_d = detection_prob_at_distance(norm(states[:, :3] - s_pos), SENSING)
+            for lam in (SENSING.clutter_rate, 0.0):
+                sensing = dataclasses.replace(SENSING, clutter_rate=lam)
+                got = _log_set_likelihood(states, meas, s_pos, sensing)
+                expected[lam] = likelihood_referee._log_set_likelihood(states, meas, s_pos, sensing)
+                assert got.tobytes() == expected[lam].tobytes()
+        detectable = p_d > 0.0
+        if layout == "edge":
+            assert detectable[:4].tolist() == [True, True, False, False]
+            assert 0 < detectable[4:].sum() < len(states) - 4
+        elif layout == "infinite":
+            assert p_d[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0] and np.isnan(p_d[2])
+            # a skip that ignored their NaN sums would give these particles a number
+            assert np.isnan(expected[SENSING.clutter_rate][[0, 1, 3]]).all() == (m > 0)
+            assert np.isnan(expected[0.0][[0, 1, 3]]).all() == (m == 1)
+        else:
+            assert detectable.all() if layout == "inside" else not detectable.any()
+
+    def test_undetectable_particles_whose_densities_overflow(self):
+        # densities above e**709.78 make S infinite, and 0 * inf is NaN
+        states, meas, s_pos = _undetectable_case("beyond", 3, seed=9004)
+        narrow = dataclasses.replace(SENSING, sigma_theta_rad=1e-160, sigma_phi_rad=1e-160)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for sensing in (narrow, dataclasses.replace(narrow, clutter_rate=0.0)):
+                returns = meas if sensing.clutter_rate else meas[:1]
+                got = _log_set_likelihood(states, returns, s_pos, sensing)
+                expected = likelihood_referee._log_set_likelihood(states, returns, s_pos, sensing)
+                assert np.isnan(expected[4])
+                assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_density_grid_holds_only_detectable_particles(self, monkeypatch):
+        # the grid of densities has a column for each particle with p_d > 0 only
+        columns = []
+        densities = estimation._log_measurement_densities
+
+        def spy(dist, *args):
+            columns.append(len(dist))
+            return densities(dist, *args)
+
+        monkeypatch.setattr(estimation, "_log_measurement_densities", spy)
+        states, meas, s_pos = _undetectable_case("edge", 9, seed=9005)
+        detectable = int((detection_prob_at_distance(norm(states[:, :3] - s_pos), SENSING) > 0.0).sum())
+        assert 50 < detectable < 150
+        _log_set_likelihood(states, meas, s_pos, SENSING)
+        _log_set_likelihood(states, meas[:1], s_pos, dataclasses.replace(SENSING, clutter_rate=0.0))
+        assert columns == [detectable, detectable]
 
 
 class TestExpCutOff:
