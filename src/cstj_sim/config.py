@@ -1,8 +1,8 @@
 """Flat key=value configuration files, canonical defaults, and experiment presets.
 
-One canonical unit per key: metres, seconds, radians, and dB. The antenna
-opening angle is additionally accepted in degrees under an input-only alias
-key and converted at parse time.
+One key per value and one canonical unit per key, with no exception:
+metres, seconds, radians, and dB. Every key is written back in the one text
+form it is read in, so an emitted config parses back to an equal one.
 
 This module only parses: it turns text into values and builds the parameter
 records from them. Each range rule lives in the record that holds the value
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-
-import numpy as np
 
 from .dynamics import ActionGrid, MotionModel, TargetState
 from .geometry_rf import AntennaParams, RfParams
@@ -81,13 +79,7 @@ _TARGET = (
     lambda text: TargetState.from_vector(_parse_floats(text, 6)) if text else None,
     lambda state: "" if state is None else _fmt_floats(state.as_vector()),
 )
-_VARIANCES = (lambda text: np.diag(_parse_floats(text, 3)), lambda cov: _fmt_floats(np.diag(cov)))
 _LEVELS = (_parse_levels, lambda levels: ",".join(["off", *map(_fmt_float, levels[1:])]))
-
-# degrees are accepted as an input alias for the opening angle; the resolved
-# echo always carries radians so that emitted configs re-parse bit-exactly
-_DEG_ALIAS = "antenna.opening_angle_deg"
-_DEGREES = (lambda text: math.radians(_parse_float(text)), None)
 
 # the ScenarioConfig fields that hold a parameter record
 _RECORDS = {
@@ -100,7 +92,7 @@ _RECORDS = {
 
 # key -> (record, field, (parse, format), note), in the order of the emitted
 # file and of --help. ``record`` names the entry of ``_RECORDS`` holding the
-# field, None for ScenarioConfig itself; a key without a format is input-only.
+# field, None for ScenarioConfig itself.
 _KEYS = {
     "sim.mode": (None, "mode", _TEXT, "cstj (interference-aware) or ct (tracking-only baseline)"),
     "sim.seed": (None, "seed", _INT, "master seed, nonnegative integer"),
@@ -113,7 +105,7 @@ _KEYS = {
     "prior.sigma": (None, "prior_sigma", _floats(6), "initial-prior std devs (m,m,m,m/s,m/s,m/s)"),
     "spawn.radius_m": (None, "spawn_radius_m", _FLOAT, "agent spawn sphere radius around the drone, metres"),
     "motion.dt_s": ("motion", "dt", _FLOAT, "step length, seconds"),
-    "motion.accel_var": ("motion", "accel_noise_cov", _VARIANCES, "acceleration-noise variances, (m/s^2)^2 (diagonal)"),
+    "motion.accel_var": ("motion", "accel_var", _floats(3), "acceleration-noise variances, (m/s^2)^2 (x,y,z)"),
     "actions.radial_steps_m": ("actions", "radial_steps_m", _floats(), "move radii, metres"),
     "actions.n_phi": ("actions", "n_phi", _INT, "polar divisions of the move lattice, >= 1"),
     "actions.n_theta": ("actions", "n_theta", _INT, "azimuthal divisions of the move lattice, >= 1"),
@@ -128,7 +120,6 @@ _KEYS = {
     "sensing.rho_max_m": ("sensing", "rho_max_m", _FLOAT, "measurement-space range bound, metres"),
     "antenna.effective_range_m": ("antenna", "effective_range_m", _FLOAT, "cone height, metres"),
     "antenna.opening_angle_rad": ("antenna", "opening_angle_rad", _FLOAT, "cone opening angle, radians in (0, pi)"),
-    _DEG_ALIAS: ("antenna", "opening_angle_rad", _DEGREES, "input alias for the opening angle, degrees in (0, 180)"),
     "rf.near_field_loss_db": ("rf", "near_field_loss_db", _FLOAT, "near-field loss constant, dB"),
     "rf.path_loss_exponent": ("rf", "path_loss_exponent", _FLOAT, "log-distance exponent, > 0"),
     "rf.attenuation_db": ("rf", "attenuation_db", _FLOAT, "attenuation constant, dB"),
@@ -152,7 +143,6 @@ def config_values(cfg: ScenarioConfig) -> dict[str, str]:
     return {
         key: fmt(getattr(cfg if record is None else getattr(cfg, record), name))
         for key, (record, name, (_, fmt), _) in _KEYS.items()
-        if fmt is not None
     }
 
 
@@ -184,10 +174,6 @@ def parse_config_text(text: str, overrides: dict | None = None, fallbacks: dict 
         key_lines[key] = lineno
         raw[key] = value.strip()
     values = config_values(ScenarioConfig())
-    if _DEG_ALIAS in raw:
-        if "antenna.opening_angle_rad" in raw:
-            raise ConfigError("antenna opening angle given in both degrees and radians")
-        del values["antenna.opening_angle_rad"]
     for key, value in (fallbacks or {}).items():
         raw.setdefault(key, str(value))
     raw.update((key, str(value)) for key, value in (overrides or {}).items())

@@ -23,6 +23,18 @@ def vector3(value) -> np.ndarray:
     return vec if vec.shape == (3,) else vec.reshape(3)
 
 
+def float_tuple(name: str, values, n: int | None = None) -> tuple:
+    """``values`` flattened to a tuple of floats, so that records compare and hash by value.
+
+    A count other than ``n``, when given, raises a ``ValueError`` that names
+    ``name``.
+    """
+    flat = np.asarray(values, dtype=float).ravel()
+    if n is not None and flat.size != n:
+        raise ValueError(f"{name} must hold {n} values, got {flat.size}")
+    return tuple(flat.tolist())
+
+
 def norm(delta: np.ndarray) -> np.ndarray:
     """Euclidean length over the trailing (..., 3) axis of a float array.
 
@@ -68,10 +80,14 @@ class TargetState:
 
 @dataclass(frozen=True)
 class MotionModel:
-    """Constant-velocity dynamics driven by white acceleration noise."""
+    """Constant-velocity dynamics driven by white acceleration noise.
+
+    The noise is independent per axis, with the variances ``accel_var``
+    (x, y, z), in (m/s^2)^2: the three values of the ``motion.accel_var`` key.
+    """
 
     dt: float
-    accel_noise_cov: tuple  # 3x3, held as rows of floats so that models compare and hash
+    accel_var: tuple  # held as floats so that models compare and hash
     _noise_factor: np.ndarray = field(init=False, repr=False, compare=False)
     _transition: np.ndarray = field(init=False, repr=False, compare=False)  # F: position += dt * velocity
     _gain: np.ndarray = field(init=False, repr=False, compare=False)  # G: acceleration into the state
@@ -80,16 +96,11 @@ class MotionModel:
         # written so that NaN and inf fail them
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be finite and > 0")
-        cov = np.asarray(self.accel_noise_cov, dtype=float).reshape(3, 3)
-        if not (np.isfinite(cov).all() and (np.diag(cov) >= 0).all()):
-            raise ValueError("accel_noise_cov must be finite, with variances >= 0")
-        if not np.allclose(cov, cov.T, atol=1e-9):
-            raise ValueError("accel_noise_cov must be symmetric")
-        if np.linalg.eigvalsh(cov).min() < -1e-9:
-            raise ValueError("accel_noise_cov must be positive semidefinite")
-        cov = 0.5 * (cov + cov.T)
-        u, s, _ = np.linalg.svd(cov)
-        object.__setattr__(self, "accel_noise_cov", tuple(map(tuple, cov.tolist())))
+        var = float_tuple("accel_var", self.accel_var, 3)
+        if not all(0 <= v < math.inf for v in var):
+            raise ValueError("accel_var must be finite and >= 0 on every axis")
+        u, s, _ = np.linalg.svd(np.diag(var))
+        object.__setattr__(self, "accel_var", var)
         object.__setattr__(self, "_noise_factor", (u * np.sqrt(s)).T)
         object.__setattr__(self, "_transition", np.eye(6) + self.dt * np.eye(6, k=3))
         object.__setattr__(self, "_gain", 0.5 * self.dt**2 * np.eye(6, 3) + self.dt * np.eye(6, 3, k=-3))
@@ -106,9 +117,11 @@ class MotionModel:
     def accel_noise(self, rng: np.random.Generator, shape=()) -> np.ndarray:
         """Acceleration draws of shape (*shape, 3).
 
-        They equal ``rng.multivariate_normal(0, cov, shape)`` bit for bit
-        (the same normals times the same SVD factor, which ``__post_init__``
-        computes once) without its per-call validity check.
+        They equal ``rng.multivariate_normal(0, np.diag(accel_var), shape)``
+        bit for bit (the same normals times the same SVD factor, which
+        ``__post_init__`` computes once) without its per-call validity check.
+        The SVD orders the axes by variance, so unequal variances take their
+        normals in that order, not as ``z * sqrt(accel_var)`` would.
         """
         return rng.standard_normal((*shape, 3)) @ self._noise_factor
 
@@ -133,7 +146,7 @@ class ActionGrid:
     n_theta: int
 
     def __post_init__(self):
-        steps = tuple(float(r) for r in self.radial_steps_m)
+        steps = float_tuple("radial_steps_m", self.radial_steps_m)
         # written so that NaN fails the checks
         if len(steps) == 0 or not all(0 < r < math.inf for r in steps):
             raise ValueError("radial_steps_m must be nonempty with all steps finite and > 0")

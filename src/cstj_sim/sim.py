@@ -34,6 +34,7 @@ from .dynamics import (
     MotionModel,
     TargetState,
     enumerate_actions,
+    float_tuple,
     norm,
     step_target,
 )
@@ -49,10 +50,6 @@ _STREAM_FILTER = 3
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
-
-
-def _float_tuple(values, n: int) -> tuple:
-    return tuple(np.asarray(values, dtype=float).reshape(n).tolist())
 
 
 @dataclass
@@ -72,7 +69,7 @@ class ScenarioConfig:
     target_init: TargetState | None = None  # None: drawn per trial
     prior_sigma: tuple = (5.0, 5.0, 5.0, 1.0, 1.0, 1.0)
     spawn_radius_m: float = 5.0
-    motion: MotionModel = field(default_factory=lambda: MotionModel(1.0, np.diag([2.0, 2.0, 2.0])))
+    motion: MotionModel = field(default_factory=lambda: MotionModel(1.0, (2.0, 2.0, 2.0)))
     actions: ActionGrid = field(default_factory=lambda: ActionGrid((1.0, 3.0, 5.0), 2, 4))
     sensing: SensingParams = field(
         default_factory=lambda: SensingParams(
@@ -104,9 +101,9 @@ class ScenarioConfig:
     n_particles: int = 2000
 
     def __post_init__(self):
-        self.arena_min = _float_tuple(self.arena_min, 3)
-        self.arena_max = _float_tuple(self.arena_max, 3)
-        self.prior_sigma = _float_tuple(self.prior_sigma, 6)
+        self.arena_min = float_tuple("arena_min", self.arena_min, 3)
+        self.arena_max = float_tuple("arena_max", self.arena_max, 3)
+        self.prior_sigma = float_tuple("prior_sigma", self.prior_sigma, 6)
         if self.mode not in ("cstj", "ct"):
             raise ValueError(f"mode must be 'cstj' or 'ct', got {self.mode!r}")
         # each check is written so that NaN fails it
@@ -118,8 +115,8 @@ class ScenarioConfig:
         low, high = np.array(self.arena_min), np.array(self.arena_max)
         if not (np.isfinite(low).all() and np.isfinite(high).all() and (high > low).all()):
             raise ValueError("arena_min and arena_max must be finite, with arena_max above arena_min on every axis")
-        if not (np.array(self.prior_sigma) >= 0).all():
-            raise ValueError("prior_sigma must be >= 0 on every axis")
+        if not all(0 <= s < np.inf for s in self.prior_sigma):
+            raise ValueError("prior_sigma must be finite and >= 0 on every axis")
         if not 0 < self.spawn_radius_m < np.inf:
             raise ValueError("spawn_radius_m must be finite and > 0")
         if not 0.0 <= self.tracking_threshold <= 1.0:

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +53,7 @@ def valid_configs(draw):
         target_init=None if target is None else TargetState.from_vector(target),
         prior_sigma=np.array(draw(_vector(nonneg, 6))),
         spawn_radius_m=draw(positive),
-        motion=MotionModel(draw(positive), np.diag(draw(_vector(nonneg, 3)))),
+        motion=MotionModel(draw(positive), draw(_vector(nonneg, 3))),
         actions=ActionGrid(
             tuple(draw(st.lists(positive, min_size=1, max_size=4))),
             draw(st.integers(1, 8)),
@@ -90,12 +92,30 @@ def valid_configs(draw):
 def test_format_parse_round_trip(cfg):
     parsed = parse_config_text(format_config(cfg))
     assert config_values(parsed) == config_values(cfg)
-    # the text carries every float exactly, not only as its own formatting
-    assert (parsed.sensing, parsed.antenna, parsed.rf, parsed.actions) == (cfg.sensing, cfg.antenna, cfg.rf, cfg.actions)
-    for name in ("arena_min", "arena_max", "prior_sigma"):
-        assert np.array_equal(getattr(parsed, name), getattr(cfg, name))
-    assert parsed.motion.dt == cfg.motion.dt
-    assert np.array_equal(parsed.motion.accel_noise_cov, cfg.motion.accel_noise_cov)
+    # the text carries every value exactly, not only as its own formatting
+    assert parsed == cfg
+
+
+def _workload_configs():
+    """Each bench workload's config at two seeds, as the benchmark builds it."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    return [(f"{name}-seed{seed}", w.config(seed)) for name, w in WORKLOADS.items() for seed in (3, 307)]
+
+
+_EMITTED = [
+    *((f"{name}-seed{seed}-{label}", cfg) for name in PRESET_NAMES for seed in (0, 7) for label, cfg in preset(name, seed)),
+    *_workload_configs(),
+]
+
+
+@pytest.mark.parametrize("cfg", [cfg for _, cfg in _EMITTED], ids=[label for label, _ in _EMITTED])
+def test_every_config_the_repo_runs_echoes_exactly(cfg):
+    # presets and bench workloads echo their config in runs; the echo must rebuild the same config
+    assert parse_config_text(format_config(cfg)) == cfg
 
 
 @pytest.mark.parametrize(
@@ -103,8 +123,8 @@ def test_format_parse_round_trip(cfg):
     [
         ("sim.agents = 2\nsim.agents = 3\n", "sim.agents", (1, 2)),
         ("sim.agents=2\n\n# note\n  sim.agents = 2  \n", "sim.agents", (1, 4)),
-        ("antenna.opening_angle_deg = 80\nsim.seed = 1\nantenna.opening_angle_deg = 60\n",
-         "antenna.opening_angle_deg", (1, 3)),
+        ("antenna.opening_angle_rad = 1.2\nsim.seed = 1\nantenna.opening_angle_rad = 1.0\n",
+         "antenna.opening_angle_rad", (1, 3)),
     ],
 )
 def test_duplicate_key_is_an_error(text, key, lines):
@@ -144,7 +164,6 @@ BAD_VALUES = {
     "sensing.rho_max_m": ["x", "0"],
     "antenna.effective_range_m": ["x", "0"],
     "antenna.opening_angle_rad": ["x", "0", "3.2"],
-    "antenna.opening_angle_deg": ["x", "0", "180", "200"],
     "rf.near_field_loss_db": ["x", "inf"],
     "rf.path_loss_exponent": ["x", "0"],
     "rf.attenuation_db": ["x", "nan"],
@@ -187,7 +206,8 @@ _NON_FINITE = [
         for f in dataclasses.fields(record)
         if f.type in ("float", float)
     ),
-    (_DEFAULTS.motion, "accel_noise_cov", ((2.0, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, 2.0))),
+    (_DEFAULTS.motion, "accel_var", (2.0, math.inf, 2.0)),
+    (_DEFAULTS, "prior_sigma", (math.inf,) * 6),
     (_DEFAULTS.rf, "power_levels_db", (None, -10.0, math.nan, 7.0)),
     (_DEFAULTS.rf, "power_levels_db", (None, -10.0, math.inf)),
     (_DEFAULTS.actions, "radial_steps_m", (1.0, math.nan)),
@@ -214,7 +234,7 @@ def test_records_compare_by_value():
     assert dataclasses.replace(_DEFAULTS, seed=1) != _DEFAULTS
     assert dataclasses.replace(_DEFAULTS, arena_max=[100.0, 100.0, 99.0]) != _DEFAULTS
     assert parse_config_text(format_config(_DEFAULTS)) == _DEFAULTS
-    motion = MotionModel(1.0, np.diag([2.0, 2.0, 2.0]))
+    motion = MotionModel(1.0, [2.0, 2.0, 2.0])
     assert motion == _DEFAULTS.motion and hash(motion) == hash(_DEFAULTS.motion)
     assert dataclasses.replace(motion, dt=0.5) != motion
 
@@ -233,7 +253,7 @@ _OUT_OF_RANGE = [
     (_DEFAULTS, "arena_min", [0.0, 0.0, -math.inf]),
     (_DEFAULTS, "prior_sigma", [5.0, 5.0, 5.0, 1.0, 1.0, -1.0]),
     (_CT, "ct_power_db", 3.0),
-    (_DEFAULTS.motion, "accel_noise_cov", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1e-10]]),
+    (_DEFAULTS.motion, "accel_var", (1.0, 1.0, -1e-10)),
 ]
 
 
@@ -257,8 +277,20 @@ def test_key_table_maps_once_to_every_field():
             expected += [(f.name, g.name) for g in dataclasses.fields(value) if g.init]
         else:
             expected.append((None, f.name))
-    canonical = [(record, name) for record, name, (_, fmt), _ in _KEYS.values() if fmt is not None]
-    assert Counter(canonical) == Counter(expected)
+    assert Counter((record, name) for record, name, _, _ in _KEYS.values()) == Counter(expected)
+    # every key is written back, so none is input-only
+    assert all(fmt is not None for _, _, (_, fmt), _ in _KEYS.values())
+
+
+@pytest.mark.parametrize(
+    "accel_var",
+    [np.diag([2.0, 2.0, 2.0]), ((2.0, 0.5, 0.0), (0.5, 2.0, 0.0), (0.0, 0.0, 2.0)), (2.0, 2.0), (2.0,) * 4],
+    ids=["diag_matrix", "full_matrix", "two", "four"],
+)
+def test_motion_model_takes_exactly_three_variances(accel_var):
+    # the noise is independent per axis; a covariance matrix is not a form of the key
+    with pytest.raises(ValueError, match="accel_var"):
+        MotionModel(1.0, accel_var)
 
 
 @pytest.mark.parametrize("source", ["text", "overrides", "fallbacks"])

@@ -15,20 +15,20 @@ from cstj_sim.dynamics import (
 )
 from oracles import enumerate_actions_reference, noise_gain
 
-MODEL = MotionModel(1.0, np.diag([2.0, 2.0, 2.0]))
+MODEL = MotionModel(1.0, (2.0, 2.0, 2.0))
 GRID = ActionGrid((1.0, 3.0, 5.0), 2, 4)
 
 
 class TestStepTarget:
     def test_noiseless_is_affine(self):
-        model = MotionModel(1.0, np.zeros((3, 3)))
+        model = MotionModel(1.0, (0.0, 0.0, 0.0))
         state = TargetState([1.0, 2.0, 3.0], [0.5, -0.5, 1.0])
         out = step_target(state, model, np.random.default_rng(0))
         np.testing.assert_allclose(out.position, [1.5, 1.5, 4.0])
         np.testing.assert_allclose(out.velocity, state.velocity)
 
     def test_zero_velocity_fixed_point(self):
-        model = MotionModel(1.0, np.zeros((3, 3)))
+        model = MotionModel(1.0, (0.0, 0.0, 0.0))
         state = TargetState([4.0, 4.0, 4.0], [0.0, 0.0, 0.0])
         out = step_target(state, model, np.random.default_rng(0))
         np.testing.assert_allclose(out.position, state.position)
@@ -46,16 +46,16 @@ class TestStepTarget:
     def test_noise_covariance_converges(self):
         rng = np.random.default_rng(7)
         n = 100_000
-        nu = rng.multivariate_normal(np.zeros(3), MODEL.accel_noise_cov, size=n)
+        nu = rng.multivariate_normal(np.zeros(3), np.diag(MODEL.accel_var), size=n)
         draws = MODEL.advance(np.zeros((n, 6)), nu)
         sample_cov = np.cov(draws.T, bias=True)
         gain = noise_gain(MODEL.dt)
-        expected = gain @ MODEL.accel_noise_cov @ gain.T
+        expected = gain @ np.diag(MODEL.accel_var) @ gain.T
         assert np.abs(sample_cov - expected).max() < 0.05 * np.abs(expected).max()
 
     def test_transition_matrix_composition(self):
         # without noise, a step of 0.5 s then one of 1.5 s is one step of 2 s
-        m1, m2, m12 = MotionModel(0.5, np.eye(3)), MotionModel(1.5, np.eye(3)), MotionModel(2.0, np.eye(3))
+        m1, m2, m12 = MotionModel(0.5, (1.0,) * 3), MotionModel(1.5, (1.0,) * 3), MotionModel(2.0, (1.0,) * 3)
         states = np.random.default_rng(8).normal(size=(20, 6))
         still = np.zeros((20, 3))
         np.testing.assert_allclose(m2.advance(m1.advance(states, still), still), m12.advance(states, still))

@@ -33,7 +33,7 @@ from cstj_sim.sensing import (
 import likelihood_referee
 from oracles import likelihood_by_hypotheses, noise_gain, transition_matrix
 
-MODEL = MotionModel(1.0, np.diag([2.0, 2.0, 2.0]))
+MODEL = MotionModel(1.0, (2.0, 2.0, 2.0))
 SENSING = SensingParams(
     p_d_max=0.99,
     eta_per_m=0.02,
@@ -104,7 +104,7 @@ class TestInitParticles:
 
 class TestPredict:
     def test_noiseless_shift(self):
-        model = MotionModel(1.0, np.zeros((3, 3)))
+        model = MotionModel(1.0, (0.0, 0.0, 0.0))
         states = np.array([[0.0, 0, 0, 1.0, 0, 0], [1.0, 1, 1, 0, 2.0, 0]])
         ps = ParticleSet(states, np.array([0.5, 0.5]))
         out = predict(ps, model, np.random.default_rng(0))
@@ -126,12 +126,13 @@ class TestPredict:
         assert np.abs(out.weights @ out.states - expected).max() < 0.05
 
     def test_noise_is_multivariate_normal_bit_for_bit(self):
+        # unequal variances with a zero: the SVD factor permutes the axes, which z * sqrt(var) would not
         rng = np.random.default_rng(14)
-        gain = rng.normal(size=(3, 3))
-        model = MotionModel(0.5, gain @ gain.T)
+        model = MotionModel(0.5, (0.5, 2.0, 0.0))
+        cov = np.diag(model.accel_var)
         ps = ParticleSet(rng.normal(size=(50, 6)), np.full(50, 1 / 50))
         ours, ref = np.random.default_rng(15), np.random.default_rng(15)
-        nu = ref.multivariate_normal(np.zeros(3), model.accel_noise_cov, size=50)
+        nu = ref.multivariate_normal(np.zeros(3), cov, size=50)
         expected = ps.states @ transition_matrix(model.dt).T + nu @ noise_gain(model.dt).T
         np.testing.assert_array_equal(predict(ps, model, ours).states, expected)
         assert ours.random() == ref.random()  # the stream advanced alike
@@ -139,7 +140,7 @@ class TestPredict:
         # the drone's own step draws through the same factor
         truth = TargetState.from_vector(ps.states[0])
         for _ in range(5):
-            nu = ref.multivariate_normal(np.zeros(3), model.accel_noise_cov)
+            nu = ref.multivariate_normal(np.zeros(3), cov)
             expected = np.concatenate(
                 [
                     truth.position + model.dt * truth.velocity + 0.5 * model.dt**2 * nu,
