@@ -58,7 +58,6 @@ class DecisionRecord:
 
 def admissible_set(predicted_target: TargetState, actions, p: SensingParams, threshold: float) -> np.ndarray:
     """Actions whose tracking objective strictly exceeds the threshold, order kept."""
-    actions = np.asarray(actions, dtype=float)
     return actions[detection_prob(predicted_target, actions, p) > threshold]
 
 
@@ -66,16 +65,15 @@ def _tracking_decision(
     agent_id: int, predicted_target: TargetState, moves, p: SensingParams, power_index: int, fallback: Fallback
 ) -> DecisionRecord:
     """Move to the first of ``moves`` that best detects the predicted drone, aim at it, record no objective."""
-    moves = np.asarray(moves, dtype=float)
     best = moves[int(np.argmax(detection_prob(predicted_target, moves, p)))].copy()
     return DecisionRecord(agent_id, best, power_index, predicted_target.position, None, fallback)
 
 
 def solve_jamming(
     agent_id: int,
-    candidates,
+    candidates: np.ndarray,
     predicted_target: TargetState,
-    decided,
+    decided: list[DecisionRecord],
     ant: AntennaParams,
     rf: RfParams,
     sensing: SensingParams,
@@ -98,12 +96,8 @@ def solve_jamming(
     best-tracking candidate that still satisfies (a) with the antenna off;
     if even (a) fails everywhere, take the best-tracking candidate outright.
     """
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    if len(candidates) == 0:
-        raise ValueError("solve_jamming needs a nonempty candidate set")
     limit_db = rf.interference_threshold_db
     aim = predicted_target.position
-    decided = list(decided)
     levels_db = rf.power_db(np.arange(len(rf.power_levels_db)))
     tx_db = rf.power_db([r.power_index for r in decided])[:, None]
     tx_pos = np.array([r.chosen_position for r in decided]).reshape(-1, 1, 3)

@@ -7,6 +7,7 @@ tracking error), so its summation order is fixed in one place.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -33,6 +34,12 @@ def float_tuple(name: str, values, n: int | None = None) -> tuple:
     if n is not None and flat.size != n:
         raise ValueError(f"{name} must hold {n} values, got {flat.size}")
     return tuple(flat.tolist())
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Raise a ``ValueError`` that names ``name`` unless ``value`` is an integer, not a bool, of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}")
 
 
 def norm(delta: np.ndarray) -> np.ndarray:
@@ -147,12 +154,11 @@ class ActionGrid:
 
     def __post_init__(self):
         steps = float_tuple("radial_steps_m", self.radial_steps_m)
-        # written so that NaN fails the checks
+        # written so that NaN fails the check
         if len(steps) == 0 or not all(0 < r < math.inf for r in steps):
             raise ValueError("radial_steps_m must be nonempty with all steps finite and > 0")
-        for name in ("n_phi", "n_theta"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_count("n_phi", self.n_phi, 1)
+        check_count("n_theta", self.n_theta, 1)
         object.__setattr__(self, "radial_steps_m", steps)
 
 

@@ -60,16 +60,15 @@ class Estimate:
         self.covariance = 0.5 * (cov + cov.T)
 
 
-def init_particles(prior_mean: TargetState, prior_cov, n: int, rng: np.random.Generator) -> ParticleSet:
-    """Draw n i.i.d. Gaussian particles with uniform weights."""
+def init_particles(prior_mean: TargetState, prior_sigma, n: int, rng: np.random.Generator) -> ParticleSet:
+    """Draw n i.i.d. particles, with uniform weights, from the prior of standard deviations ``prior_sigma``.
+
+    The draws are ``rng.multivariate_normal`` of the diagonal of their
+    squares, whose SVD orders the axes by variance, not ``mean + z * prior_sigma``.
+    """
     if n < 1:
         raise ValueError("particle count must be >= 1")
-    cov = np.asarray(prior_cov, dtype=float).reshape(6, 6)
-    cov = 0.5 * (cov + cov.T)
-    eigs = np.linalg.eigvalsh(cov)
-    if eigs.min() < -1e-9 * max(1.0, abs(eigs.max())):
-        raise ValueError("prior covariance is not positive semidefinite")
-    states = rng.multivariate_normal(prior_mean.as_vector(), cov, size=n)
+    states = rng.multivariate_normal(prior_mean.as_vector(), np.diag(np.square(prior_sigma)), size=n)
     return ParticleSet(states, np.full(n, 1.0 / n))
 
 
@@ -214,11 +213,18 @@ def _sums_stay_finite(dist, meas, p: SensingParams) -> bool:
     )
 
 
-def _density_sums(delta, dist, meas, p: SensingParams):
-    """S, each particle's sum over the returns of its measurement densities.
+def _detectable_density_sums(delta, dist, p_d, meas, p: SensingParams):
+    """S, each particle's sum over the returns of its measurement densities, or 0.0 where ``p_d`` is.
 
     ``delta`` holds the particles' offsets from the sensor and ``dist``
-    their norms. The densities come measurement-major (see
+    their norms. With ``gather`` the grid is built for the particles with a
+    nonzero ``p_d`` only. All are kept when all have one, which spares the
+    gather, and when some S may not be finite (``_sums_stay_finite``), where
+    0.0 would not give the result that S gives (see ``_log_set_likelihood``).
+    Elementwise ufuncs and ``_sum_rows`` work per particle, so a gathered S
+    has the bits it has in the whole grid.
+
+    The densities come measurement-major (see
     ``_log_measurement_densities``). About half of them lie so far below
     zero that ``exp`` rounds them to 0.0, slowly; ``_exp_live`` takes
     ``exp`` of the rest only. Each particle's sum over the returns must
@@ -227,26 +233,17 @@ def _density_sums(delta, dist, meas, p: SensingParams):
     axis adds the rows one by one. ``_sum_rows`` adds the rows in that
     pairwise order, so no transposed copy is made.
     """
-    azimuth, inclination = spherical_angles(delta)
-    return _sum_rows(_exp_live(_log_measurement_densities(dist, azimuth, inclination, meas, p)))
-
-
-def _detectable_density_sums(delta, dist, p_d, meas, p: SensingParams):
-    """``_density_sums`` of the particles with a nonzero ``p_d``, and 0.0 for the others.
-
-    Every particle gets its S when all have a nonzero ``p_d``, which spares
-    the gather, and when some S may not be finite (``_sums_stay_finite``),
-    where 0.0 would not give the result that S gives (see
-    ``_log_set_likelihood``). Elementwise ufuncs give each element the same
-    bits whatever the array's length, and ``_sum_rows`` works per column,
-    so a gathered particle's S has the bits it has in the whole grid.
-    """
     live = p_d.nonzero()[0]
-    if len(live) == len(dist) or not _sums_stay_finite(dist, meas, p):
-        return _density_sums(delta, dist, meas, p)
-    sums = np.zeros(len(dist))
-    sums[live] = _density_sums(delta.take(live, axis=0), dist.take(live), meas, p)
-    return sums
+    gather = len(live) < len(dist) and _sums_stay_finite(dist, meas, p)
+    if gather:
+        delta, dist = delta.take(live, axis=0), dist.take(live)
+    azimuth, inclination = spherical_angles(delta)
+    sums = _sum_rows(_exp_live(_log_measurement_densities(dist, azimuth, inclination, meas, p)))
+    if not gather:
+        return sums
+    all_sums = np.zeros(len(p_d))
+    all_sums[live] = sums
+    return all_sums
 
 
 def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
@@ -429,9 +426,9 @@ def update(
       and c = n times the prior weight for a predicted particle, 1 for a
       drawn one; the n + m particles are then resampled systematically.
 
-    When no return passes the gate the cloud alone is resampled. Draws come
-    from ``rng`` only. Above the threshold the result is the exact
-    reweighting of the predicted particles.
+    When no return passes the gate, as when the set is empty, the cloud
+    alone is resampled. Draws come from ``rng`` only. Above the threshold
+    the result is the exact reweighting of the predicted particles.
 
     Returns the new particle set and an "uninformative update" flag: when the
     likelihood underflows to zero for every particle, ``ps`` itself comes
@@ -445,7 +442,7 @@ def update(
     weights = np.exp(log_w - peak)
     weights /= weights.sum()
     if effective_sample_size(weights) < 0.5 * len(weights):
-        states = _mixture_resample(ps, log_w, measurements, sensor_pos, p, rng) if len(measurements) else None
+        states = _mixture_resample(ps, log_w, measurements, sensor_pos, p, rng)
         if states is None:
             states = ps.states[_systematic_resample(weights, rng)]
         return ParticleSet(states, np.full(len(weights), 1.0 / len(weights))), False
@@ -458,22 +455,28 @@ def eap(ps: ParticleSet) -> Estimate:
     return Estimate(TargetState.from_vector(mean), cov)
 
 
-def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section search for the minimum of ``f`` on [lo, hi]."""
+def _ci_weight(trace) -> float:
+    """The CI weight in [0, 1] that minimises ``trace``.
+
+    A golden-section search narrows [0, 1] to 1e-6; its midpoint is then
+    compared with both ends, where the convex trace may have its minimum,
+    and the first of 0.0, 1.0 and the midpoint with the least trace wins.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, 1.0
     c = hi - inv_phi * (hi - lo)
     d = lo + inv_phi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    fc, fd = trace(c), trace(d)
+    while hi - lo > 1e-6:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - inv_phi * (hi - lo)
-            fc = f(c)
+            fc = trace(c)
         else:
             lo, c, fc = c, d, fd
             d = lo + inv_phi * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
+            fd = trace(d)
+    return min((0.0, 1.0, 0.5 * (lo + hi)), key=trace)
 
 
 def _information_matrices(covs: np.ndarray) -> np.ndarray:
@@ -543,9 +546,8 @@ def ci_fuse(estimates) -> Estimate:
     The fold runs in information form. It starts from the first estimate's
     information matrix I and vector I m; each next estimate b sets
     I <- w I + (1 - w) I_b and I m <- w I m + (1 - w) I_b m_b, with w chosen
-    to minimise the trace of the new inv(I) by golden-section search on its
-    closed form (``_fused_trace``), then compared with both boundaries, where
-    the convex trace may have its minimum. The fused covariance is the final
+    to minimise the trace of the new inv(I) on its closed form
+    (``_fused_trace``) by ``_ci_weight``. The fused covariance is the final
     inv(I), and the fused mean that times the final information vector.
     Callers fix the fold order (ascending agent id in the simulator); a
     single estimate is returned unchanged.
@@ -559,9 +561,7 @@ def ci_fuse(estimates) -> Estimate:
     info = infos[0]
     vec = info @ estimates[0].mean.as_vector()
     for other, info_b in zip(estimates[1:], infos[1:]):
-        trace = _fused_trace(info, info_b)
-        w_star = _golden_section_min(trace, 0.0, 1.0, 1e-6)
-        w = min((0.0, 1.0, w_star), key=trace)
+        w = _ci_weight(_fused_trace(info, info_b))
         info = w * info + (1.0 - w) * info_b
         vec = w * vec + (1.0 - w) * (info_b @ other.mean.as_vector())
     cov = np.linalg.inv(info)

@@ -33,6 +33,7 @@ from .dynamics import (
     AgentState,
     MotionModel,
     TargetState,
+    check_count,
     enumerate_actions,
     float_tuple,
     norm,
@@ -106,12 +107,10 @@ class ScenarioConfig:
         self.prior_sigma = float_tuple("prior_sigma", self.prior_sigma, 6)
         if self.mode not in ("cstj", "ct"):
             raise ValueError(f"mode must be 'cstj' or 'ct', got {self.mode!r}")
-        # each check is written so that NaN fails it
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
+        check_count("seed", self.seed, 0)
         for name in ("n_agents", "n_steps", "n_trials", "n_particles"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1")
+            check_count(name, getattr(self, name), 1)
+        # each check is written so that NaN fails it
         low, high = np.array(self.arena_min), np.array(self.arena_max)
         if not (np.isfinite(low).all() and np.isfinite(high).all() and (high > low).all()):
             raise ValueError("arena_min and arena_max must be finite, with arena_max above arena_min on every axis")
@@ -179,8 +178,8 @@ def compute_metrics(
     tracking_error = float(norm(fused.mean.position - true_state.position))
 
     tx_db = rf.power_db([d.power_index for d in decisions])
-    positions = np.array([d.chosen_position for d in decisions]).reshape(-1, 3)
-    aims = np.array([d.aim_point for d in decisions]).reshape(-1, 3)
+    positions = np.array([d.chosen_position for d in decisions])
+    aims = np.array([d.aim_point for d in decisions])
     # (receiver, sender), the drone as the last receiver; no antenna covers
     # its own apex, so the diagonal is zero
     receivers = np.vstack([positions, true_state.position])
@@ -210,9 +209,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
             scen_rng.uniform(cfg.arena_min, cfg.arena_max),
             scen_rng.uniform(-2.0, 2.0, size=3),
         )
-    prior_sigma = np.array(cfg.prior_sigma)
-    prior_cov = np.diag(prior_sigma**2)
-    prior_mean = TargetState.from_vector(truth.as_vector() + scen_rng.normal(size=6) * prior_sigma)
+    prior_mean = TargetState.from_vector(truth.as_vector() + scen_rng.normal(size=6) * cfg.prior_sigma)
     agents = [
         AgentState(j, _spawn_in_sphere(truth.position, cfg.spawn_radius_m, scen_rng))
         for j in range(cfg.n_agents)
@@ -221,7 +218,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
     target_rng = _rng(cfg.seed, trial_index, _STREAM_TARGET)
     sense_rngs = [_rng(cfg.seed, trial_index, _STREAM_SENSE, j) for j in range(cfg.n_agents)]
     filter_rngs = [_rng(cfg.seed, trial_index, _STREAM_FILTER, j) for j in range(cfg.n_agents)]
-    particles = [init_particles(prior_mean, prior_cov, cfg.n_particles, rng) for rng in filter_rngs]
+    particles = [init_particles(prior_mean, cfg.prior_sigma, cfg.n_particles, rng) for rng in filter_rngs]
     ct_index = cfg.rf.power_levels_db.index(cfg.ct_power_db) if cfg.mode == "ct" else 0
 
     logs: list[StepLog] = []

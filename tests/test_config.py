@@ -254,6 +254,14 @@ _OUT_OF_RANGE = [
     (_DEFAULTS, "prior_sigma", [5.0, 5.0, 5.0, 1.0, 1.0, -1.0]),
     (_CT, "ct_power_db", 3.0),
     (_DEFAULTS.motion, "accel_var", (1.0, 1.0, -1e-10)),
+    # counts are integers, not floats or bools, so that their echo parses back
+    (_DEFAULTS, "seed", 1.5),
+    (_DEFAULTS, "n_agents", 2.5),
+    (_DEFAULTS, "n_steps", 4.0),
+    (_DEFAULTS, "n_trials", True),
+    (_DEFAULTS, "n_particles", True),
+    (_DEFAULTS.actions, "n_phi", 2.0),
+    (_DEFAULTS.actions, "n_theta", True),
 ]
 
 

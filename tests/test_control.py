@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,10 +13,11 @@ from cstj_sim.control import (
     sequential_decide,
     solve_jamming,
 )
-from cstj_sim.dynamics import ActionGrid, AgentState, TargetState, enumerate_actions
+from cstj_sim.config import preset
+from cstj_sim.dynamics import ActionGrid, AgentState, MotionModel, TargetState, enumerate_actions
 from cstj_sim.estimation import Estimate
-from cstj_sim.geometry_rf import AntennaParams, RfParams, linear_to_db, received_power_map
-from cstj_sim import sensing
+from cstj_sim.geometry_rf import AntennaParams, RfParams, linear_to_db, received_power_map, sender_sum
+from cstj_sim import sensing, sim
 from cstj_sim.sensing import SensingParams
 from cstj_sim.sim import compute_metrics
 from oracles import cone_contains, detection_prob, received_power_db, solve_jamming_reference
@@ -365,6 +367,87 @@ class TestSequentialDecide:
         agents = [AgentState(1, [0.0, 0, 0]), AgentState(0, [1.0, 0, 0])]
         with pytest.raises(ValueError, match="increasing id"):
             sequential_decide(agents, [_pred([5.0, 0, 0])] * 2, [np.zeros((1, 3))] * 2, ANT, RF, SENSING, 0.8)
+
+
+def _trial_decisions(monkeypatch, cfg, trials):
+    """Inputs and output of every ``sequential_decide`` call the trials make, caught by a spy."""
+    calls = []
+
+    def spy(agents, predicted_targets, action_sets, ant, rf, p, threshold):
+        decisions = sequential_decide(agents, predicted_targets, action_sets, ant, rf, p, threshold)
+        calls.append((predicted_targets, action_sets, ant, rf, p, threshold, decisions))
+        return decisions
+
+    monkeypatch.setattr(sim, "sequential_decide", spy)
+    for trial in trials:
+        sim.run_trial(cfg, trial)
+    return calls
+
+
+def _better_deviations(predictions, action_sets, ant, rf, p, threshold, decisions) -> tuple[int, int]:
+    """(feasible, better) counts of unilateral deviations from executed decisions.
+
+    A deviation of agent j is any (admissible candidate, level >= 1) pair.
+    It is feasible against all teammates when the total at the candidate
+    from every other agent's executed decision, in id order, is under the
+    limit, and at every other agent i the total from all agents but i and
+    j, in id order with the deviation added last, is under it too. It is
+    better when it delivers more to j's aim point than j's own decision
+    does, whose delivery comes from the same power map (0 with its radio
+    off).
+    """
+    limit = rf.interference_threshold_db
+    tx_db = rf.power_db([d.power_index for d in decisions])[:, None]
+    positions = np.array([d.chosen_position for d in decisions])
+    aims = np.array([d.aim_point for d in decisions])
+    # (sender, receiver) among the executed decisions
+    between = received_power_map(tx_db, positions[:, None], aims[:, None], ant, rf, positions)
+    levels_db = rf.power_db(np.arange(1, len(rf.power_levels_db)))[:, None, None]
+    feasible = better = 0
+    for j, (predicted, actions, own) in enumerate(zip(predictions, action_sets, decisions)):
+        candidates = admissible_set(predicted, actions, p, threshold)
+        if len(candidates) == 0:
+            continue
+        others = [i for i in range(len(decisions)) if i != j]
+        inbound = received_power_map(tx_db[others], positions[others, None], aims[others, None], ant, rf, candidates)
+        inbound_ok = linear_to_db(sender_sum(inbound)) < limit
+        aim = predicted.position
+        # (level, other agent + aim point, candidate + own position)
+        senders = np.vstack([candidates, own.chosen_position])
+        sent = received_power_map(levels_db, senders, aim, ant, rf, np.vstack([positions[others], aim])[:, None])
+        ok = np.tile(inbound_ok, (len(levels_db), 1))  # (level, candidate)
+        for r, i in enumerate(others):
+            base = sender_sum(between[[k for k in range(len(decisions)) if k not in (i, j)], i])
+            ok = ok & (linear_to_db(base + sent[:, r, :-1]) < limit)
+        own_delivery = sent[own.power_index - 1, -1, -1] if own.power_index else 0.0
+        feasible += int(ok.sum())
+        better += int((ok & (sent[:, -1, :-1] > own_delivery)).sum())
+    return feasible, better
+
+
+class TestGreedyIsAUnilateralBestResponse:
+    """No agent gains by deviating alone from the executed decisions.
+
+    Received powers are non-negative and rounded sums grow with their terms,
+    so a deviation feasible against all teammates is feasible against the
+    earlier deciders alone, where ``solve_jamming`` already took the maximum.
+    """
+
+    @pytest.mark.parametrize("label", ["agents_12", "cstj_accel_0.05"])
+    def test_no_feasible_deviation_delivers_more(self, monkeypatch, label):
+        if label == "agents_12":
+            cfg = dataclasses.replace(dict(preset("figure4_sweep", seed=2))["agents_12"], n_particles=200, n_steps=15)
+        else:
+            cfg = dataclasses.replace(
+                dict(preset("figure3_compare", seed=7))["cstj"],
+                motion=MotionModel(1.0, (0.05, 0.05, 0.05)),
+                n_particles=300,
+                n_steps=20,
+            )
+        calls = _trial_decisions(monkeypatch, cfg, range(2))
+        feasible, better = np.sum([_better_deviations(*call) for call in calls], axis=0)
+        assert better == 0
+        assert feasible >= 500
 
 
 class TestCtDecide:

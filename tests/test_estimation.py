@@ -82,24 +82,28 @@ class TestParticleSet:
 class TestInitParticles:
     def test_zero_covariance_collapses(self):
         mean = TargetState([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
-        ps = init_particles(mean, np.zeros((6, 6)), 50, np.random.default_rng(0))
+        ps = init_particles(mean, np.zeros(6), 50, np.random.default_rng(0))
         np.testing.assert_allclose(ps.states, np.tile(mean.as_vector(), (50, 1)))
 
     def test_uniform_weights(self):
-        ps = init_particles(TargetState([0, 0, 0], [0, 0, 0]), np.eye(6), 64, np.random.default_rng(0))
+        ps = init_particles(TargetState([0, 0, 0], [0, 0, 0]), np.ones(6), 64, np.random.default_rng(0))
         np.testing.assert_allclose(ps.weights, np.full(64, 1 / 64))
 
     def test_sample_mean_converges(self):
         mean = TargetState([1.0, -1.0, 2.0], [0.0, 0.5, -0.5])
-        ps = init_particles(mean, 4.0 * np.eye(6), 100_000, np.random.default_rng(1))
+        ps = init_particles(mean, np.full(6, 2.0), 100_000, np.random.default_rng(1))
         std_err = 2.0 / math.sqrt(100_000)
         assert np.all(np.abs(ps.states.mean(axis=0) - mean.as_vector()) < 3 * std_err)
 
-    def test_non_psd_rejected(self):
-        bad = np.eye(6)
-        bad[0, 0] = -1.0
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            init_particles(TargetState([0, 0, 0], [0, 0, 0]), bad, 10, np.random.default_rng(0))
+    @pytest.mark.parametrize("n", [1, 200, 2000])
+    def test_draws_are_multivariate_normal_bit_for_bit(self, n):
+        # unequal sigmas with zeros: the SVD factor permutes the axes, which mean + z * sigma would not
+        mean = TargetState([1.0, -2.0, 3.0], [0.5, 0.0, -0.5])
+        for seed in range(10):
+            sigma = np.random.default_rng(seed).uniform(0.0, 10.0, 6) * (np.arange(6) % 3 != seed % 3)
+            ps = init_particles(mean, sigma, n, np.random.default_rng([n, seed]))
+            want = np.random.default_rng([n, seed]).multivariate_normal(mean.as_vector(), np.diag(sigma**2), n)
+            assert ps.states.tobytes() == want.tobytes()
 
 
 class TestPredict:
@@ -119,7 +123,7 @@ class TestPredict:
 
     def test_predicted_mean_matches_transition(self):
         rng = np.random.default_rng(2)
-        ps = init_particles(TargetState([5.0, 5, 5], [1.0, -1, 0]), np.eye(6), 50_000, rng)
+        ps = init_particles(TargetState([5.0, 5, 5], [1.0, -1, 0]), np.ones(6), 50_000, rng)
         out = predict(ps, MODEL, rng)
         expected = transition_matrix(MODEL.dt) @ (ps.weights @ ps.states)
         # noise and prior spread both contribute Monte-Carlo error
@@ -512,7 +516,7 @@ class TestUpdate:
     def test_weights_normalized_after_updates(self):
         rng = np.random.default_rng(10)
         truth = TargetState([30.0, 30, 30], [0, 0, 0])
-        ps = init_particles(truth, np.diag([25, 25, 25, 1, 1, 1]), 500, rng)
+        ps = init_particles(truth, (5.0, 5.0, 5.0, 1.0, 1.0, 1.0), 500, rng)
         for _ in range(10):
             ps = predict(ps, MODEL, rng)
             truth = step_target(truth, MODEL, rng)
@@ -535,6 +539,23 @@ class TestUpdate:
             means.append(out.weights @ out.states)
         std_err = spread / math.sqrt(1000 * effective_sample_size(weights))
         assert np.abs(np.mean(means, axis=0) - target_mean).max() < 5 * std_err
+
+    def test_degenerate_update_without_returns_resamples_the_cloud(self):
+        # an empty set passes no return through the gate, so the mixture gives
+        # way before any draw and the cloud alone is resampled systematically
+        rng = np.random.default_rng(16)
+        near, far = rng.normal(size=(150, 6)) + [5.0, 0, 0, 0, 0, 0], rng.normal(size=(50, 6)) + [200.0, 0, 0, 0, 0, 0]
+        ps = ParticleSet(np.concatenate([near, far]), np.full(200, 1 / 200))
+        empty = np.empty((0, 3))
+        log_w = np.log(ps.weights) + _log_set_likelihood(ps.states, empty, [0, 0, 0], SENSING)
+        weights = np.exp(log_w - log_w.max())
+        weights /= weights.sum()
+        assert effective_sample_size(weights) < 100  # the missed detections near the sensor make it degenerate
+        got_rng, want_rng = np.random.default_rng(17), np.random.default_rng(17)
+        out, uninformative = update(ps, empty, [0, 0, 0], SENSING, got_rng)
+        assert not uninformative
+        assert out.states.tobytes() == ps.states[_systematic_resample(weights, want_rng)].tobytes()
+        assert got_rng.random() == want_rng.random()
 
     def test_degenerate_update_samples_the_posterior(self):
         # A Gaussian cloud 2 m wide, 5 m from the sensor, with velocity tied
@@ -746,7 +767,7 @@ class TestFilterConsistency:
             truth = TargetState(rng.uniform(20, 80, 3), rng.uniform(-2, 2, 3))
             prior_mean = TargetState.from_vector(truth.as_vector() + rng.normal(size=6) * prior_sigma)
             filters = [
-                init_particles(prior_mean, np.diag(prior_sigma**2), 2000, rng) for _ in offsets
+                init_particles(prior_mean, prior_sigma, 2000, rng) for _ in offsets
             ]
             errors = []
             for step in range(1, 51):

@@ -35,31 +35,30 @@ def _small_cfg(**kwargs) -> ScenarioConfig:
     return dataclasses.replace(base, **kwargs)
 
 
-def _fingerprint(logs) -> bytes:
-    return pickle.dumps(
-        [
-            (
-                log.step,
-                log.true_state.as_vector().tolist(),
-                log.fused.mean.as_vector().tolist(),
-                log.tracking_error_m,
-                log.target_power_db,
-                log.max_interference_db,
-                [(a.decision.power_index, a.decision.fallback_used.value) for a in log.agents],
-            )
-            for log in logs
-        ]
-    )
+def _logged_digest(value, skip=frozenset(), h=None) -> str:
+    """SHA-256 over every value a run logs, walked field by field, floats by their exact bits.
 
-
-def _logged_bytes_except_fusion(logs) -> bytes:
-    """Every value the step logs hold but the fused estimate and its tracking error."""
-    return pickle.dumps(
-        [
-            {f.name: getattr(log, f.name) for f in dataclasses.fields(log) if f.name not in ("fused", "tracking_error_m")}
-            for log in logs
-        ]
-    )
+    Dataclass fields named in ``skip`` are left out.
+    """
+    h = hashlib.sha256() if h is None else h
+    if dataclasses.is_dataclass(value):
+        h.update(type(value).__name__.encode())
+        for f in dataclasses.fields(value):
+            if f.name not in skip:
+                _logged_digest(getattr(value, f.name), skip, h)
+    elif isinstance(value, list):
+        h.update(f"list{len(value)}".encode())
+        for item in value:
+            _logged_digest(item, skip, h)
+    elif isinstance(value, np.ndarray):
+        h.update(f"{value.dtype}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, enum.Enum):
+        h.update(repr(value.value).encode())
+    else:
+        # repr gives the shortest string that reads back as the same double
+        h.update(repr(value).encode())
+    return h.hexdigest()
 
 
 class TestRunTrial:
@@ -69,11 +68,11 @@ class TestRunTrial:
 
     def test_identical_seeds_identical_logs(self):
         cfg = _small_cfg()
-        assert _fingerprint(run_trial(cfg, 1)) == _fingerprint(run_trial(cfg, 1))
+        assert _logged_digest(run_trial(cfg, 1)) == _logged_digest(run_trial(cfg, 1))
 
     def test_different_trials_differ(self):
         cfg = _small_cfg()
-        assert _fingerprint(run_trial(cfg, 0)) != _fingerprint(run_trial(cfg, 1))
+        assert _logged_digest(run_trial(cfg, 0)) != _logged_digest(run_trial(cfg, 1))
 
     def test_fixed_target_init_is_honoured(self):
         init = TargetState([40.0, 40.0, 40.0], [1.0, 0.0, 0.0])
@@ -109,7 +108,8 @@ class TestRunTrial:
         monkeypatch.setattr(sim, "ci_fuse", lambda estimates: estimates[0])
         first_only = run_trial(cfg, 1)
         assert [log.tracking_error_m for log in first_only] != [log.tracking_error_m for log in plain]
-        assert _logged_bytes_except_fusion(first_only) == _logged_bytes_except_fusion(plain)
+        fusion = {"fused", "tracking_error_m"}
+        assert _logged_digest(first_only, fusion) == _logged_digest(plain, fusion)
 
     def test_interference_safe_when_no_fallback(self):
         # figure4_sweep's 12-agent arm as the benchmark runs it: at this seed
@@ -186,28 +186,6 @@ class TestRunTrial:
                 assert metrics.max_interference_db is None
             else:
                 assert metrics.max_interference_db == pytest.approx(log.max_interference_db, abs=1e-9)
-
-
-def _logged_digest(value, h=None) -> str:
-    """SHA-256 over every value a run logs, walked field by field, floats by their exact bits."""
-    h = hashlib.sha256() if h is None else h
-    if dataclasses.is_dataclass(value):
-        h.update(type(value).__name__.encode())
-        for f in dataclasses.fields(value):
-            _logged_digest(getattr(value, f.name), h)
-    elif isinstance(value, list):
-        h.update(f"list{len(value)}".encode())
-        for item in value:
-            _logged_digest(item, h)
-    elif isinstance(value, np.ndarray):
-        h.update(f"{value.dtype}{value.shape}".encode())
-        h.update(np.ascontiguousarray(value).tobytes())
-    elif isinstance(value, enum.Enum):
-        h.update(repr(value.value).encode())
-    else:
-        # repr gives the shortest string that reads back as the same double
-        h.update(repr(value).encode())
-    return h.hexdigest()
 
 
 def _bench_scale_configs():

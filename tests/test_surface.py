@@ -29,6 +29,11 @@ in one call over both sets of receivers.
 Only ``dynamics.norm`` computes a Euclidean length: no other package code
 takes the square root of a sum of a value times itself, whose summation
 order would then decide logged bits in a second place.
+
+Only ``estimation.Estimate.__post_init__`` (covariances) and
+``estimation._information_matrices`` (information matrices) symmetrise a
+matrix: no other package code adds a value to its own ``.T`` or
+``.transpose(...)``.
 """
 
 import ast
@@ -378,3 +383,68 @@ def test_guard_sees_a_hand_written_norm(tmp_path):
         encoding="utf-8",
     )
     assert sorted(hand_written_norms(package)) == ["a:7", "a:7", "a:7", "dynamics:9"]
+
+
+# (module, function or Class.method) of the package's two symmetrisations
+_SYMMETRISERS = {("estimation", "Estimate.__post_init__"), ("estimation", "_information_matrices")}
+
+
+def _functions(tree):
+    """(qualified name, node) of each top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{sub.name}", sub) for sub in node.body if isinstance(sub, ast.FunctionDef))
+
+
+def _is_transpose_of(node, base) -> bool:
+    """``base.T`` or ``base.transpose(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+        if not (isinstance(node, ast.Attribute) and node.attr == "transpose"):
+            return False
+    elif not (isinstance(node, ast.Attribute) and node.attr == "T"):
+        return False
+    return ast.dump(node.value) == ast.dump(base)
+
+
+def symmetrisations(package: Path = PACKAGE) -> list[str]:
+    """``module:line`` of each ``x + x.T`` or ``x + x.transpose(...)``, either way round, outside ``_SYMMETRISERS``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owned = {
+            id(sub)
+            for name, node in _functions(tree)
+            if (path.stem, name) in _SYMMETRISERS
+            for sub in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if id(node) in owned or not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+                continue
+            if _is_transpose_of(node.right, node.left) or _is_transpose_of(node.left, node.right):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_one_place_symmetrises_each_kind_of_matrix():
+    assert symmetrisations() == []
+
+
+def test_guard_sees_a_symmetrisation(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "estimation.py").write_text(
+        "class Estimate:\n"
+        "    def __post_init__(self):\n        self.covariance = 0.5 * (self.covariance + self.covariance.T)\n\n\n"
+        "def _information_matrices(infos):\n    return 0.5 * (infos + infos.transpose(0, 2, 1))\n\n\n"
+        "def init_particles(cov):\n    return 0.5 * (cov + cov.T)\n",
+        encoding="utf-8",
+    )
+    (package / "a.py").write_text(
+        "def _information_matrices(x, y):\n"
+        "    return x.T + x, 0.5 * (x + x.transpose(0, 2, 1)), x + y.T, x @ x.T, x.transpose(2, 0, 1)\n",
+        encoding="utf-8",
+    )
+    assert sorted(symmetrisations(package)) == ["a:2", "a:2", "estimation:11"]
