@@ -18,7 +18,9 @@ def vector3(value) -> np.ndarray:
     """``value`` as a float (3,) array.
 
     A float (3,) array comes back as itself, with no view laid over it; other
-    input is converted and reshaped, so a wrong size raises.
+    input is converted and reshaped, so a wrong size raises. The records
+    convert their input here, or in ``float_tuple``, once; the functions
+    below them take the float arrays the records hold and convert nothing.
     """
     vec = np.asarray(value, dtype=float)
     return vec if vec.shape == (3,) else vec.reshape(3)
@@ -171,28 +173,17 @@ def step_target(state: TargetState, model: MotionModel, rng: np.random.Generator
 def _grid_offsets(grid: ActionGrid) -> np.ndarray:
     d_phi = math.pi / grid.n_phi
     d_theta = 2.0 * math.pi / grid.n_theta
-    raw = []
+    kept = np.empty((0, 3))
     for radius in grid.radial_steps_m:
         for l2 in range(0, grid.n_phi + 1):
+            ring, height = radius * math.sin(l2 * d_phi), radius * math.cos(l2 * d_phi)
             for l3 in range(1, grid.n_theta + 1):
-                raw.append(
-                    (
-                        radius * math.sin(l2 * d_phi) * math.cos(l3 * d_theta),
-                        radius * math.sin(l2 * d_phi) * math.sin(l3 * d_theta),
-                        radius * math.cos(l2 * d_phi),
-                    )
-                )
-    offsets = np.asarray(raw, dtype=float)
-    # the lattice degenerates at the poles; drop offsets within 1e-9 m of a kept one
-    diff = offsets[:, None, :] - offsets[None, :, :]
-    close = norm(diff) <= 1e-9
-    keep = []
-    for i in range(len(offsets)):
-        if not any(close[i, j] for j in keep):
-            keep.append(i)
-    out = offsets[keep]
-    out.setflags(write=False)
-    return out
+                cand = np.array([ring * math.cos(l3 * d_theta), ring * math.sin(l3 * d_theta), height])
+                # the lattice degenerates at the poles; drop offsets within 1e-9 m of a kept one
+                if (norm(kept - cand) > 1e-9).all():
+                    kept = np.vstack([kept, cand])
+    kept.setflags(write=False)
+    return kept
 
 
 def enumerate_actions(state: AgentState, grid: ActionGrid) -> np.ndarray:

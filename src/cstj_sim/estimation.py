@@ -249,10 +249,11 @@ def _detectable_density_sums(delta, dist, p_d, meas, p: SensingParams):
 def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
     """Log likelihood of the whole measurement set for each state row.
 
-    ``meas`` is the (n_meas, 3) array of the set. Sums a "missed detection,
-    all clutter" hypothesis with one hypothesis per measurement being the
-    target return, each weighted by the Poisson clutter process; clutter-free
-    sensing degenerates to the obvious special cases.
+    ``states`` (n, 6), the set ``meas`` (n_meas, 3) and ``sensor_pos`` (3,)
+    are float arrays. Sums a "missed detection, all clutter" hypothesis with
+    one hypothesis per measurement being the target return, each weighted by
+    the Poisson clutter process; clutter-free sensing degenerates to the
+    obvious special cases.
 
     With clutter a particle scores ``base + log((1 - p_d) + p_d S / K)``
     (Ristic, Vo, Vo & Farina 2013), where S is its sum over the returns of
@@ -270,7 +271,7 @@ def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
     any of these keeps the whole grid (``_sums_stay_finite``).
     """
     n_meas = len(meas)
-    delta = states[:, :3] - np.asarray(sensor_pos, dtype=float)
+    delta = states[:, :3] - sensor_pos
     dist = norm(delta)
     p_d = detection_prob_at_distance(dist, p)
     lam = p.clutter_rate
@@ -287,13 +288,14 @@ def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
     return np.full(len(states), -np.inf)
 
 
-def effective_sample_size(weights) -> float:
-    return float(1.0 / np.sum(np.asarray(weights, dtype=float) ** 2))
+def effective_sample_size(weights: np.ndarray) -> float:
+    """1 / sum(w**2) of a float array of normalised weights."""
+    return float(1.0 / np.sum(weights**2))
 
 
-def _systematic_resample(weights, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-    n = len(weights) if count is None else count
-    points = (rng.random() + np.arange(n)) / n
+def _systematic_resample(weights: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` indices into the float array ``weights``, drawn systematically from one uniform."""
+    points = (rng.random() + np.arange(count)) / count
     indices = np.searchsorted(np.cumsum(weights), points)
     return np.minimum(indices, len(weights) - 1)
 
@@ -327,11 +329,12 @@ def _return_gaussians(meas, origin, p: SensingParams):
 def _gated_returns(meas, sensor_pos, mean, cov, p: SensingParams):
     """Return Gaussians that pass the gate against the cloud's Gaussian fit.
 
-    Returns their offsets from the cloud's mean position, bases, scales and
-    mixture weights (each return's predictive density under the fit), or
-    None when no return passes.
+    ``sensor_pos`` is the sensor's float (3,) position. Returns their
+    offsets from the cloud's mean position, bases, scales and mixture
+    weights (each return's predictive density under the fit), or None when
+    no return passes.
     """
-    offsets, basis, scales = _return_gaussians(meas, np.asarray(sensor_pos, dtype=float) - mean[:3], p)
+    offsets, basis, scales = _return_gaussians(meas, sensor_pos - mean[:3], p)
     s_chol = np.linalg.cholesky(cov[:3, :3] + (basis * scales[:, None, :] ** 2) @ basis.transpose(0, 2, 1))
     innov = np.linalg.solve(s_chol, offsets[..., None])
     d2 = (innov * innov).sum(axis=(1, 2))
@@ -379,11 +382,8 @@ def _mixture_resample(ps: ParticleSet, log_w, meas, sensor_pos, p: SensingParams
     log_dens = -0.5 * (white * white).reshape(-1, 3, len(states)).sum(axis=1)
     log_dens[0] -= np.log(np.diag(chol)[:3]).sum()
     log_dens[1:] += (np.log(beta) - np.log(scales).sum(axis=1))[:, None]
-    log_mix = log_dens[1:]
-    if len(log_mix) > 1:
-        peak = log_mix.max(axis=0)
-        log_mix = peak + np.log(np.exp(log_mix - peak).sum(axis=0))
-    log_ratio = log_mix.reshape(-1) - log_dens[0]
+    peak = log_dens[1:].max(axis=0)
+    log_ratio = peak + np.log(np.exp(log_dens[1:] - peak).sum(axis=0)) - log_dens[0]
 
     log_num = np.concatenate([log_w + math.log(n), _log_set_likelihood(new, meas, sensor_pos, p)])
     log_all = log_num - np.logaddexp(math.log(n), math.log(m) + log_ratio)
@@ -403,6 +403,7 @@ def update(
 
     ``measurements`` is the set as ``sensing.collect`` returns it: an (n, 3)
     array of (range [m], azimuth in (-pi, pi], inclination in [0, pi]) rows.
+    ``sensor_pos`` is the sensor's float (3,) position.
 
     An ESS below n/2 marks a degenerate update: the likelihood is much
     narrower than the predicted cloud, and resampling the cloud alone would
@@ -444,7 +445,7 @@ def update(
     if effective_sample_size(weights) < 0.5 * len(weights):
         states = _mixture_resample(ps, log_w, measurements, sensor_pos, p, rng)
         if states is None:
-            states = ps.states[_systematic_resample(weights, rng)]
+            states = ps.states[_systematic_resample(weights, rng, len(weights))]
         return ParticleSet(states, np.full(len(weights), 1.0 / len(weights))), False
     return ParticleSet(ps.states, weights), False
 

@@ -1,13 +1,14 @@
 """Directional-antenna cone geometry and the one representation of power.
 
-Positions are 3-vectors in metres. Transmit levels, losses and limits are
-given in dB; received power is linear from the map on. Every antenna
-illuminates a right circular cone (height ``effective_range_m``, opening
-angle ``opening_angle_rad``) steered along an aim vector; a receiver outside
-the cone picks up no power at all, which ``received_power_map`` represents
-as exactly 0.0, as it does for the off level (-inf dB). Totals are summed in
-linear power by ``sender_sum`` and converted back by ``linear_to_db``; this
-module alone converts between the two scales.
+Positions are float arrays of 3-vectors in metres, as the records hold
+them. Transmit levels, losses and limits are given in dB; received power is
+linear from the map on. Every antenna illuminates a right circular cone
+(height ``effective_range_m``, opening angle ``opening_angle_rad``) steered
+along an aim vector; a receiver outside the cone picks up no power at all,
+which ``received_power_map`` represents as exactly 0.0, as it does for the
+off level (-inf dB). Totals are summed in linear power by ``sender_sum`` and
+converted back by ``linear_to_db``; this module alone converts between the
+two scales.
 """
 
 from __future__ import annotations
@@ -79,15 +80,15 @@ def received_power_map(tx_power_db: float, tx_pos, tx_aim, ant: AntennaParams, r
     ``effective_range_m``. The apex itself is never covered, and an antenna
     whose aim coincides with its own position covers nothing. One offset
     from the transmitter and its norm serve both the cone test and the path
-    loss. Broadcasts over a trailing (..., 3) axis on transmitter, aim or
-    receiver positions. The off level (-inf dB) gives 0.0 too.
+    loss. Transmitter, aim and receiver positions are float (..., 3) arrays,
+    over whose leading axes the result broadcasts. The off level (-inf dB)
+    gives 0.0 too.
     """
-    tx_pos = np.asarray(tx_pos, dtype=float)
-    axis = np.asarray(tx_aim, dtype=float) - tx_pos
+    axis = tx_aim - tx_pos
     axis_norm = norm(axis)
     degenerate = axis_norm == 0.0
     unit = axis / np.where(degenerate, 1.0, axis_norm)[..., None]
-    delta = np.asarray(rx_pos, dtype=float) - tx_pos
+    delta = rx_pos - tx_pos
     dist = norm(delta)
     along = (delta * unit).sum(axis=-1)
     cos_half = math.cos(ant.opening_angle_rad / 2.0)

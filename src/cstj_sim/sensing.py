@@ -8,7 +8,8 @@ number of false alarms spread uniformly over the measurement space.
 A measurement set is an (n, 3) float array with one row per return:
 range in m, in [0, rho_max]; azimuth in (-pi, pi]; inclination in [0, pi].
 Every range, and every distance the detection curve reads, is
-``dynamics.norm`` of a sensor-to-drone offset.
+``dynamics.norm`` of a sensor-to-drone offset. Positions and offsets come in
+as the float arrays the records hold; nothing here converts them.
 """
 
 from __future__ import annotations
@@ -105,24 +106,25 @@ class SensingParams:
 
 
 def detection_prob_at_distance(distance, p: SensingParams) -> np.ndarray:
-    """Detection probability at sensor-target distance, as an array of the distance's shape."""
-    d = np.asarray(distance, dtype=float)
-    decayed = np.maximum(0.0, p.p_d_max - p.eta_per_m * (d - p.r0_m))
-    return np.where(d < p.r0_m, p.p_d_max, decayed)
+    """Detection probability at sensor-target distance, as an array of the distance's shape.
+
+    ``distance`` is a float array, or a float: ``dynamics.norm`` of offsets.
+    """
+    decayed = np.maximum(0.0, p.p_d_max - p.eta_per_m * (distance - p.r0_m))
+    return np.where(distance < p.r0_m, p.p_d_max, decayed)
 
 
 def detection_prob(x: TargetState, s_pos, p: SensingParams) -> np.ndarray:
     """Detection probability of the drone at ``x`` from each sensor position.
 
-    Broadcasts over a trailing (..., 3) axis of ``s_pos``; a 0-d array for
-    one position.
+    ``s_pos`` is a float (..., 3) array, over whose leading axes the result
+    broadcasts; a 0-d array for one position.
     """
-    return detection_prob_at_distance(norm(x.position - np.asarray(s_pos, dtype=float)), p)
+    return detection_prob_at_distance(norm(x.position - s_pos), p)
 
 
-def spherical_coords(delta):
-    """The measurement function: (range, azimuth, inclination) of offset vectors; broadcasts over (..., 3)."""
-    delta = np.asarray(delta, dtype=float)
+def spherical_coords(delta: np.ndarray):
+    """The measurement function: (range, azimuth, inclination) of a float (..., 3) array of offsets."""
     return norm(delta), *spherical_angles(delta)
 
 
@@ -167,13 +169,14 @@ def sample_clutter(p: SensingParams, rng: np.random.Generator) -> np.ndarray:
 def collect(x: TargetState, s_pos, p: SensingParams, rng: np.random.Generator) -> np.ndarray:
     """One step's measurement set: maybe the target return, plus clutter, shuffled.
 
-    Returns an (n, 3) array of (range [m], azimuth in (-pi, pi], inclination
-    in [0, pi]) rows. The drone's offset from the sensor and its spherical
-    coordinates are built once and serve both the detection draw and the
-    return. The draws come in a fixed order: the detection draw, the target
-    return's noise, the clutter, then the shuffle.
+    ``s_pos`` is the sensor's float (3,) position. Returns an (n, 3) array
+    of (range [m], azimuth in (-pi, pi], inclination in [0, pi]) rows. The
+    drone's offset from the sensor and its spherical coordinates are built
+    once and serve both the detection draw and the return. The draws come
+    in a fixed order: the detection draw, the target return's noise, the
+    clutter, then the shuffle.
     """
-    coords = spherical_coords(x.position - np.asarray(s_pos, dtype=float))
+    coords = spherical_coords(x.position - s_pos)
     detected = rng.random() < detection_prob_at_distance(coords[0], p)
     target = [sample_measurement(coords, p, rng)] if detected else []
     rows = np.concatenate([np.reshape(target, (-1, 3)), sample_clutter(p, rng)])

@@ -260,7 +260,7 @@ class TestSolveJamming:
     def test_objective_monotone_in_power(self):
         # fixed candidate toward a fixed drone: delivered power rises with the level
         values = [
-            received_power_db(level, [4.0, 0, 0], [10.0, 0, 0], ANT, RF, [10.0, 0, 0])
+            received_power_db(level, np.array([4.0, 0, 0]), np.array([10.0, 0, 0]), ANT, RF, np.array([10.0, 0, 0]))
             for level in RF.power_levels_db[1:]
         ]
         assert all(v is not None for v in values)

@@ -94,11 +94,13 @@ class TestEnumerateActions:
         assert len(actions) == 18  # per radius: 1 up, 4 equatorial, 1 down
 
     def test_matches_brute_force_enumeration(self):
+        # byte for byte, down to radii under the 1e-9 m merge distance and up to 1 km
         pos = np.array([3.0, -2.0, 7.0])
-        got = enumerate_actions(AgentState(0, pos), GRID)
-        expected = enumerate_actions_reference(pos, GRID)
-        assert len(got) == len(expected)
-        np.testing.assert_allclose(got, expected, atol=1e-9)
+        grids = [GRID, ActionGrid((1e-10,), 3, 4), ActionGrid((5e-10, 1e-9, 2e-9), 4, 3), ActionGrid((1e3,), 7, 8)]
+        grids += [ActionGrid((0.5, 1e3, 1e-10), n_phi, n_theta) for n_phi in (1, 2, 5) for n_theta in (1, 3, 6)]
+        for grid in grids:
+            got = enumerate_actions(AgentState(0, pos), grid)
+            assert got.tobytes() == np.array(enumerate_actions_reference(pos, grid)).tobytes()
 
     def test_pole_offset_ignores_theta(self):
         grid = ActionGrid((1.0,), 2, 4)

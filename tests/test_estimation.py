@@ -554,7 +554,7 @@ class TestUpdate:
         got_rng, want_rng = np.random.default_rng(17), np.random.default_rng(17)
         out, uninformative = update(ps, empty, [0, 0, 0], SENSING, got_rng)
         assert not uninformative
-        assert out.states.tobytes() == ps.states[_systematic_resample(weights, want_rng)].tobytes()
+        assert out.states.tobytes() == ps.states[_systematic_resample(weights, want_rng, 200)].tobytes()
         assert got_rng.random() == want_rng.random()
 
     def test_degenerate_update_samples_the_posterior(self):
@@ -591,7 +591,7 @@ class TestUpdate:
             w = np.exp(log_l - log_l.max())
             w /= w.sum()
             assert effective_sample_size(w) < n / 2
-            plain.append(ps.states[_systematic_resample(w, rng)].mean(axis=0))
+            plain.append(ps.states[_systematic_resample(w, rng, n)].mean(axis=0))
             out, uninformative = update(ps, meas, s_pos, SENSING, rng)
             assert not uninformative
             mixed.append(out.weights @ out.states)

@@ -34,6 +34,10 @@ Only ``estimation.Estimate.__post_init__`` (covariances) and
 ``estimation._information_matrices`` (information matrices) symmetrise a
 matrix: no other package code adds a value to its own ``.T`` or
 ``.transpose(...)``.
+
+Only the records convert input to float arrays: ``asarray`` and
+``asanyarray`` appear only in a ``__post_init__`` and in ``_CONVERTERS``;
+every other function takes the float arrays its callers give.
 """
 
 import ast
@@ -409,17 +413,17 @@ def _is_transpose_of(node, base) -> bool:
     return ast.dump(node.value) == ast.dump(base)
 
 
+def _owned(tree, allowed) -> set:
+    """``id`` of every node inside a function or method whose qualified name ``allowed`` accepts."""
+    return {id(sub) for name, node in _functions(tree) if allowed(name) for sub in ast.walk(node)}
+
+
 def symmetrisations(package: Path = PACKAGE) -> list[str]:
     """``module:line`` of each ``x + x.T`` or ``x + x.transpose(...)``, either way round, outside ``_SYMMETRISERS``."""
     found = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        owned = {
-            id(sub)
-            for name, node in _functions(tree)
-            if (path.stem, name) in _SYMMETRISERS
-            for sub in ast.walk(node)
-        }
+        owned = _owned(tree, lambda name: (path.stem, name) in _SYMMETRISERS)
         for node in ast.walk(tree):
             if id(node) in owned or not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
                 continue
@@ -448,3 +452,49 @@ def test_guard_sees_a_symmetrisation(tmp_path):
         encoding="utf-8",
     )
     assert sorted(symmetrisations(package)) == ["a:2", "a:2", "estimation:11"]
+
+
+# (module, function or Class.method) that convert input, beside every record's ``__post_init__``
+_CONVERTERS = {
+    ("dynamics", "vector3"),
+    ("dynamics", "float_tuple"),
+    ("dynamics", "TargetState.from_vector"),
+    ("geometry_rf", "db_to_linear"),
+}
+
+
+def conversions(package: Path = PACKAGE) -> list[str]:
+    """``module:line`` of each ``asarray`` or ``asanyarray`` reference outside the records' converters."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owned = _owned(tree, lambda name: (path.stem, name) in _CONVERTERS or name.endswith(".__post_init__"))
+        for node in ast.walk(tree):
+            if id(node) not in owned and getattr(node, "id", getattr(node, "attr", None)) in ("asarray", "asanyarray"):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_only_the_records_convert_input():
+    assert conversions() == []
+
+
+def test_guard_sees_a_conversion(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "dynamics.py").write_text(
+        "import numpy as np\n\n\n"
+        "def vector3(v):\n    return np.asarray(v, dtype=float)\n\n\n"
+        "class TargetState:\n"
+        "    def __post_init__(self):\n        self.position = np.asarray(self.position)\n\n"
+        "    def as_vector(self):\n        return np.asarray(self.position)\n",
+        encoding="utf-8",
+    )
+    (package / "a.py").write_text(
+        "import numpy as np\nfrom numpy import asarray\n\n\n"
+        "def vector3(v):\n    return np.asarray(v, dtype=float)\n\n\n"
+        "def f(x, y):\n    return asarray(x) - np.asanyarray(y), np.array(x), np.ascontiguousarray(y)\n\n\n"
+        "ORIGIN = np.asarray([0.0, 0.0, 0.0])\n",
+        encoding="utf-8",
+    )
+    assert sorted(conversions(package)) == ["a:10", "a:10", "a:13", "a:6", "dynamics:13"]
