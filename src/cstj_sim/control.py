@@ -1,7 +1,9 @@
 """Cascaded tracking-then-jamming controller.
 
-Each agent first filters its move set down to candidates that keep the
-predicted detection probability above a threshold, then picks the
+The team's moves are scored once per step, in one detection grid with the
+bits each agent's moves get alone (every entry is the same elementwise
+arithmetic). Each agent then filters its move set down to candidates that
+keep the predicted detection probability above a threshold and picks the
 (move, power level) pair that maximizes power delivered to the predicted
 drone position subject to two interference limits: what the agent itself
 would receive from already-committed teammates, and what its transmission
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TargetState, vector3
+from .dynamics import TargetState, norm, vector3
 from .geometry_rf import AntennaParams, RfParams, linear_to_db, received_power_map, sender_sum
-from .sensing import SensingParams, detection_prob
+from .sensing import SensingParams, detection_prob_at_distance
 
 
 class Fallback(enum.Enum):
@@ -56,16 +58,26 @@ class DecisionRecord:
         self.aim_point = vector3(self.aim_point)
 
 
-def admissible_set(predicted_target: TargetState, actions, p: SensingParams, threshold: float) -> np.ndarray:
-    """Actions whose tracking objective strictly exceeds the threshold, order kept."""
-    return actions[detection_prob(predicted_target, actions, p) > threshold]
+def _detection_grid(predicted_targets, action_sets, p: SensingParams) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's moves as one (agent, move, 3) array, and each move's detection probability of its agent's aim.
+
+    Every agent has as many moves: the one move grid, offset by its position.
+    """
+    actions = np.array(action_sets)
+    aims = np.array([t.position for t in predicted_targets])
+    return actions, detection_prob_at_distance(norm(aims[:, None] - actions), p)
+
+
+def admissible_set(actions, probs, threshold: float) -> np.ndarray:
+    """Actions whose tracking objective ``probs`` strictly exceeds the threshold, order kept."""
+    return actions[probs > threshold]
 
 
 def _tracking_decision(
-    agent_id: int, predicted_target: TargetState, moves, p: SensingParams, power_index: int, fallback: Fallback
+    agent_id: int, predicted_target: TargetState, moves, probs, power_index: int, fallback: Fallback
 ) -> DecisionRecord:
-    """Move to the first of ``moves`` that best detects the predicted drone, aim at it, record no objective."""
-    best = moves[int(np.argmax(detection_prob(predicted_target, moves, p)))].copy()
+    """Move to the first of ``moves`` with the largest of ``probs``, aim at the drone, record no objective."""
+    best = moves[int(np.argmax(probs))].copy()
     return DecisionRecord(agent_id, best, power_index, predicted_target.position, None, fallback)
 
 
@@ -76,7 +88,7 @@ def solve_jamming(
     decided: list[DecisionRecord],
     ant: AntennaParams,
     rf: RfParams,
-    sensing: SensingParams,
+    probs: np.ndarray,
 ) -> DecisionRecord:
     """Pick the feasible (candidate, power level) pair with maximal delivered power.
 
@@ -93,12 +105,12 @@ def solve_jamming(
     delivered power, None when it is zero.
 
     Fallback ladder when no transmitting pair is feasible: move to the
-    best-tracking candidate that still satisfies (a) with the antenna off;
-    if even (a) fails everywhere, take the best-tracking candidate outright.
+    best-tracking candidate (by the candidates' detection probabilities
+    ``probs``) that still satisfies (a) with the antenna off; if even (a)
+    fails everywhere, take the best-tracking candidate outright.
     """
     limit_db = rf.interference_threshold_db
     aim = predicted_target.position
-    levels_db = rf.power_db(np.arange(len(rf.power_levels_db)))
     tx_db = rf.power_db([r.power_index for r in decided])[:, None]
     tx_pos = np.array([r.chosen_position for r in decided]).reshape(-1, 1, 3)
     tx_aim = np.array([r.aim_point for r in decided]).reshape(-1, 1, 3)
@@ -109,7 +121,7 @@ def solve_jamming(
     inbound_ok = linear_to_db(sender_sum(received[:, : len(candidates)])) < limit_db
     base = sender_sum(received[:, len(candidates) :])
     # (level, receiver, candidate): this agent's power at each teammate, then at the predicted drone
-    sent = received_power_map(levels_db[:, None, None], candidates, aim, ant, rf, np.vstack([tx_pos[:, 0], aim])[:, None])
+    sent = received_power_map(rf.levels_db[:, None, None], candidates, aim, ant, rf, np.vstack([tx_pos[:, 0], aim])[:, None])
     outbound_ok = (linear_to_db(base[:, None] + sent[:, :-1]) < limit_db).all(axis=1)
     delivery = sent[:, -1]
     feasible = inbound_ok & outbound_ok  # (level, candidate)
@@ -120,8 +132,9 @@ def solve_jamming(
         return DecisionRecord(agent_id, candidates[k].copy(), w, aim, objective_db, Fallback.NONE)
 
     if inbound_ok.any():
-        return _tracking_decision(agent_id, predicted_target, candidates[inbound_ok], sensing, 0, Fallback.POWER_OFF)
-    return _tracking_decision(agent_id, predicted_target, candidates, sensing, 0, Fallback.TRACKING)
+        clear = candidates[inbound_ok]
+        return _tracking_decision(agent_id, predicted_target, clear, probs[inbound_ok], 0, Fallback.POWER_OFF)
+    return _tracking_decision(agent_id, predicted_target, candidates, probs, 0, Fallback.TRACKING)
 
 
 def sequential_decide(
@@ -135,20 +148,22 @@ def sequential_decide(
 ) -> list[DecisionRecord]:
     """Decide all agents in ascending id order, each seeing prior commitments.
 
-    An agent whose thresholded candidate set comes up empty skips the jamming
-    step entirely: it takes the best-tracking action from its full move set
-    with the antenna off.
+    The whole team's moves are scored in one detection grid first. An agent
+    whose thresholded candidate set comes up empty skips the jamming step
+    entirely: it takes the best-tracking action from its full move set with
+    the antenna off.
     """
     ids = [a.id for a in agents]
     if any(b <= a for a, b in zip(ids, ids[1:])):
         raise ValueError("agents must be ordered by strictly increasing id")
+    team_actions, team_probs = _detection_grid(predicted_targets, action_sets, sensing)
     decided: list[DecisionRecord] = []
-    for agent, predicted, actions in zip(agents, predicted_targets, action_sets):
-        candidates = admissible_set(predicted, actions, sensing, tracking_threshold)
+    for agent, predicted, actions, probs in zip(agents, predicted_targets, team_actions, team_probs):
+        candidates = admissible_set(actions, probs, tracking_threshold)
         if len(candidates) == 0:
-            record = _tracking_decision(agent.id, predicted, actions, sensing, 0, Fallback.TRACKING)
+            record = _tracking_decision(agent.id, predicted, actions, probs, 0, Fallback.TRACKING)
         else:
-            record = solve_jamming(agent.id, candidates, predicted, decided, ant, rf, sensing)
+            record = solve_jamming(agent.id, candidates, predicted, decided, ant, rf, probs[probs > tracking_threshold])
         decided.append(record)
     return decided
 
@@ -160,8 +175,9 @@ def ct_decide(
     sensing: SensingParams,
     power_index: int,
 ) -> list[DecisionRecord]:
-    """Tracking-only baseline: best-tracking move, fixed power, no constraints."""
+    """Tracking-only baseline: best-tracking move, fixed power, no constraints; one detection grid for the team."""
+    team_actions, team_probs = _detection_grid(predicted_targets, action_sets, sensing)
     return [
-        _tracking_decision(agent.id, predicted, actions, sensing, power_index, Fallback.NONE)
-        for agent, predicted, actions in zip(agents, predicted_targets, action_sets)
+        _tracking_decision(agent.id, predicted, actions, probs, power_index, Fallback.NONE)
+        for agent, predicted, actions, probs in zip(agents, predicted_targets, team_actions, team_probs)
     ]

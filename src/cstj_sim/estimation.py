@@ -501,18 +501,28 @@ def _information_matrices(covs: np.ndarray) -> np.ndarray:
     return 0.5 * (infos + infos.transpose(0, 2, 1))
 
 
-def _fused_trace(info_a: np.ndarray, info_b: np.ndarray):
+def _inverse_factors(infos: np.ndarray) -> list:
+    """inv(L) of each I = L L^T in a (k, 6, 6) stack, None where I has no Cholesky factor.
+
+    One batched call gives each matrix the bytes it gets alone; if it raises, each is factorised alone.
+    """
+    try:
+        return list(np.linalg.inv(np.linalg.cholesky(infos)))
+    except np.linalg.LinAlgError:
+        return [None] if len(infos) == 1 else [_inverse_factors(info[None])[0] for info in infos]
+
+
+def _fused_trace(info_a: np.ndarray, info_b: np.ndarray, inv_chol: np.ndarray | None):
     """The trace of the fused covariance inv(w I_a + (1 - w) I_b) as a function of w.
 
-    With I_b = L L^T and inv(L) I_a inv(L)^T = Q diag(lam) Q^T, one
-    congruence diagonalises both information matrices, so
+    With I_b = L L^T, ``inv_chol`` = inv(L) and inv(L) I_a inv(L)^T =
+    Q diag(lam) Q^T, one congruence diagonalises both information matrices, so
 
         tr(inv(w I_a + (1 - w) I_b)) = sum_i c_i / (w lam_i + 1 - w),
 
     with c_i the squared norm of column i of inv(L)^T Q. Where I_b has no
-    Cholesky factor, or a generalised eigenvalue lam_i is not positive, the
-    trace is ``np.trace(np.linalg.inv(...))`` instead, infinite where the
-    matrix is singular.
+    Cholesky factor (None), or a generalised eigenvalue lam_i is not positive,
+    the trace is ``np.trace(np.linalg.inv(...))``, infinite where singular.
     """
 
     def exact(w: float) -> float:
@@ -521,9 +531,7 @@ def _fused_trace(info_a: np.ndarray, info_b: np.ndarray):
         except np.linalg.LinAlgError:
             return math.inf
 
-    try:
-        inv_chol = np.linalg.inv(np.linalg.cholesky(info_b))
-    except np.linalg.LinAlgError:
+    if inv_chol is None:
         return exact
     lams, q = np.linalg.eigh(inv_chol @ info_a @ inv_chol.T)
     if not lams[0] > 0.0:
@@ -548,10 +556,10 @@ def ci_fuse(estimates) -> Estimate:
     information matrix I and vector I m; each next estimate b sets
     I <- w I + (1 - w) I_b and I m <- w I m + (1 - w) I_b m_b, with w chosen
     to minimise the trace of the new inv(I) on its closed form
-    (``_fused_trace``) by ``_ci_weight``. The fused covariance is the final
-    inv(I), and the fused mean that times the final information vector.
-    Callers fix the fold order (ascending agent id in the simulator); a
-    single estimate is returned unchanged.
+    (``_fused_trace``) by ``_ci_weight``, all teammates' factors taken at once.
+    The fused covariance is the final inv(I), and the fused mean that times
+    the final information vector. Callers fix the fold order (ascending agent
+    id in the simulator); a single estimate is returned unchanged.
     """
     estimates = list(estimates)
     if not estimates:
@@ -561,8 +569,8 @@ def ci_fuse(estimates) -> Estimate:
     infos = _information_matrices(np.array([e.covariance for e in estimates]))
     info = infos[0]
     vec = info @ estimates[0].mean.as_vector()
-    for other, info_b in zip(estimates[1:], infos[1:]):
-        w = _ci_weight(_fused_trace(info, info_b))
+    for other, info_b, inv_chol in zip(estimates[1:], infos[1:], _inverse_factors(infos[1:])):
+        w = _ci_weight(_fused_trace(info, info_b, inv_chol))
         info = w * info + (1.0 - w) * info_b
         vec = w * vec + (1.0 - w) * (info_b @ other.mean.as_vector())
     cov = np.linalg.inv(info)

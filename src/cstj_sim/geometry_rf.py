@@ -14,7 +14,7 @@ two scales.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,7 @@ class RfParams:
     attenuation_db: float
     power_levels_db: tuple
     interference_threshold_db: float
+    levels_db: np.ndarray = field(init=False, repr=False, compare=False)  # power_db's read-only table, -inf for off
 
     def __post_init__(self):
         # written so that NaN and inf fail it
@@ -66,10 +67,12 @@ class RfParams:
         if any(b <= a for a, b in zip(on, on[1:])):
             raise ValueError("power_levels_db must be strictly increasing after 'off'")
         object.__setattr__(self, "power_levels_db", (None, *on))
+        object.__setattr__(self, "levels_db", np.array([-np.inf, *on]))
+        self.levels_db.setflags(write=False)
 
     def power_db(self, index):
         """Transmit power in dB of level ``index`` (an int or an int array); -inf for off."""
-        return np.array([-np.inf, *self.power_levels_db[1:]])[index]
+        return self.levels_db[index]
 
 
 def received_power_map(tx_power_db: float, tx_pos, tx_aim, ant: AntennaParams, rf: RfParams, rx_pos):

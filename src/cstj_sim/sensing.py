@@ -114,15 +114,6 @@ def detection_prob_at_distance(distance, p: SensingParams) -> np.ndarray:
     return np.where(distance < p.r0_m, p.p_d_max, decayed)
 
 
-def detection_prob(x: TargetState, s_pos, p: SensingParams) -> np.ndarray:
-    """Detection probability of the drone at ``x`` from each sensor position.
-
-    ``s_pos`` is a float (..., 3) array, over whose leading axes the result
-    broadcasts; a 0-d array for one position.
-    """
-    return detection_prob_at_distance(norm(x.position - s_pos), p)
-
-
 def spherical_coords(delta: np.ndarray):
     """The measurement function: (range, azimuth, inclination) of a float (..., 3) array of offsets."""
     return norm(delta), *spherical_angles(delta)

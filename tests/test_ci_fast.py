@@ -24,8 +24,9 @@ import numpy as np
 import pytest
 
 import ci_referee
+from cstj_sim import estimation
 from cstj_sim.dynamics import TargetState
-from cstj_sim.estimation import Estimate, _fused_trace, _information_matrices, ci_fuse
+from cstj_sim.estimation import Estimate, _fused_trace, _information_matrices, _inverse_factors, ci_fuse
 
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 _STEP = 1e-6  # the golden-section tolerance of both searches
@@ -210,6 +211,47 @@ def test_stack_inverts_each_covariance_as_alone():
         assert info.tobytes() == (0.5 * (alone + alone.T)).tobytes()
 
 
+def _factor_alone(info):
+    """inv(L) of one information matrix I = L L^T, factorised by itself; None where it has no factor."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(info))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def test_failed_batch_factor_fuses_as_pair_by_pair(monkeypatch):
+    # the indefinite teammate of test_failed_cholesky_matches_referee between
+    # two positive definite ones: the batched factorisation raises, and each
+    # teammate is factorised alone, as the fold did pair by pair
+    rng = np.random.default_rng(5)
+    basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    indefinite = basis @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, -1e-6]) @ basis.T
+    estimates = [_estimate(rng, _cov(rng, 10.0)), _estimate(rng, indefinite), _estimate(rng, _cov(rng, 10.0))]
+    infos = _information_matrices(np.array([e.covariance for e in estimates]))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(infos[1:])
+    factors = _inverse_factors(infos[1:])
+    assert factors[0] is None
+    assert factors[1].tobytes() == _factor_alone(infos[2]).tobytes()
+    batched = ci_fuse(estimates)
+    monkeypatch.setattr(estimation, "_inverse_factors", lambda stack: [_factor_alone(info) for info in stack])
+    pair_by_pair = ci_fuse(estimates)
+    assert batched.mean.as_vector().tobytes() == pair_by_pair.mean.as_vector().tobytes()
+    assert batched.covariance.tobytes() == pair_by_pair.covariance.tobytes()
+
+
+def test_batched_factors_equal_each_factor_alone():
+    # eleven positive definite teammates, as a 12-agent fold has, with
+    # condition numbers up to 1e6 and scales from 1e-6 to 1e6
+    rng = np.random.default_rng(8)
+    covs = [_cov(rng, 10.0 ** rng.uniform(0.0, 6.0), 10.0 ** rng.uniform(-6.0, 6.0)) for _ in range(11)]
+    infos = _information_matrices(np.array([0.5 * (c + c.T) for c in covs]))
+    factors = _inverse_factors(infos)
+    assert len(factors) == len(infos)
+    for info, factor in zip(infos, factors):
+        assert factor.tobytes() == _factor_alone(info).tobytes()
+
+
 def test_covariance_singular_after_regularisation_raises():
     # -1e-9 I plus the 1e-9 I regularisation is exactly zero
     stack = np.array([_cov(np.random.default_rng(7), 10.0), -1e-9 * np.eye(6)])
@@ -228,7 +270,7 @@ def test_closed_form_error_within_an_eighth_of_bound(name):
         if not rtol < 1e-3:
             continue
         checked += 1
-        trace = _fused_trace(info_a, info_b)
+        trace = _fused_trace(info_a, info_b, _inverse_factors(info_b[None])[0])
         for w in WEIGHTS:
             exact = _exact(info_a, info_b, w)
             assert abs(trace(w) - exact) <= rtol / 8.0 * exact, (w, rtol)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from cstj_sim.control import (
     solve_jamming,
 )
 from cstj_sim.config import preset
-from cstj_sim.dynamics import ActionGrid, AgentState, MotionModel, TargetState, enumerate_actions
+from cstj_sim.dynamics import ActionGrid, AgentState, MotionModel, TargetState, enumerate_actions, norm
 from cstj_sim.estimation import Estimate
 from cstj_sim.geometry_rf import AntennaParams, RfParams, linear_to_db, received_power_map, sender_sum
-from cstj_sim import sensing, sim
-from cstj_sim.sensing import SensingParams
+from cstj_sim import control, sim
+from cstj_sim.sensing import SensingParams, detection_prob_at_distance
 from cstj_sim.sim import compute_metrics
 from oracles import cone_contains, detection_prob, received_power_db, solve_jamming_reference
 
@@ -42,6 +43,11 @@ def _pred(position) -> TargetState:
     return TargetState(position, [0.0, 0.0, 0.0])
 
 
+def _probs(target: TargetState, moves, p: SensingParams = SENSING) -> np.ndarray:
+    """Each move's detection probability of the predicted drone, as the deciders' grid scores it."""
+    return detection_prob_at_distance(norm(target.position - np.array(moves, dtype=float)), p)
+
+
 def _assert_tracking_record(rec: DecisionRecord, target: TargetState, power_index: int, fallback: Fallback):
     """A best-tracking decision aims at the predicted drone and records no objective."""
     np.testing.assert_array_equal(rec.aim_point, target.position)
@@ -54,10 +60,10 @@ class TestTrackingObjective:
     """The detection probability each candidate scores, as the controller computes it."""
 
     def test_inside_full_detection(self):
-        assert sensing.detection_prob(_pred([1.0, 0, 0]), [[0.5, 0, 0]], SENSING)[0] == SENSING.p_d_max
+        assert _probs(_pred([1.0, 0, 0]), [[0.5, 0, 0]])[0] == SENSING.p_d_max
 
     def test_beyond_cutoff(self):
-        assert sensing.detection_prob(_pred([51.5, 0, 0]), [[0.0, 0, 0]], SENSING)[0] == 0.0
+        assert _probs(_pred([51.5, 0, 0]), [[0.0, 0, 0]])[0] == 0.0
 
     def test_argmax_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -65,7 +71,7 @@ class TestTrackingObjective:
             target = _pred(rng.uniform(0, 40, 3))
             actions = enumerate_actions(AgentState(0, rng.uniform(0, 40, 3)), GRID)
             scores = [detection_prob(target.position, a, SENSING) for a in actions]
-            best = _tracking_decision(0, target, actions, SENSING, 0, Fallback.NONE).chosen_position
+            best = _tracking_decision(0, target, actions, _probs(target, actions), 0, Fallback.NONE).chosen_position
             assert detection_prob(target.position, best, SENSING) == max(scores)
 
 
@@ -73,13 +79,13 @@ class TestAdmissibleSet:
     def test_zero_threshold_keeps_everything_in_range(self):
         target = _pred([5.0, 0, 0])
         actions = enumerate_actions(AgentState(0, [0.0, 0, 0]), GRID)
-        kept = admissible_set(target, actions, SENSING, 0.0)
+        kept = admissible_set(actions, _probs(target, actions), 0.0)
         assert len(kept) == len(actions)  # all candidates well within 51.5 m
 
     def test_unit_threshold_empties(self):
         target = _pred([5.0, 0, 0])
         actions = enumerate_actions(AgentState(0, [0.0, 0, 0]), GRID)
-        assert len(admissible_set(target, actions, SENSING, 1.0)) == 0
+        assert len(admissible_set(actions, _probs(target, actions), 1.0)) == 0
 
     def test_cutoff_distance_at_point_eight(self):
         # threshold 0.8 keeps exactly the candidates nearer than 11.5 m
@@ -87,7 +93,7 @@ class TestAdmissibleSet:
         assert cutoff == pytest.approx(11.5)
         target = _pred([0.0, 0, 0])
         candidates = np.array([[d, 0.0, 0.0] for d in np.linspace(0.5, 20.0, 100)])
-        kept = admissible_set(target, candidates, SENSING, 0.8)
+        kept = admissible_set(candidates, _probs(target, candidates), 0.8)
         expected = candidates[np.linalg.norm(candidates, axis=1) < cutoff - 1e-9]
         np.testing.assert_allclose(kept, expected)
 
@@ -95,15 +101,15 @@ class TestAdmissibleSet:
         rng = np.random.default_rng(1)
         target = _pred(rng.uniform(0, 30, 3))
         actions = enumerate_actions(AgentState(0, rng.uniform(0, 30, 3)), GRID)
-        loose = admissible_set(target, actions, SENSING, 0.0)
-        tight = admissible_set(target, actions, SENSING, 0.85)
+        loose = admissible_set(actions, _probs(target, actions), 0.0)
+        tight = admissible_set(actions, _probs(target, actions), 0.85)
         as_set = {tuple(row) for row in loose}
         assert all(tuple(row) in as_set for row in tight)
 
     def test_order_preserved(self):
         target = _pred([3.0, 0, 0])
         actions = enumerate_actions(AgentState(0, [0.0, 0, 0]), GRID)
-        kept = admissible_set(target, actions, SENSING, 0.5)
+        kept = admissible_set(actions, _probs(target, actions), 0.5)
         rows = [tuple(r) for r in actions]
         indices = [rows.index(tuple(r)) for r in kept]
         assert indices == sorted(indices)
@@ -126,7 +132,7 @@ class TestSolveJamming:
     def test_unconstrained_picks_nearest_at_max_power(self):
         target = _pred([10.0, 0.0, 0.0])
         candidates = np.array([[4.0, 0, 0], [2.0, 0, 0], [6.0, 0, 0]])
-        rec = solve_jamming(0, candidates, target, [], ANT, RF, SENSING)
+        rec = solve_jamming(0, candidates, target, [], ANT, RF, _probs(target, candidates))
         assert rec.fallback_used is Fallback.NONE
         assert rec.power_index == len(RF.power_levels_db) - 1
         np.testing.assert_array_equal(rec.chosen_position, [6.0, 0, 0])  # nearest to the drone
@@ -145,7 +151,7 @@ class TestSolveJamming:
         jammer_pos = np.array([0.0, 0.0, 0.0])
         candidates = np.array([jammer_pos + d for d in directions])  # all at 1 m
         jammer = _decision(7, jammer_pos, len(RF.power_levels_db) - 1, [0.0, 0.0, 10.0])
-        rec = solve_jamming(8, candidates, target, [jammer], ANT, RF, SENSING)
+        rec = solve_jamming(8, candidates, target, [jammer], ANT, RF, _probs(target, candidates))
         _assert_tracking_record(rec, target, 0, Fallback.TRACKING)
         received = received_power_db(10.0, jammer_pos, [0.0, 0.0, 10.0], ANT, RF, rec.chosen_position)
         assert received == pytest.approx(10.0 - 38.4206)  # indeed above the -50 dB limit
@@ -158,7 +164,7 @@ class TestSolveJamming:
         target = _pred([0.0, 0.0, 5.0])
         receiver = _decision(3, np.array([0.0, 0.0, 2.5]), 0, [0.0, 0.0, 5.0])  # off, receives only
         candidates = np.array([[0.0, 0.0, 2.0], [0.0, 0.5, 2.0]])
-        rec = solve_jamming(4, candidates, target, [receiver], ANT, RF, SENSING)
+        rec = solve_jamming(4, candidates, target, [receiver], ANT, RF, _probs(target, candidates))
         _assert_tracking_record(rec, target, 0, Fallback.POWER_OFF)
         np.testing.assert_array_equal(rec.chosen_position, [0.0, 0.0, 2.0])  # best tracking
 
@@ -192,7 +198,7 @@ class TestSolveJamming:
                 sum(cone_contains(r.chosen_position, r.aim_point, ANT, x) for r in transmitting) >= 8
                 for x in receivers
             )
-            got = solve_jamming(9, candidates, target, decided, ANT, RF, SENSING)
+            got = solve_jamming(9, candidates, target, decided, ANT, RF, _probs(target, candidates))
             want = solve_jamming_reference(9, candidates, target, decided, ANT, RF, SENSING)
             assert got.power_index == want.power_index
             assert got.fallback_used is want.fallback_used
@@ -221,7 +227,7 @@ class TestSolveJamming:
                 )
                 for i in range(int(rng.integers(0, 4)))
             ]
-            rec = solve_jamming(9, candidates, target, decided, ANT, RF, SENSING)
+            rec = solve_jamming(9, candidates, target, decided, ANT, RF, _probs(target, candidates))
             if rec.fallback_used is not Fallback.NONE or rec.power_index == 0:
                 continue
             checked += 1
@@ -247,7 +253,7 @@ class TestSolveJamming:
                 _decision(i, center + rng.uniform(-12, 12, 3), 0, rng.uniform(10, 60, 3))
                 for i in range(int(rng.integers(0, 12)))
             ]
-            rec = solve_jamming(12, candidates, target, decided, ANT, RF, SENSING)
+            rec = solve_jamming(12, candidates, target, decided, ANT, RF, _probs(target, candidates))
             if rec.power_index == 0:
                 continue
             checked += 1
@@ -291,8 +297,8 @@ class TestSolveJamming:
                     )
                     for i in range(2)
                 ]
-                base = solve_jamming(9, candidates, target, decided, ANT, RF, SENSING)
-                moved = solve_jamming(9, candidates, target, decided, ANT, shifted_rf, SENSING)
+                base = solve_jamming(9, candidates, target, decided, ANT, RF, _probs(target, candidates))
+                moved = solve_jamming(9, candidates, target, decided, ANT, shifted_rf, _probs(target, candidates))
                 assert base.power_index == moved.power_index
                 assert base.fallback_used is moved.fallback_used
                 np.testing.assert_allclose(base.chosen_position, moved.chosen_position)
@@ -306,8 +312,8 @@ class TestSequentialDecide:
         agent = AgentState(0, np.array([20.0, 20.0, 20.0]))
         target = _pred([25.0, 20.0, 20.0])
         actions = enumerate_actions(agent, GRID)
-        candidates = admissible_set(target, actions, SENSING, 0.8)
-        direct = solve_jamming(0, candidates, target, [], ANT, RF, SENSING)
+        candidates = admissible_set(actions, _probs(target, actions), 0.8)
+        direct = solve_jamming(0, candidates, target, [], ANT, RF, _probs(target, candidates))
         seq = sequential_decide([agent], [target], [actions], ANT, RF, SENSING, 0.8)
         assert len(seq) == 1
         assert seq[0].power_index == direct.power_index
@@ -405,7 +411,7 @@ def _better_deviations(predictions, action_sets, ant, rf, p, threshold, decision
     levels_db = rf.power_db(np.arange(1, len(rf.power_levels_db)))[:, None, None]
     feasible = better = 0
     for j, (predicted, actions, own) in enumerate(zip(predictions, action_sets, decisions)):
-        candidates = admissible_set(predicted, actions, p, threshold)
+        candidates = admissible_set(actions, _probs(predicted, actions, p), threshold)
         if len(candidates) == 0:
             continue
         others = [i for i in range(len(decisions)) if i != j]
@@ -448,6 +454,99 @@ class TestGreedyIsAUnilateralBestResponse:
         feasible, better = np.sum([_better_deviations(*call) for call in calls], axis=0)
         assert better == 0
         assert feasible >= 500
+
+
+def _per_agent_decisions(agent_ids, predictions, action_sets, ant, rf, p, threshold, ct_index=None):
+    """Each agent's decision rebuilt alone, in id order, from the oracle's scalar detection probabilities.
+
+    With ``ct_index`` the agent takes the tracking-only decision at that level.
+    """
+    decided = []
+    for agent_id, predicted, actions in zip(agent_ids, predictions, action_sets):
+        scores = np.array([detection_prob(predicted.position, a, p) for a in actions])
+        kept = scores > threshold
+        if ct_index is not None:
+            record = _tracking_decision(agent_id, predicted, actions, scores, ct_index, Fallback.NONE)
+        elif not kept.any():
+            record = _tracking_decision(agent_id, predicted, actions, scores, 0, Fallback.TRACKING)
+        else:
+            record = solve_jamming(agent_id, actions[kept], predicted, decided, ant, rf, scores[kept])
+        decided.append(record)
+    return decided
+
+
+def _decider_calls(monkeypatch, cfg, trials):
+    """(agent ids, predictions, action sets, decisions) of every decider call the trials make."""
+    name = "sequential_decide" if cfg.mode == "cstj" else "ct_decide"
+    decide = getattr(sim, name)
+    calls = []
+
+    def spy(agents, predictions, action_sets, *rest):
+        decisions = decide(agents, predictions, action_sets, *rest)
+        calls.append(([a.id for a in agents], predictions, action_sets, decisions))
+        return decisions
+
+    monkeypatch.setattr(sim, name, spy)
+    for trial in trials:
+        sim.run_trial(cfg, trial)
+    return calls
+
+
+class TestTeamGrid:
+    """Scoring the whole team's moves in one grid decides as scoring each agent's alone."""
+
+    @pytest.mark.parametrize("label", ["agents_12", "ct"])
+    def test_decisions_match_per_agent_scoring_byte_for_byte(self, monkeypatch, label):
+        if label == "agents_12":
+            cfg = dataclasses.replace(dict(preset("figure4_sweep", seed=3))["agents_12"], n_particles=200, n_steps=15)
+            ct_index = None
+        else:
+            cfg = dataclasses.replace(dict(preset("figure3_compare", seed=3))["ct"], n_particles=300, n_steps=20)
+            ct_index = cfg.rf.power_levels_db.index(cfg.ct_power_db)
+        seen = Counter()
+        for ids, predictions, action_sets, decisions in _decider_calls(monkeypatch, cfg, range(4)):
+            rebuilt = _per_agent_decisions(
+                ids, predictions, action_sets, cfg.antenna, cfg.rf, cfg.sensing, cfg.tracking_threshold, ct_index
+            )
+            assert len(decisions) == len(rebuilt) == len(ids)
+            for got, want in zip(decisions, rebuilt):
+                assert got.agent_id == want.agent_id
+                assert got.chosen_position.tobytes() == want.chosen_position.tobytes()
+                assert got.power_index == want.power_index
+                assert got.aim_point.tobytes() == want.aim_point.tobytes()
+                assert got.objective_value_db == want.objective_value_db
+                assert got.fallback_used is want.fallback_used
+                seen[got.fallback_used, got.power_index > 0] += 1
+        if label == "agents_12":
+            # the sweep must reach the empty admissible set, transmitting
+            # decisions and the power-off rung, which reads a subset of the grid
+            assert seen[Fallback.TRACKING, False] >= 100
+            assert seen[Fallback.NONE, True] >= 100
+            assert seen[Fallback.POWER_OFF, False] >= 5
+        else:
+            assert seen[Fallback.NONE, True] == 4 * cfg.n_steps * cfg.n_agents
+
+    @pytest.mark.parametrize("mode", ["cstj", "ct"])
+    def test_one_grid_per_decider_call(self, monkeypatch, mode):
+        cfg = dataclasses.replace(
+            dict(preset("figure3_compare", seed=4))[mode], n_agents=5, n_steps=6, n_particles=100
+        )
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        decider = "sequential_decide" if mode == "cstj" else "ct_decide"
+        monkeypatch.setattr(sim, decider, counted("decide", getattr(sim, decider)))
+        monkeypatch.setattr(control, "detection_prob_at_distance", counted("grid", control.detection_prob_at_distance))
+        monkeypatch.setattr(control, "admissible_set", counted("admissible_set", control.admissible_set))
+        sim.run_trial(cfg, 0)
+        assert counts["decide"] == counts["grid"] == cfg.n_steps
+        assert counts["admissible_set"] == (cfg.n_agents * cfg.n_steps if mode == "cstj" else 0)
 
 
 class TestCtDecide:

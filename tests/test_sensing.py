@@ -8,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from cstj_sim.dynamics import TargetState
+from cstj_sim.dynamics import TargetState, norm
 from cstj_sim.sensing import (
     SensingParams,
     collect,
-    detection_prob,
+    detection_prob_at_distance,
     fold_inclination,
     sample_clutter,
     sample_measurement,
@@ -36,6 +36,11 @@ DEFAULTS = SensingParams(
 
 def _at(position) -> TargetState:
     return TargetState(position, [0.0, 0.0, 0.0])
+
+
+def _detection_prob(offset):
+    """The detection probability at the ``norm`` of a sensor-to-drone offset, as the package computes it."""
+    return detection_prob_at_distance(norm(np.array(offset, dtype=float)), DEFAULTS)
 
 
 def _noise_free(clutter_rate=0.0) -> SensingParams:
@@ -104,22 +109,22 @@ class TestAngleForms:
 
 class TestDetectionProb:
     def test_inside_full_detection_radius(self):
-        assert detection_prob(_at([1.0, 0, 0]), [0, 0, 0], DEFAULTS) == 0.99
+        assert _detection_prob([1.0, 0, 0]) == 0.99
 
     def test_boundary_continuity(self):
-        just_in = detection_prob(_at([1.9999999, 0, 0]), [0, 0, 0], DEFAULTS)
-        at_r0 = detection_prob(_at([2.0, 0, 0]), [0, 0, 0], DEFAULTS)
+        just_in = _detection_prob([1.9999999, 0, 0])
+        at_r0 = _detection_prob([2.0, 0, 0])
         assert at_r0 == DEFAULTS.p_d_max
         assert just_in == pytest.approx(at_r0, abs=1e-6)
 
     def test_cutoff_distance(self):
         cutoff = DEFAULTS.r0_m + DEFAULTS.p_d_max / DEFAULTS.eta_per_m  # 51.5 m
         assert cutoff == pytest.approx(51.5)
-        assert detection_prob(_at([cutoff, 0, 0]), [0, 0, 0], DEFAULTS) == 0.0
+        assert _detection_prob([cutoff, 0, 0]) == 0.0
 
     def test_non_increasing_in_distance(self):
         distances = np.linspace(0.1, 80.0, 200)
-        probs = [detection_prob(_at([d, 0, 0]), [0, 0, 0], DEFAULTS) for d in distances]
+        probs = [_detection_prob([d, 0, 0]) for d in distances]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
 
