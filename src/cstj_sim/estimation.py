@@ -158,45 +158,6 @@ def _exp_live(g):
     return g
 
 
-def _sum_rows(g):
-    """Sum over the rows of ``g`` in numpy's pairwise order, accumulated in place.
-
-    Each column gets the bits that numpy's ``sum`` gives it as a contiguous
-    row: fewer than 8 terms are added one by one; 8 to 128 terms go into
-    eight running sums over blocks of 8, joined as
-    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, and the
-    remaining n % 8 terms are added one by one; longer runs are split at
-    half their length, rounded down to a multiple of 8, and the two halves
-    added. Returns a view of ``g[0]``; the other rows are overwritten.
-    """
-    n = len(g)
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        head = _sum_rows(g[:half])
-        head += _sum_rows(g[half:])
-        return head
-    tail = n - n % 8
-    if tail:
-        r = g[:8]
-        for i in range(8, tail, 8):
-            r += g[i : i + 8]
-        acc, r1, r2, r3, r4, r5, r6, r7 = r
-        acc += r1
-        r2 += r3
-        acc += r2
-        r4 += r5
-        r6 += r7
-        r4 += r6
-        acc += r4
-    else:
-        acc = g[0]
-        tail = 1
-    for row in g[tail:]:
-        acc += row
-    return acc
-
-
 def _sums_stay_finite(dist, meas, p: SensingParams) -> bool:
     """Whether every particle's sum of densities over the returns is sure to be finite.
 
@@ -221,24 +182,26 @@ def _detectable_density_sums(delta, dist, p_d, meas, p: SensingParams):
     nonzero ``p_d`` only. All are kept when all have one, which spares the
     gather, and when some S may not be finite (``_sums_stay_finite``), where
     0.0 would not give the result that S gives (see ``_log_set_likelihood``).
-    Elementwise ufuncs and ``_sum_rows`` work per particle, so a gathered S
-    has the bits it has in the whole grid.
+    Elementwise ufuncs and the sum over the returns work per particle, so a
+    gathered S has the bits it has in the whole grid.
 
     The densities come measurement-major (see
     ``_log_measurement_densities``). About half of them lie so far below
     zero that ``exp`` rounds them to 0.0, slowly; ``_exp_live`` takes
-    ``exp`` of the rest only. Each particle's sum over the returns must
-    round as numpy's ``sum`` of a contiguous (particle, measurement) row
-    does, which is pairwise from 8 terms on, while a sum over the leading
-    axis adds the rows one by one. ``_sum_rows`` adds the rows in that
-    pairwise order, so no transposed copy is made.
+    ``exp`` of the rest only. Each particle's S adds its returns' densities
+    one at a time, in the set's order, into the grid's first row. numpy's
+    sum over the leading axis would do the same but for a lone column, one
+    detectable particle, which it sums pairwise from 8 terms on.
     """
     live = p_d.nonzero()[0]
     gather = len(live) < len(dist) and _sums_stay_finite(dist, meas, p)
     if gather:
         delta, dist = delta.take(live, axis=0), dist.take(live)
     azimuth, inclination = spherical_angles(delta)
-    sums = _sum_rows(_exp_live(_log_measurement_densities(dist, azimuth, inclination, meas, p)))
+    densities = _exp_live(_log_measurement_densities(dist, azimuth, inclination, meas, p))
+    sums = densities[0]
+    for row in densities[1:]:
+        sums += row
     if not gather:
         return sums
     all_sums = np.zeros(len(p_d))

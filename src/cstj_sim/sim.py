@@ -110,6 +110,8 @@ class ScenarioConfig:
         check_count("seed", self.seed, 0)
         for name in ("n_agents", "n_steps", "n_trials", "n_particles"):
             check_count(name, getattr(self, name), 1)
+        if not (self.target_init is None or isinstance(self.target_init, TargetState)):
+            raise ValueError(f"target_init must be a TargetState or None, got {type(self.target_init).__name__}")
         # each check is written so that NaN fails it
         low, high = np.array(self.arena_min), np.array(self.arena_max)
         if not (np.isfinite(low).all() and np.isfinite(high).all() and (high > low).all()):

@@ -201,6 +201,17 @@ def test_unknown_mode_flag_fails_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_help_lists_every_key_and_the_seed_priority(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "--help"])
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split(None, 1) for line in lines]
+    for key, note in config.KEY_DOCS.items():
+        assert [key, note] in rows
+    assert "seed priority: --seed flag, then the config file, then $CSTJ_SIM_SEED, then 0." in lines
+
+
 # command, --seed, the config file's sim.seed, $CSTJ_SIM_SEED, the seed taken;
 # None leaves that source out
 SEED_CASES = [

@@ -254,6 +254,8 @@ _OUT_OF_RANGE = [
     (_DEFAULTS, "prior_sigma", [5.0, 5.0, 5.0, 1.0, 1.0, -1.0]),
     (_CT, "ct_power_db", 3.0),
     (_DEFAULTS.motion, "accel_var", (1.0, 1.0, -1e-10)),
+    # the drone's start is a TargetState, not its bare vector
+    (_DEFAULTS, "target_init", (50.0, 50.0, 50.0, 0.0, 0.0, 0.0)),
     # counts are integers, not floats or bools, so that their echo parses back
     (_DEFAULTS, "seed", 1.5),
     (_DEFAULTS, "n_agents", 2.5),

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from cstj_sim.estimation import (
     ParticleSet,
     _exp_live,
     _log_set_likelihood,
-    _sum_rows,
     _systematic_resample,
     ci_fuse,
     eap,
@@ -317,18 +317,71 @@ def _undetectable_case(layout, m, seed, n=200):
     return np.concatenate([positions, rng.normal(size=(n, 3))], axis=1), meas, s_pos
 
 
+def _folded_log_set_likelihood(states, meas, s_pos, p: SensingParams):
+    """The clutter set likelihood from the referee's densities, each particle's returns added one at a time."""
+    delta = states[:, :3] - s_pos
+    dist = np.sqrt((delta * delta).sum(axis=-1))
+    p_d = detection_prob_at_distance(dist, p)
+    dens = np.exp(likelihood_referee._log_measurement_densities(delta, dist, meas, p))
+    sums = functools.reduce(np.add, dens.T)
+    lam = p.clutter_rate
+    base = len(meas) * math.log(lam * p.clutter_density) - lam
+    return base + likelihood_referee._safe_log((1.0 - p_d) + p_d * sums / (lam * p.clutter_density))
+
+
 class TestMeasurementMajorLikelihood:
-    """The measurement-major kernel against the particle-major one it replaced, bit for bit."""
+    """The measurement-major kernel against the particle-major one it replaced.
+
+    The referee sums each particle's contiguous row of densities with
+    numpy's ``sum``, which is pairwise from 8 returns on; the package adds
+    the returns one at a time. The two agree bit for bit below 8 returns
+    and without clutter, where a particle's sum has at most one term.
+    """
 
     @pytest.mark.parametrize("n", [1, 5, 200, 2000])
     @pytest.mark.parametrize("m", [0, 1, 2, 7, 8, 9, 15, 16, 17, 26, 40, 127, 128, 129, 300])
     def test_matches_particle_major_kernel(self, m, n):
         states, meas, s_pos = _referee_case(n, m, seed=1000 * m + n)
-        for sensing in (SENSING, dataclasses.replace(SENSING, clutter_rate=0.0)):
-            got = _log_set_likelihood(states, meas, s_pos, sensing)
-            expected = likelihood_referee._log_set_likelihood(states, meas, s_pos, sensing)
-            assert got.shape == expected.shape == (n,)
+        clutter_free = dataclasses.replace(SENSING, clutter_rate=0.0)
+        got = _log_set_likelihood(states, meas, s_pos, clutter_free)
+        assert got.tobytes() == likelihood_referee._log_set_likelihood(states, meas, s_pos, clutter_free).tobytes()
+        got = _log_set_likelihood(states, meas, s_pos, SENSING)
+        expected = likelihood_referee._log_set_likelihood(states, meas, s_pos, SENSING)
+        assert got.shape == expected.shape == (n,)
+        if m < 8:
             assert got.tobytes() == expected.tobytes()
+        if m:
+            assert got.tobytes() == _folded_log_set_likelihood(states, meas, s_pos, SENSING).tobytes()
+        if m >= 8:
+            # Each computed sum of m non-negative terms lies within (m - 1) u S
+            # of the exact S, u = eps / 2, so the two sums differ by at most
+            # (m - 1) eps relative. The three roundings between the sum and
+            # the log add 3 eps; the log turns that relative difference into
+            # an absolute one, and the log and the final add round once each
+            # (2 eps). Every log likelihood here is below -1, so the
+            # absolute bound is a relative one too.
+            assert (expected < -1.0).all()
+            np.testing.assert_allclose(got, expected, rtol=(m + 4) * np.finfo(float).eps, atol=0.0)
+
+    def test_lone_detectable_particle_adds_its_returns_in_order(self):
+        # one detectable particle makes a one-column grid, which numpy's sum
+        # over the leading axis would add pairwise; S must still come from
+        # adding the returns one at a time, as in the whole grid
+        rng = np.random.default_rng(9006)
+        s_pos = rng.uniform(0.0, 100.0, 3)
+        directions = rng.normal(size=(200, 3))
+        positions = s_pos + 1.5 * _P_D_ZERO_M * directions / norm(directions)[:, None]
+        positions[7] = s_pos + [20.0, 5.0, 3.0]
+        meas = np.column_stack(spherical_coords(positions[7] + rng.normal(scale=1.0, size=(17, 3)) - s_pos))
+        delta = positions - s_pos
+        dist = norm(delta)
+        p_d = detection_prob_at_distance(dist, SENSING)
+        assert (p_d > 0.0).nonzero()[0].tolist() == [7]
+        dens = np.exp(likelihood_referee._log_measurement_densities(delta[7:8], dist[7:8], meas, SENSING))[0]
+        folded = functools.reduce(np.add, dens)
+        assert dens.sum() != folded
+        sums = estimation._detectable_density_sums(delta, dist, p_d, meas, SENSING)
+        assert sums.tobytes() == np.where(p_d > 0.0, folded, 0.0).tobytes()
 
     def test_cases_reach_the_edges(self):
         states, meas, s_pos = _referee_case(2000, 9, seed=9002)
@@ -461,16 +514,6 @@ class TestExpCutOff:
         edges += [np.nextafter(_EXP_ZERO_BELOW, -np.inf), np.nextafter(_EXP_ZERO_BELOW, 0.0)]
         for values in (np.array(edges), rng.uniform(-800.0, 1.0, size=(7, 301))):
             assert _exp_live(values.copy()).tobytes() == np.exp(values).tobytes()
-
-
-@pytest.mark.parametrize("columns", [1, 3, 200])
-def test_sum_rows_matches_numpy_row_sums(columns):
-    # numpy's own sum of each contiguous (particle, return) row is the referee
-    rng = np.random.default_rng(columns)
-    for n in range(1, 300):
-        g = np.exp(rng.normal(scale=3.0, size=(n, columns)))
-        expected = np.ascontiguousarray(g.T).sum(axis=1)
-        assert _sum_rows(g).tobytes() == expected.tobytes()
 
 
 class TestUpdate:
