@@ -1,5 +1,5 @@
 """Per-agent SIR particle filter with a clutter-aware measurement-set
-likelihood, EAP extraction, and sequential covariance-intersection fusion.
+likelihood, EAP extraction, and fast covariance-intersection fusion.
 
 The filter runs on the simulator's own model: it propagates with
 ``MotionModel.advance``, which moves the drone, and scores with ``sensing``'s
@@ -419,32 +419,8 @@ def eap(ps: ParticleSet) -> Estimate:
     return Estimate(TargetState.from_vector(mean), cov)
 
 
-def _ci_weight(trace) -> float:
-    """The CI weight in [0, 1] that minimises ``trace``.
-
-    A golden-section search narrows [0, 1] to 1e-6; its midpoint is then
-    compared with both ends, where the convex trace may have its minimum,
-    and the first of 0.0, 1.0 and the midpoint with the least trace wins.
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, 1.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = trace(c), trace(d)
-    while hi - lo > 1e-6:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = trace(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = trace(d)
-    return min((0.0, 1.0, 0.5 * (lo + hi)), key=trace)
-
-
-def _information_matrices(covs: np.ndarray) -> np.ndarray:
-    """The symmetrised inverse of each covariance in a (k, 6, 6) stack, by one batched inverse.
+def _information_matrices(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The covariances of a (k, 6, 6) stack as inverted, and their symmetrised inverses, by one batched inverse.
 
     Each covariance must be exactly symmetric, as ``Estimate`` makes every
     one it holds. One with every eigenvalue above ``1e-12 max(1, lambda_max)``
@@ -455,86 +431,42 @@ def _information_matrices(covs: np.ndarray) -> np.ndarray:
     """
     eigs = np.linalg.eigvalsh(covs)
     raw = eigs.min(axis=1) > 1e-12 * np.maximum(1.0, eigs.max(axis=1))
+    covs = np.where(raw[:, None, None], covs, covs + 1e-9 * np.eye(covs.shape[-1]))
     try:
-        infos = np.linalg.inv(np.where(raw[:, None, None], covs, covs + 1e-9 * np.eye(covs.shape[-1])))
+        infos = np.linalg.inv(covs)
     except np.linalg.LinAlgError:
         infos = np.full_like(covs, np.nan)
     if not np.isfinite(infos).all():
         raise ValueError("singular covariance after regularization")
-    return 0.5 * (infos + infos.transpose(0, 2, 1))
-
-
-def _inverse_factors(infos: np.ndarray) -> list:
-    """inv(L) of each I = L L^T in a (k, 6, 6) stack, None where I has no Cholesky factor.
-
-    One batched call gives each matrix the bytes it gets alone; if it raises, each is factorised alone.
-    """
-    try:
-        return list(np.linalg.inv(np.linalg.cholesky(infos)))
-    except np.linalg.LinAlgError:
-        return [None] if len(infos) == 1 else [_inverse_factors(info[None])[0] for info in infos]
-
-
-def _fused_trace(info_a: np.ndarray, info_b: np.ndarray, inv_chol: np.ndarray | None):
-    """The trace of the fused covariance inv(w I_a + (1 - w) I_b) as a function of w.
-
-    With I_b = L L^T, ``inv_chol`` = inv(L) and inv(L) I_a inv(L)^T =
-    Q diag(lam) Q^T, one congruence diagonalises both information matrices, so
-
-        tr(inv(w I_a + (1 - w) I_b)) = sum_i c_i / (w lam_i + 1 - w),
-
-    with c_i the squared norm of column i of inv(L)^T Q. Where I_b has no
-    Cholesky factor (None), or a generalised eigenvalue lam_i is not positive,
-    the trace is ``np.trace(np.linalg.inv(...))``, infinite where singular.
-    """
-
-    def exact(w: float) -> float:
-        try:
-            return float(np.trace(np.linalg.inv(w * info_a + (1.0 - w) * info_b)))
-        except np.linalg.LinAlgError:
-            return math.inf
-
-    if inv_chol is None:
-        return exact
-    lams, q = np.linalg.eigh(inv_chol @ info_a @ inv_chol.T)
-    if not lams[0] > 0.0:
-        return exact
-    v = inv_chol.T @ q
-    terms = list(zip((v * v).sum(axis=0).tolist(), lams.tolist()))
-
-    def closed_form(w: float) -> float:
-        v = 1.0 - w
-        total = 0.0
-        for c, lam in terms:
-            total += c / (w * lam + v)
-        return total
-
-    return closed_form
+    return covs, 0.5 * (infos + infos.transpose(0, 2, 1))
 
 
 def ci_fuse(estimates) -> Estimate:
-    """Fold covariance intersection (Julier & Uhlmann 1997) pairwise, left to right.
+    """Fast covariance intersection (Niehsen 2002) of every estimate at once.
 
-    The fold runs in information form. It starts from the first estimate's
-    information matrix I and vector I m; each next estimate b sets
-    I <- w I + (1 - w) I_b and I m <- w I m + (1 - w) I_b m_b, with w chosen
-    to minimise the trace of the new inv(I) on its closed form
-    (``_fused_trace``) by ``_ci_weight``, all teammates' factors taken at once.
-    The fused covariance is the final inv(I), and the fused mean that times
-    the final information vector. Callers fix the fold order (ascending agent
-    id in the simulator); a single estimate is returned unchanged.
+    CI (Julier & Uhlmann 1997) runs in information form: I = sum_i w_i I_i
+    and I m = sum_i w_i I_i m_i, with I_i and m_i each estimate's
+    information matrix (``_information_matrices``) and mean. The fused
+    covariance is inv(I) and the fused mean inv(I) (I m). Any weights on
+    the simplex keep the result consistent; fast CI takes
+    w_i = (1 / tr(C_i)) / sum_j (1 / tr(C_j)), where C_i is the covariance
+    whose inverse is I_i, the input plus ``1e-9`` I where it is regularised,
+    so a zero covariance gets a finite weight. tr(inv(I)) is then at most the
+    harmonic mean of the tr(C_i). Both sums add the estimates' terms one at
+    a time, in input order (numpy's sum over the stack's leading axis), so
+    reordering the inputs changes only the rounding. A single estimate is
+    returned unchanged.
     """
     estimates = list(estimates)
     if not estimates:
         raise ValueError("ci_fuse needs at least one estimate")
     if len(estimates) == 1:
         return estimates[0]
-    infos = _information_matrices(np.array([e.covariance for e in estimates]))
-    info = infos[0]
-    vec = info @ estimates[0].mean.as_vector()
-    for other, info_b, inv_chol in zip(estimates[1:], infos[1:], _inverse_factors(infos[1:])):
-        w = _ci_weight(_fused_trace(info, info_b, inv_chol))
-        info = w * info + (1.0 - w) * info_b
-        vec = w * vec + (1.0 - w) * (info_b @ other.mean.as_vector())
-    cov = np.linalg.inv(info)
-    return Estimate(TargetState.from_vector(cov @ vec), cov)
+    covs, infos = _information_matrices(np.array([e.covariance for e in estimates]))
+    weights = 1.0 / np.trace(covs, axis1=1, axis2=2)
+    weights /= weights.sum()
+    weighted = weights[:, None, None] * infos
+    means = np.array([e.mean.as_vector() for e in estimates])
+    cov = np.linalg.inv(weighted.sum(axis=0))
+    vec = (weighted @ means[:, :, None]).sum(axis=0)
+    return Estimate(TargetState.from_vector(cov @ vec[:, 0]), cov)

@@ -4,8 +4,8 @@ Every step runs its phases in order, each over the whole team before the
 next begins: predict and predicted-state extraction, one detection grid over
 the team's moves, then thresholding and the sequential jamming decisions (or
 the tracking-only baseline), simultaneous agent moves, the drone's advance,
-measurement collection, filter update and EAP, covariance-intersection fusion
-with every teammate factorised in one call, and the metrics against the truth.
+measurement collection, filter update and EAP, fast covariance-intersection
+fusion of the whole team in one step, and the metrics against the truth.
 
 Determinism: a single master seed expands into independent per-trial,
 per-agent, per-subsystem streams through counter-based seed-sequence keys,

@@ -216,3 +216,15 @@ def received_power_db(tx_power_db, tx_pos, tx_aim, ant, rf, rx_pos):
     if np.ndim(value) != 0:
         raise ValueError("received_power_db expects scalar endpoints")
     return None if value == 0.0 else float(linear_to_db(value))
+
+
+def fast_ci_weights(covariances) -> list:
+    """Fast covariance-intersection weights: each covariance's 1 / trace, normalised to sum to one."""
+    inverse_traces = []
+    for cov in covariances:
+        trace = 0.0
+        for i in range(len(cov)):
+            trace += float(cov[i][i])
+        inverse_traces.append(1.0 / trace)
+    total = sum(inverse_traces)
+    return [v / total for v in inverse_traces]

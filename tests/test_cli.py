@@ -22,16 +22,16 @@ def _golden_configs():
 # these; a refactor that claims to keep behaviour must leave them as they are.
 GOLDEN_SHA256 = {
     "cstj_4": (
-        "2b74b4364258766fe7400dd7d962b4cbc13ac731723e70779c7ea6ce272ca0cb",
-        "8ba0e34c9ddd2329de201aff6546dc331a4c7f7d14ac90e15ee9c6e93d00ae02",
+        "b46b061681b7c59c11e001d98c3fbf72a7da0fc443f008356fee220a0216fef0",
+        "5d5849e8d8150639bb400c3e7701cc03084273151e1b05a796e8b0c6aabaade3",
     ),
     "ct_4": (
-        "263608f06d94b5961d02adaef6d6a49dfc8f777eaa71758cfda649668f84da64",
-        "2e5f42315820ab6e615bfca207cee6d0511c577d1d8fb3711eac01e02492a4c1",
+        "3361f9bb37148c7da2d11805d87535a9a5e5687703e748a6677bb580f2f2c232",
+        "a40843088dd6010212c304828ce1957fab80bd5d5a9426d017f6818df599de85",
     ),
     "agents_12": (
-        "210f7bb6e541580dd721b73b67d722d19fbd2b39b38bb774d9b48f265d69512f",
-        "00b2a4df410c007a62f049a7d5e5d849c313e5e19951a031603d00c444af7bdf",
+        "c5c7a7889f94d75e991c1345d49b46e9a8f20666f7173978bd2781bfad413af6",
+        "42ab1aa1675223143ea3a57125a69cd3bb2a0f37e56b0b0afd4d2d90ceda8ea0",
     ),
 }
 
