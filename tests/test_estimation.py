@@ -14,7 +14,6 @@ from cstj_sim.estimation import (
     Estimate,
     ParticleSet,
     _exp_live,
-    _information_matrices,
     _log_set_likelihood,
     _systematic_resample,
     ci_fuse,
@@ -776,36 +775,6 @@ def _cov(rng, cond, scale=1.0):
     return 0.5 * (cov + cov.T)
 
 
-class TestInformationMatrices:
-    def test_stack_inverts_each_covariance_as_alone(self):
-        # a well-conditioned covariance is inverted raw; a zero and a rank-5 one
-        # get 1e-9 I first; the one batched inverse gives each the bytes of
-        # inverting it alone, then symmetrising
-        rng = np.random.default_rng(6)
-        basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        rank5 = basis @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 0.0]) @ basis.T
-        stack = np.array([_cov(rng, 10.0), np.zeros((6, 6)), 0.5 * (rank5 + rank5.T)])
-        inverted, infos = _information_matrices(stack)
-        for cov, used, info, shift in zip(stack, inverted, infos, (0.0, 1e-9, 1e-9)):
-            cov = cov + shift * np.eye(6) if shift else cov
-            assert used.tobytes() == cov.tobytes()
-            alone = np.linalg.inv(cov)
-            assert info.tobytes() == (0.5 * (alone + alone.T)).tobytes()
-
-    def test_nearly_singular_covariance_is_regularised(self):
-        rng = np.random.default_rng(4)
-        basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        flat = basis @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 1e-14]) @ basis.T
-        # the +1e-9 path: unregularised, the largest information would be near 1e14
-        assert np.linalg.eigvalsh(_information_matrices(0.5 * (flat + flat.T)[None])[1][0]).max() < 1.1e9
-
-    def test_covariance_singular_after_regularisation_raises(self):
-        # -1e-9 I plus the 1e-9 I regularisation is exactly zero
-        stack = np.array([_cov(np.random.default_rng(7), 10.0), -1e-9 * np.eye(6)])
-        with pytest.raises(ValueError, match="singular covariance after regularization"):
-            _information_matrices(stack)
-
-
 class TestCiFuse:
     def test_single_estimate_unchanged(self):
         est = _random_estimate(np.random.default_rng(0))
@@ -833,7 +802,7 @@ class TestCiFuse:
             np.testing.assert_allclose(fused.covariance, np.linalg.inv(info), rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(fused.mean.as_vector(), np.linalg.solve(info, vec), rtol=1e-9, atol=1e-12)
 
-    def test_fused_covariance_under_the_weighted_inputs(self):
+    def test_convexity_bound_is_psd(self):
         # inv(sum w_i I_i) <= sum w_i P_i, whose trace under 1 / tr weights is
         # the harmonic mean of the input traces
         rng = np.random.default_rng(3)
