@@ -113,7 +113,7 @@ def _run_one(cfg: ScenarioConfig, out_dir: Path, jobs: int) -> dict[str, Path]:
 
 
 def _config_epilog() -> str:
-    lines = ["configuration keys (key = value per line, '#' comments):"]
+    lines = ["configuration keys (key = value per line, whole-line '#' comments):"]
     lines += [f"  {key:32s} {doc}" for key, doc in KEY_DOCS.items()]
     lines.append("seed priority: --seed flag, then the config file, then $CSTJ_SIM_SEED, then 0.")
     return "\n".join(lines)

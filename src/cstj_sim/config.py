@@ -185,9 +185,9 @@ def parse_config_text(text: str, overrides: dict | None = None, fallbacks: dict 
 
 
 def parse_config(path, overrides: dict | None = None, fallbacks: dict | None = None) -> ScenarioConfig:
-    """Parse a config file with optional flag overrides and env fallbacks."""
+    """Parse a UTF-8 config file, byte order mark or not, with optional flag overrides and env fallbacks."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read config file {str(path)!r}: {err.strerror}") from None

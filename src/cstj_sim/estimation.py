@@ -158,49 +158,32 @@ def _exp_live(g):
     return g
 
 
-def _sums_stay_finite(dist, meas, p: SensingParams) -> bool:
-    """Whether every particle's sum of densities over the returns is sure to be finite.
-
-    It is when every return and the range-noise scale at every distance
-    are finite, which leaves each log density finite or -inf, and when
-    the densities' ceiling, ``exp(-log_norm)`` at the smallest scale
-    ``p.range_sigma(0)``, times the number of returns stays below e**709,
-    under half the largest double, so that no ``exp`` or sum overflows.
-    """
-    return (
-        math.isfinite(meas.sum())
-        and math.isfinite(p.range_sigma(float(dist.max())))
-        and math.log(len(meas)) - _log_norm(math.log(p.range_sigma(0.0)), p) < 709.0
-    )
-
-
 def _detectable_density_sums(delta, dist, p_d, meas, p: SensingParams):
-    """S, each particle's sum over the returns of its measurement densities, or 0.0 where ``p_d`` is.
+    """S, each particle's sum over the returns of its measurement densities, exactly 0.0 where ``p_d`` is.
 
     ``delta`` holds the particles' offsets from the sensor and ``dist``
-    their norms. With ``gather`` the grid is built for the particles with a
-    nonzero ``p_d`` only. All are kept when all have one, which spares the
-    gather, and when some S may not be finite (``_sums_stay_finite``), where
-    0.0 would not give the result that S gives (see ``_log_set_likelihood``).
-    Elementwise ufuncs and the sum over the returns work per particle, so a
-    gathered S has the bits it has in the whole grid.
+    their norms. The grid is built for the particles with a nonzero
+    ``p_d`` only, and spares the gather when all have one. Elementwise
+    ufuncs and the sum over the returns work per particle, so a gathered S
+    has the bits it has in the whole grid.
 
     The densities come measurement-major (see
     ``_log_measurement_densities``). About half of them lie so far below
     zero that ``exp`` rounds them to 0.0, slowly; ``_exp_live`` takes
     ``exp`` of the rest only. Each particle's S adds its returns' densities
-    one at a time, in the set's order, into the grid's first row. numpy's
-    sum over the leading axis would do the same but for a lone column, one
+    one at a time, in the set's order, into 0.0, which leaves every
+    density's bits as they are; an empty set gives S = 0.0. numpy's sum
+    over the leading axis would do the same but for a lone column, one
     detectable particle, which it sums pairwise from 8 terms on.
     """
     live = p_d.nonzero()[0]
-    gather = len(live) < len(dist) and _sums_stay_finite(dist, meas, p)
+    gather = len(live) < len(dist)
     if gather:
         delta, dist = delta.take(live, axis=0), dist.take(live)
     azimuth, inclination = spherical_angles(delta)
     densities = _exp_live(_log_measurement_densities(dist, azimuth, inclination, meas, p))
-    sums = densities[0]
-    for row in densities[1:]:
+    sums = np.zeros(len(dist))
+    for row in densities:
         sums += row
     if not gather:
         return sums
@@ -221,17 +204,15 @@ def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
     With clutter a particle scores ``base + log((1 - p_d) + p_d S / K)``
     (Ristic, Vo, Vo & Farina 2013), where S is its sum over the returns of
     their densities and K the clutter intensity; without clutter, one
-    return scores ``log(p_d S)``. Where ``p_d`` is 0.0 and S is finite,
-    ``p_d S`` is a zero whatever S is, so ``1 + 0 S / K`` is exactly 1.0
-    and ``log(0 S)`` is -inf. The grid of densities is therefore built
-    only for the particles the sensor can detect, and the others get
-    S = 0.0 (``_detectable_density_sums``). At the default sensing those
-    are the particles more than 51.5 m from the sensor, most of a cloud
-    where the team has lost the drone. S can be NaN or infinite, and
-    ``0 S`` NaN, only when a return is not finite (one NaN return makes
-    every S NaN), a particle's distance or range-noise scale is not
-    finite, or the noise scales are so small that the densities overflow;
-    any of these keeps the whole grid (``_sums_stay_finite``).
+    return scores ``log(p_d S)``. Every target hypothesis carries the
+    factor ``p_d``, so where it is 0.0 they add nothing: S is exactly 0.0
+    there (``_detectable_density_sums``), whatever the returns, and the
+    grid of densities is built only for the particles the sensor can
+    detect. An undetectable particle scores the no-detection hypothesis:
+    ``base`` with clutter, 0.0 for an empty clutter-free set and -inf for a
+    lone clutter-free return. At the default sensing those are the
+    particles more than 51.5 m from the sensor, most of a cloud where the
+    team has lost the drone.
     """
     n_meas = len(meas)
     delta = states[:, :3] - sensor_pos
@@ -240,8 +221,6 @@ def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
     lam = p.clutter_rate
     if lam > 0:
         base = n_meas * math.log(lam * p.clutter_density) - lam
-        if n_meas == 0:
-            return base + _safe_log(1.0 - p_d)
         sums = _detectable_density_sums(delta, dist, p_d, meas, p)
         return base + _safe_log((1.0 - p_d) + p_d * sums / (lam * p.clutter_density))
     if n_meas == 0:

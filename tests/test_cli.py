@@ -51,18 +51,57 @@ def _config_file(tmp_path):
     return path
 
 
+def _argv(command, tmp_path, out, *flags):
+    if command == "run":
+        return ["run", "--config", str(_config_file(tmp_path)), "--out", str(out), *flags]
+    return ["preset", "figure3_compare", "--out", str(out), *flags]
+
+
+def _usage_error(argv, capsys) -> str:
+    """The message of a command line that argparse refuses with exit status 2."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    return capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 @pytest.mark.parametrize("command", ["run", "preset"])
 def test_jobs_below_one_is_a_usage_error(command, jobs, tmp_path, capsys):
     out = tmp_path / "out"
-    if command == "run":
-        argv = ["run", "--config", str(_config_file(tmp_path)), "--out", str(out), "--jobs", jobs]
-    else:
-        argv = ["preset", "figure3_compare", "--out", str(out), "--jobs", jobs]
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(argv)
-    assert exit_info.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    assert "--jobs" in _usage_error(_argv(command, tmp_path, out, "--jobs", jobs), capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["x", "1.5"])
+@pytest.mark.parametrize("command", ["run", "preset"])
+def test_jobs_not_an_integer_is_a_usage_error(command, jobs, tmp_path, capsys):
+    out = tmp_path / "out"
+    err = _usage_error(_argv(command, tmp_path, out, "--jobs", jobs), capsys)
+    assert f"--jobs: not an integer: {jobs!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "preset"])
+def test_jobs_reaches_every_run_of_trials(command, tmp_path, monkeypatch):
+    taken = []
+
+    def no_trials(cfg, jobs):
+        taken.append(jobs)
+        return []
+
+    monkeypatch.setattr(cli, "run_trials", no_trials)
+    monkeypatch.delenv("CSTJ_SIM_SEED", raising=False)
+    assert cli.main(_argv(command, tmp_path, tmp_path / "out", "--jobs", "3")) == 0
+    assert taken == [3] * (1 if command == "run" else len(config.preset("figure3_compare", seed=0)))
+
+
+@pytest.mark.parametrize("command", ["run", "preset"])
+def test_env_seed_not_an_integer_fails_before_writing(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CSTJ_SIM_SEED", "abc")
+    out = tmp_path / "out"
+    assert cli.main(_argv(command, tmp_path, out)) == 2
+    assert capsys.readouterr().err == "error: CSTJ_SIM_SEED must be an integer, got 'abc'\n"
     assert not out.exists()
 
 
@@ -130,6 +169,16 @@ def test_run_writes_every_output(tmp_path):
     assert config.config_values(resolved) == config.config_values(cfg)
     manifest = (out / "manifest.txt").read_text()
     assert "manifest.seed = 3" in manifest
+
+
+def test_run_accepts_a_config_with_a_byte_order_mark(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_trials", lambda cfg, jobs: [])
+    cfg = ScenarioConfig(n_agents=2, n_steps=2, n_trials=1, n_particles=20, seed=3)
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + config.format_config(cfg).encode("utf-8"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert config.parse_config(out / "config_resolved.txt") == cfg
 
 
 def test_preset_writes_every_output(tmp_path, monkeypatch):
@@ -210,6 +259,8 @@ def test_run_help_lists_every_key_and_the_seed_priority(capsys):
     for key, note in config.KEY_DOCS.items():
         assert [key, note] in rows
     assert "seed priority: --seed flag, then the config file, then $CSTJ_SIM_SEED, then 0." in lines
+    # a '#' after a value is part of the value
+    assert "configuration keys (key = value per line, whole-line '#' comments):" in lines
 
 
 # command, --seed, the config file's sim.seed, $CSTJ_SIM_SEED, the seed taken;

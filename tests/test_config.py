@@ -17,6 +17,7 @@ from cstj_sim.config import (
     ConfigError,
     config_values,
     format_config,
+    parse_config,
     parse_config_text,
     preset,
 )
@@ -301,6 +302,19 @@ def test_motion_model_takes_exactly_three_variances(accel_var):
     # the noise is independent per axis; a covariance matrix is not a form of the key
     with pytest.raises(ValueError, match="accel_var"):
         MotionModel(1.0, accel_var)
+
+
+def test_line_without_equals_sign_is_an_error_naming_the_line():
+    with pytest.raises(ConfigError, match=r"^line 3: expected 'key = value', got 'sim\.agents 3'$"):
+        parse_config_text("# a comment\nsim.seed = 1\n  sim.agents 3  \n")
+
+
+def test_byte_order_mark_is_not_read_as_part_of_the_first_key(tmp_path):
+    # some editors start a UTF-8 file with the encoded U+FEFF
+    cfg = ScenarioConfig(n_agents=2, seed=3)
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + format_config(cfg).encode("utf-8"))
+    assert parse_config(path) == cfg
 
 
 @pytest.mark.parametrize("source", ["text", "overrides", "fallbacks"])

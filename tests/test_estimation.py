@@ -355,6 +355,25 @@ def _folded_log_set_likelihood(states, meas, s_pos, p: SensingParams):
     return base + likelihood_referee._safe_log((1.0 - p_d) + p_d * sums / (lam * p.clutter_density))
 
 
+def _with_clutter(lam):
+    return dataclasses.replace(SENSING, clutter_rate=lam)
+
+
+def _no_detection(meas, p: SensingParams):
+    """The log likelihood of the set for a particle the sensor cannot detect: every return is clutter."""
+    lam = p.clutter_rate
+    if lam > 0:
+        return len(meas) * math.log(lam * p.clutter_density) - lam
+    return 0.0 if len(meas) == 0 else -math.inf
+
+
+def _assert_no_detection_where_undetectable(got, expected, p_d, meas, p: SensingParams):
+    """``got`` has the referee's bytes where ``p_d`` is not 0.0 (NaN included), and no detection's where it is."""
+    undetectable = p_d == 0.0
+    assert got[~undetectable].tobytes() == expected[~undetectable].tobytes()
+    assert got[undetectable].tobytes() == np.full(undetectable.sum(), _no_detection(meas, p)).tobytes()
+
+
 class TestMeasurementMajorLikelihood:
     """The measurement-major kernel against the particle-major one it replaced.
 
@@ -431,20 +450,20 @@ class TestMeasurementMajorLikelihood:
         # one by one gives other bits for some particles of this case
         assert np.any(dens.sum(axis=1) != np.cumsum(dens, axis=1)[:, -1])
 
-    def test_nan_return_gives_nan_where_the_referee_does(self):
+    def test_nan_return_reaches_detectable_particles_only(self):
         # a NaN density must reach the sum, not be taken for one below the
-        # cut-off, and it makes the sum NaN for particles the sensor cannot
-        # detect too: 0 * NaN is NaN
+        # cut-off; it makes S NaN for every particle the sensor can detect,
+        # while one it cannot detect keeps S = 0.0 and scores no detection
         states, meas, s_pos = _referee_case(200, 9, seed=9003)
         states[::3, :3] = s_pos + 1.5 * _P_D_ZERO_M * states[::3, 3:] / norm(states[::3, 3:])[:, None]
         meas[5] = np.nan
-        undetectable = detection_prob_at_distance(norm(states[:, :3] - s_pos), SENSING) == 0.0
-        assert undetectable.sum() == len(states[::3])
-        for sensing, returns in ((SENSING, meas), (dataclasses.replace(SENSING, clutter_rate=0.0), meas[5:6])):
+        p_d = detection_prob_at_distance(norm(states[:, :3] - s_pos), SENSING)
+        assert (p_d == 0.0).sum() == len(states[::3])
+        for sensing, returns in ((SENSING, meas), (_with_clutter(0.0), meas[5:6])):
             got = _log_set_likelihood(states, returns, s_pos, sensing)
             expected = likelihood_referee._log_set_likelihood(states, returns, s_pos, sensing)
-            assert np.isnan(expected[undetectable]).all()
-            assert np.array_equal(got, expected, equal_nan=True)
+            assert np.isnan(expected).all()
+            _assert_no_detection_where_undetectable(got, expected, p_d, returns, sensing)
 
     @pytest.mark.parametrize("layout", list(_LAYOUTS))
     @pytest.mark.parametrize("m", [0, 1, 2, 17])
@@ -456,36 +475,51 @@ class TestMeasurementMajorLikelihood:
         with np.errstate(over="ignore", invalid="ignore"):
             p_d = detection_prob_at_distance(norm(states[:, :3] - s_pos), SENSING)
             for lam in (SENSING.clutter_rate, 0.0):
-                sensing = dataclasses.replace(SENSING, clutter_rate=lam)
-                got = _log_set_likelihood(states, meas, s_pos, sensing)
-                expected[lam] = likelihood_referee._log_set_likelihood(states, meas, s_pos, sensing)
-                assert got.tobytes() == expected[lam].tobytes()
+                expected[lam] = likelihood_referee._log_set_likelihood(states, meas, s_pos, _with_clutter(lam))
+        for lam in (SENSING.clutter_rate, 0.0):
+            # numpy's default "warn" is an error under the suite's filterwarnings
+            with np.errstate(over="ignore" if layout == "infinite" else "warn"):
+                got = _log_set_likelihood(states, meas, s_pos, _with_clutter(lam))
+            _assert_no_detection_where_undetectable(got, expected[lam], p_d, meas, _with_clutter(lam))
         detectable = p_d > 0.0
         if layout == "edge":
             assert detectable[:4].tolist() == [True, True, False, False]
             assert 0 < detectable[4:].sum() < len(states) - 4
         elif layout == "infinite":
             assert p_d[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0] and np.isnan(p_d[2])
-            # a skip that ignored their NaN sums would give these particles a number
+            # the referee's sums for these particles are NaN, which 0 * S
+            # would carry; the package gives them S = 0.0 instead
             assert np.isnan(expected[SENSING.clutter_rate][[0, 1, 3]]).all() == (m > 0)
             assert np.isnan(expected[0.0][[0, 1, 3]]).all() == (m == 1)
         else:
             assert detectable.all() if layout == "inside" else not detectable.any()
 
     def test_undetectable_particles_whose_densities_overflow(self):
-        # densities above e**709.78 make S infinite, and 0 * inf is NaN
+        # densities above e**709.78 make the referee's S infinite, and 0 * inf
+        # is NaN; no density of an undetectable particle is ever computed
         states, meas, s_pos = _undetectable_case("beyond", 3, seed=9004)
         narrow = dataclasses.replace(SENSING, sigma_theta_rad=1e-160, sigma_phi_rad=1e-160)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for sensing in (narrow, dataclasses.replace(narrow, clutter_rate=0.0)):
-                returns = meas if sensing.clutter_rate else meas[:1]
-                got = _log_set_likelihood(states, returns, s_pos, sensing)
+        p_d = detection_prob_at_distance(norm(states[:, :3] - s_pos), SENSING)
+        assert not p_d.any()
+        for sensing in (narrow, dataclasses.replace(narrow, clutter_rate=0.0)):
+            returns = meas if sensing.clutter_rate else meas[:1]
+            with np.errstate(over="ignore", invalid="ignore"):
                 expected = likelihood_referee._log_set_likelihood(states, returns, s_pos, sensing)
-                assert np.isnan(expected[4])
-                assert np.array_equal(got, expected, equal_nan=True)
+            assert np.isnan(expected[4])
+            got = _log_set_likelihood(states, returns, s_pos, sensing)
+            _assert_no_detection_where_undetectable(got, expected, p_d, returns, sensing)
+
+    def test_empty_set_scores_the_missed_detection(self):
+        # S is 0.0 for an empty set, so (1 - p_d) + p_d S / K is 1 - p_d exactly
+        states, meas, s_pos = _undetectable_case("edge", 0, seed=9007)
+        p_d = detection_prob_at_distance(norm(states[:, :3] - s_pos), SENSING)
+        assert (p_d == 0.0).any() and (p_d > 0.0).any()
+        got = _log_set_likelihood(states, meas, s_pos, SENSING)
+        assert got.tobytes() == (-SENSING.clutter_rate + np.log(1.0 - p_d)).tobytes()
 
     def test_density_grid_holds_only_detectable_particles(self, monkeypatch):
-        # the grid of densities has a column for each particle with p_d > 0 only
+        # the grid of densities has a column for each particle with p_d > 0
+        # only, whatever the returns and the noise scales
         columns = []
         densities = estimation._log_measurement_densities
 
@@ -498,8 +532,17 @@ class TestMeasurementMajorLikelihood:
         detectable = int((detection_prob_at_distance(norm(states[:, :3] - s_pos), SENSING) > 0.0).sum())
         assert 50 < detectable < 150
         _log_set_likelihood(states, meas, s_pos, SENSING)
-        _log_set_likelihood(states, meas[:1], s_pos, dataclasses.replace(SENSING, clutter_rate=0.0))
-        assert columns == [detectable, detectable]
+        _log_set_likelihood(states, meas[:1], s_pos, _with_clutter(0.0))
+        meas[4] = np.nan
+        _log_set_likelihood(states, meas, s_pos, SENSING)
+        _log_set_likelihood(states, meas[4:5], s_pos, _with_clutter(0.0))
+        assert columns == [detectable] * 4
+        # the case of the test above, whose densities would overflow
+        states, meas, s_pos = _undetectable_case("beyond", 3, seed=9004)
+        narrow = dataclasses.replace(SENSING, sigma_theta_rad=1e-160, sigma_phi_rad=1e-160)
+        _log_set_likelihood(states, meas, s_pos, narrow)
+        _log_set_likelihood(states, meas[:1], s_pos, dataclasses.replace(narrow, clutter_rate=0.0))
+        assert columns[4:] == [0, 0]
 
 
 class TestExpCutOff:
@@ -581,6 +624,18 @@ class TestUpdate:
         out, uninformative = update(ps, _random_measurements(rng, 2), [0, 0, 0], silent, rng)
         assert uninformative
         np.testing.assert_array_equal(out.weights, ps.weights)
+
+    def test_nan_return_leaves_an_undetectable_cloud_as_it_was(self):
+        # no particle can be detected, so every one scores the no-detection
+        # hypothesis, NaN return or not, and the prior weights stand
+        states, meas, s_pos = _undetectable_case("beyond", 5, seed=9008)
+        assert not detection_prob_at_distance(norm(states[:, :3] - s_pos), SENSING).any()
+        meas[2] = np.nan
+        ps = ParticleSet(states, np.full(len(states), 1.0 / len(states)))
+        out, uninformative = update(ps, meas, s_pos, SENSING, np.random.default_rng(18))
+        assert not uninformative
+        assert out.states is ps.states
+        assert out.weights.tobytes() == ps.weights.tobytes()
 
     def test_weights_normalized_after_updates(self):
         rng = np.random.default_rng(10)
