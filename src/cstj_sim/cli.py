@@ -153,13 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mode", default=None, help="controller mode override: cstj or ct")
     run_p.add_argument("--agents", type=int, default=None, help="agent count override")
     run_p.add_argument("--steps", type=int, default=None, help="steps-per-trial override")
-    run_p.add_argument("--jobs", type=_positive_int, default=1, help="parallel trial workers (output independent)")
+    run_p.add_argument("--jobs", type=_positive_int, default=1, help="parallel trial workers, at most one per trial (output independent)")
 
     preset_p = sub.add_parser("preset", help="run a named experiment bundle")
     preset_p.add_argument("name", choices=PRESET_NAMES)
     preset_p.add_argument("--out", required=True, help="output directory")
     preset_p.add_argument("--seed", type=int, default=None, help="master seed (default 0 or $CSTJ_SIM_SEED)")
-    preset_p.add_argument("--jobs", type=_positive_int, default=1, help="parallel trial workers (output independent)")
+    preset_p.add_argument("--jobs", type=_positive_int, default=1, help="parallel trial workers, at most one per trial (output independent)")
     return parser
 
 

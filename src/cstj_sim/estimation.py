@@ -242,6 +242,8 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator, count: i
     return np.minimum(indices, len(weights) - 1)
 
 
+_COV_JITTER = 1e-9  # added to a covariance's diagonal before it is factorised or inverted
+
 # proposal of the degenerate update branch (see ``update``)
 _GATE_D2 = 16.27  # chi-square(3) 0.999 quantile
 _PROPOSAL_SHARE = 0.1  # draws around the returns per predicted particle
@@ -298,7 +300,7 @@ def _mixture_resample(ps: ParticleSet, log_w, meas, sensor_pos, p: SensingParams
     n = len(ps)
     mean, cov = _moments(ps)
     try:
-        chol = np.linalg.cholesky(cov + 1e-9 * np.eye(6))
+        chol = np.linalg.cholesky(cov + _COV_JITTER * np.eye(6))
     except np.linalg.LinAlgError:
         return None
     gated = _gated_returns(meas, sensor_pos, mean, cov, p)
@@ -402,15 +404,11 @@ def _information_matrices(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The covariances of a (k, 6, 6) stack as inverted, and their symmetrised inverses, by one batched inverse.
 
     Each covariance must be exactly symmetric, as ``Estimate`` makes every
-    one it holds. One with every eigenvalue above ``1e-12 max(1, lambda_max)``
-    is inverted as it is: its condition number is under 1e12, far below
-    1 / eps, so its inverse is finite. Any other gets ``1e-9`` added to its
-    diagonal; if that is singular too, or an entry was NaN, a ``ValueError``
-    says so.
+    one it holds. Each is inverted plus ``_COV_JITTER`` I, so a zero one (a
+    one-particle filter's) has a finite inverse; a singular shifted
+    covariance, or a NaN entry, raises a ``ValueError``.
     """
-    eigs = np.linalg.eigvalsh(covs)
-    raw = eigs.min(axis=1) > 1e-12 * np.maximum(1.0, eigs.max(axis=1))
-    covs = np.where(raw[:, None, None], covs, covs + 1e-9 * np.eye(covs.shape[-1]))
+    covs = covs + _COV_JITTER * np.eye(covs.shape[-1])
     try:
         infos = np.linalg.inv(covs)
     except np.linalg.LinAlgError:
@@ -429,8 +427,8 @@ def ci_fuse(estimates) -> Estimate:
     covariance is inv(I) and the fused mean inv(I) (I m). Any weights on
     the simplex keep the result consistent; fast CI takes
     w_i = (1 / tr(C_i)) / sum_j (1 / tr(C_j)), where C_i is the covariance
-    whose inverse is I_i, the input plus ``1e-9`` I where it is regularised,
-    so a zero covariance gets a finite weight. tr(inv(I)) is then at most the
+    whose inverse is I_i, the input plus ``_COV_JITTER`` I, so a zero
+    covariance gets a finite weight. tr(inv(I)) is then at most the
     harmonic mean of the tr(C_i). Both sums add the estimates' terms one at
     a time, in input order (numpy's sum over the stack's leading axis), so
     reordering the inputs changes only the rounding. A single estimate is

@@ -276,11 +276,12 @@ def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
 def run_trials(cfg: ScenarioConfig, jobs: int = 1) -> list[list[StepLog]]:
     """All trials of the configured Monte-Carlo run, ordered by trial index.
 
-    With ``jobs`` > 1 the trials run in a pool of that many worker processes.
-    The pool, and the import of its machinery, exist only then, so a serial
-    run (and importing the package) never loads ``concurrent.futures``.
+    The trials run in a pool of ``min(jobs, cfg.n_trials)`` worker processes
+    when that is above one. Only then do the pool and its import exist, so
+    neither a serial run nor importing the package loads ``concurrent.futures``.
     """
     indices = range(cfg.n_trials)
+    jobs = min(jobs, cfg.n_trials)
     if jobs <= 1:
         return [run_trial(cfg, t) for t in indices]
     from concurrent.futures import ProcessPoolExecutor

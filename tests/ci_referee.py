@@ -1,6 +1,6 @@
 """Fast covariance intersection one estimate at a time, as a value referee.
 
-Each covariance is regularised and inverted alone by ``_information_matrix``
+Each covariance gets 1e-9 I and is inverted alone by ``_information_matrix``
 (the per-matrix form the package's batched ``_information_matrices``
 replaced), the weights are ``oracles.fast_ci_weights`` of the covariances
 as inverted, and the information sums are plain Python loops in input
@@ -17,21 +17,15 @@ from oracles import fast_ci_weights
 
 
 def _information_matrix(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The covariance as inverted, and its symmetrised inverse."""
-    cov = 0.5 * (cov + cov.T)
-    eye = np.eye(len(cov))
-    # prefer the raw covariance when it is comfortably invertible
-    eigs = np.linalg.eigvalsh(cov)
-    candidates = [cov] if eigs.min() > 1e-12 * max(1.0, eigs.max()) else []
-    candidates.append(cov + 1e-9 * eye)
-    for candidate in candidates:
-        try:
-            info = np.linalg.inv(candidate)
-        except np.linalg.LinAlgError:
-            continue
-        if np.isfinite(info).all():
-            return candidate, 0.5 * (info + info.T)
-    raise ValueError("singular covariance after regularization")
+    """The covariance as inverted, plus 1e-9 I, and its symmetrised inverse."""
+    cov = 0.5 * (cov + cov.T) + 1e-9 * np.eye(len(cov))
+    try:
+        info = np.linalg.inv(cov)
+    except np.linalg.LinAlgError:
+        info = None
+    if info is None or not np.isfinite(info).all():
+        raise ValueError("singular covariance after regularization")
+    return cov, 0.5 * (info + info.T)
 
 
 def fused_terms(estimates) -> tuple[list, list, list]:

@@ -114,7 +114,7 @@ def test_regularised_covariance_matches_referee():
     rng = np.random.default_rng(4)
     basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     flat = basis @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 1e-14]) @ basis.T
-    # the +1e-9 path: unregularised, the largest information would be near 1e14
+    # with 1e-9 I added; without it, the largest information would be near 1e14
     assert np.linalg.eigvalsh(_information_matrices(0.5 * (flat + flat.T)[None])[1][0]).max() < 1.1e9
     estimates = [_estimate(rng, _cov(rng, 10.0)), _estimate(rng, flat), _estimate(rng, _cov(rng, 10.0))]
     _assert_within_bound_of_referee(estimates)
@@ -135,17 +135,17 @@ def test_failed_cholesky_matches_referee():
 
 
 def test_stack_inverts_each_covariance_as_alone():
-    # a well-conditioned covariance is inverted raw; a zero and a rank-5 one
-    # get 1e-9 I first; the one batched inverse gives each the bytes of
-    # inverting it alone, then symmetrising
+    # a well-conditioned, a zero and a rank-5 covariance each get 1e-9 I
+    # first; the one batched inverse gives each the bytes of inverting it
+    # alone, then symmetrising
     rng = np.random.default_rng(6)
     basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     rank5 = basis @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 0.0]) @ basis.T
     stack = np.array([_cov(rng, 10.0), np.zeros((6, 6)), rank5])
     stack = 0.5 * (stack + stack.transpose(0, 2, 1))  # symmetrising again changes no bit
     inverted, infos = _information_matrices(stack)
-    for cov, used, info, shift in zip(stack, inverted, infos, (0.0, 1e-9, 1e-9)):
-        cov = cov + shift * np.eye(6) if shift else cov
+    for cov, used, info in zip(stack, inverted, infos):
+        cov = cov + 1e-9 * np.eye(6)
         assert used.tobytes() == cov.tobytes()
         alone = np.linalg.inv(cov)
         assert info.tobytes() == (0.5 * (alone + alone.T)).tobytes()
@@ -156,3 +156,13 @@ def test_covariance_singular_after_regularisation_raises():
     stack = np.array([_cov(np.random.default_rng(7), 10.0), -1e-9 * np.eye(6)])
     with pytest.raises(ValueError, match="singular covariance after regularization"):
         _information_matrices(stack)
+
+
+@pytest.mark.parametrize("diagonal_only", [False, True], ids=["all_nan", "nan_diagonal"])
+def test_nan_covariance_raises(diagonal_only):
+    # a NaN entry makes the inverse NaN, which the one check reports
+    rng = np.random.default_rng(8)
+    bad = np.diag(np.full(6, np.nan)) if diagonal_only else np.full((6, 6), np.nan)
+    estimates = [_estimate(rng, _cov(rng, 10.0)), _estimate(rng, bad), _estimate(rng, _cov(rng, 10.0))]
+    with pytest.raises(ValueError, match="singular covariance after regularization"):
+        ci_fuse(estimates)

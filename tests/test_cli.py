@@ -22,15 +22,15 @@ def _golden_configs():
 # these; a refactor that claims to keep behaviour must leave them as they are.
 GOLDEN_SHA256 = {
     "cstj_4": (
-        "b46b061681b7c59c11e001d98c3fbf72a7da0fc443f008356fee220a0216fef0",
-        "5d5849e8d8150639bb400c3e7701cc03084273151e1b05a796e8b0c6aabaade3",
+        "4c6c9dcc5d29e6063da9b6d66227d8d0667db826e82ea9eb0025023579535651",
+        "15c9567d765d67c61b848bbceca2299724f71f681ece88427ce09cfbe0054558",
     ),
     "ct_4": (
-        "3361f9bb37148c7da2d11805d87535a9a5e5687703e748a6677bb580f2f2c232",
-        "a40843088dd6010212c304828ce1957fab80bd5d5a9426d017f6818df599de85",
+        "9879f6ae6a4f77d842c02f677c4d3a0e85cb75e69a15f0bcec0b75485202c3e7",
+        "2bf990427e3d20f3eed9e19f274a24eba2a3097f63f0db18c99fb4d738eb419c",
     ),
     "agents_12": (
-        "c5c7a7889f94d75e991c1345d49b46e9a8f20666f7173978bd2781bfad413af6",
+        "08720d94f36aa5259ab445e983ca25a6a37cc825491baf440846c1b769d9b763",
         "42ab1aa1675223143ea3a57125a69cd3bb2a0f37e56b0b0afd4d2d90ceda8ea0",
     ),
 }

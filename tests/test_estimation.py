@@ -221,18 +221,25 @@ class TestLikelihood:
         # 1.5 m in x, or 0.6 m in y or z, about half a noise scale. 20 000
         # sets give standard errors near 0.007 and 0.0045, and the bound is
         # 4 of them; a likelihood with 1.2 times the range or azimuth noise
-        # of the sampler reads 3.7 and 13 standard errors off.
+        # of the sampler reads 3.7 and 13 standard errors off. Clutter
+        # scales L(Z | x) and L(Z | x') alike, so two more columns move the
+        # clutter rate instead, L(Z | x; 0.8 lambda) / L(Z | x; lambda) and
+        # at 1.2 lambda (standard errors near 0.0063 and 0.0069): a scorer
+        # with 1.5 times the sampler's rate reads +122 and -503 off.
         rng = np.random.default_rng(14)
         s_pos = np.array([50.0, 50.0, 50.0])
         x = np.array([62.0, 44.0, 53.0, 0.0, 0.0, 0.0])
         shifts = np.array([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, 0.6]])
         states = x + np.pad(shifts, ((0, 0), (0, 3)))
         truth = TargetState.from_vector(x)
+        rates = [dataclasses.replace(SENSING, clutter_rate=f * SENSING.clutter_rate) for f in (0.8, 1.2)]
         sets = 20_000
-        ratios = np.empty((sets, 3))
+        ratios = np.empty((sets, 5))
         for i in range(sets):
-            log_l = _log_set_likelihood(states, collect(truth, s_pos, SENSING, rng), s_pos, SENSING)
-            ratios[i] = np.exp(log_l[1:] - log_l[0])
+            meas = collect(truth, s_pos, SENSING, rng)
+            log_l = _log_set_likelihood(states, meas, s_pos, SENSING)
+            log_rates = [_log_set_likelihood(states[:1], meas, s_pos, q)[0] for q in rates]
+            ratios[i] = np.exp(np.append(log_l[1:], log_rates) - log_l[0])
         std_err = ratios.std(axis=0, ddof=1) / math.sqrt(sets)
         assert np.all(std_err < 0.01)
         assert np.all(np.abs(ratios.mean(axis=0) - 1.0) < 4.0 * std_err)
@@ -845,12 +852,13 @@ class TestCiFuse:
 
     def test_weights_are_the_inverse_traces(self):
         # the information-form sums under the oracle's 1 / tr weights, inputs
-        # of traces spread over two decades
+        # of traces spread over two decades, each inverted plus 1e-9 I
         rng = np.random.default_rng(2)
         for k in (2, 3, 5, 12):
             estimates = [_random_estimate(rng, scale) for scale in rng.uniform(0.1, 10.0, k)]
-            weights = fast_ci_weights([e.covariance for e in estimates])
-            infos = [np.linalg.inv(e.covariance) for e in estimates]
+            covs = [e.covariance + 1e-9 * np.eye(6) for e in estimates]
+            weights = fast_ci_weights(covs)
+            infos = [np.linalg.inv(c) for c in covs]
             info = sum(w * i for w, i in zip(weights, infos))
             vec = sum(w * i @ e.mean.as_vector() for w, i, e in zip(weights, infos, estimates))
             fused = ci_fuse(estimates)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import enum
 import hashlib
@@ -151,9 +152,9 @@ class TestRunTrial:
     )
     def test_inputs_the_workloads_never_reach_keep_the_gate(self, overrides):
         # the benchmark's gate on inputs its workloads never give: with one
-        # particle every covariance is zero, so fusion takes the regularised
-        # inverse; without clutter the likelihood has its special cases; with
-        # every radio off the control has nothing to transmit
+        # particle every covariance is zero, so fusion inverts 1e-9 I alone;
+        # without clutter the likelihood has its special cases; with every
+        # radio off the control has nothing to transmit
         cfg = parse_config_text("", {"sim.seed": 5, "sim.steps": 8, "filter.particles": 300, **overrides})
         logs = run_trial(cfg, 0)
         assert len(logs) == cfg.n_steps
@@ -239,12 +240,12 @@ class TestLoggedBits:
     """
 
     DIGESTS = {
-        "cstj_4": "b9848bd2678c920cdc59980196e039187c54dd3145caef02ed62100544a11f54",
-        "ct_4": "9dc8f77b57bed6b430ca46e5a344199453e2480fbd319fb8c2a22e8c3160252d",
-        "agents_12": "3d4e18b22784ba1c0868c3923de6e4f9f887347b208096b7023193bb04c67815",
-        "fig3_cstj_2000": "0b2a7b40039fbc3241a66f5c3209bf8468bc65814de28be5cd90d1a156482455",
-        "swarm12_200": "1d3794e1ba3e238932612f9ec3e76e9eb48b1078178725502b5129c0fc194f20",
-        "tracked_4": "2059b5a531ff9c04213cd8b5361876b1f267b6eafee407e745d0d8fe7505b374",
+        "cstj_4": "b90c8c5ce13cf99db84387c73c02dac319b492888635293f804cce062baaa263",
+        "ct_4": "d53946763e8381039f89643f85e555870f9183b1746ccd17b157c97b56ae4f64",
+        "agents_12": "513ff3387303ff92ef50aa71bc20ab7500f1a51fd735af9ee77987420577d139",
+        "fig3_cstj_2000": "a6ee1a464a804f69bc9386c2bc02c71fac151ce6071708a330f3ed41b6cf016d",
+        "swarm12_200": "6c3c87b0e043047601c4ff12f96adc440bff91ea86256a1c514985509cba8e56",
+        "tracked_4": "ee6f21384b02e1f5f2397b25c7e7aeef396b3f21709bd4404f06821500c9b203",
     }
 
     # every logged value but ``FUSION_FIELDS``: a change to the fusion rule
@@ -455,6 +456,30 @@ class TestMonteCarlo:
         assert len(serial) == len(parallel) == 4
         for a, b in zip(serial, parallel):
             assert pickle.dumps(a) == pickle.dumps(b)
+
+    def test_pool_has_at_most_one_worker_per_trial(self, monkeypatch):
+        # a fake pool records its size and maps in this process, so no
+        # worker process starts; 64 jobs on 2 trials ask for 2 workers
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = _small_cfg(n_trials=2)
+        pooled = run_trials(cfg, jobs=64)
+        assert sizes == [2]
+        assert pickle.dumps(pooled) == pickle.dumps(run_trials(cfg, jobs=1))
 
     def test_import_loads_no_pool_machinery(self):
         # only run_trials with jobs > 1 needs the process pool
