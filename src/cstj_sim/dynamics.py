@@ -70,7 +70,7 @@ class TargetState:
     def __post_init__(self):
         self.position = vector3(self.position)
         self.velocity = vector3(self.velocity)
-        if not (np.isfinite(self.position).all() and np.isfinite(self.velocity).all()):
+        if not all(map(math.isfinite, (*self.position.tolist(), *self.velocity.tolist()))):
             raise ValueError("state components must be finite")
 
     def __eq__(self, other):
@@ -85,6 +85,19 @@ class TargetState:
     def from_vector(cls, vec) -> "TargetState":
         vec = np.asarray(vec, dtype=float).reshape(6)
         return cls(vec[:3].copy(), vec[3:].copy())
+
+
+@lru_cache(maxsize=None)
+def gaussian_factor(variances: tuple) -> np.ndarray:
+    """Read-only ``(u * sqrt(s)).T`` of the SVD of ``np.diag(variances)``, ``Generator.multivariate_normal``'s factor.
+
+    Normals times it are that method's draws bit for bit. A -0.0 variance
+    counts as +0.0, so the cached factor does not depend on call order.
+    """
+    u, s, _ = np.linalg.svd(np.diag(variances) + 0.0)
+    factor = (u * np.sqrt(s)).T
+    factor.setflags(write=False)
+    return factor
 
 
 @dataclass(frozen=True)
@@ -108,9 +121,8 @@ class MotionModel:
         var = float_tuple("accel_var", self.accel_var, 3)
         if not all(0 <= v < math.inf for v in var):
             raise ValueError("accel_var must be finite and >= 0 on every axis")
-        u, s, _ = np.linalg.svd(np.diag(var))
         object.__setattr__(self, "accel_var", var)
-        object.__setattr__(self, "_noise_factor", (u * np.sqrt(s)).T)
+        object.__setattr__(self, "_noise_factor", gaussian_factor(var))
         object.__setattr__(self, "_transition", np.eye(6) + self.dt * np.eye(6, k=3))
         object.__setattr__(self, "_gain", 0.5 * self.dt**2 * np.eye(6, 3) + self.dt * np.eye(6, 3, k=-3))
 
@@ -127,8 +139,8 @@ class MotionModel:
         """Acceleration draws of shape (*shape, 3).
 
         They equal ``rng.multivariate_normal(0, np.diag(accel_var), shape)``
-        bit for bit (the same normals times the same SVD factor, which
-        ``__post_init__`` computes once) without its per-call validity check.
+        bit for bit (the same normals times the same SVD factor, cached by
+        ``gaussian_factor``) without its per-call SVD and validity check.
         The SVD orders the axes by variance, so unequal variances take their
         normals in that order, not as ``z * sqrt(accel_var)`` would.
         """

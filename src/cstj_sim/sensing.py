@@ -106,12 +106,13 @@ class SensingParams:
 
 
 def detection_prob_at_distance(distance, p: SensingParams) -> np.ndarray:
-    """Detection probability at sensor-target distance, as an array of the distance's shape.
+    """Detection probability at sensor-target distance: p_d_max up to r0, then falling linearly to 0.
 
-    ``distance`` is a float array, or a float: ``dynamics.norm`` of offsets.
+    ``distance`` is a float array, giving an array of its shape, or a float, giving a numpy float:
+    ``dynamics.norm`` of offsets. Below r0 the decay is at least p_d_max and from r0 on at most, so
+    capping it equals the piecewise form bit for bit, NaN included.
     """
-    decayed = np.maximum(0.0, p.p_d_max - p.eta_per_m * (distance - p.r0_m))
-    return np.where(distance < p.r0_m, p.p_d_max, decayed)
+    return np.minimum(p.p_d_max, np.maximum(0.0, p.p_d_max - p.eta_per_m * (distance - p.r0_m)))
 
 
 def spherical_coords(delta: np.ndarray):

@@ -10,6 +10,7 @@ from cstj_sim.dynamics import (
     MotionModel,
     TargetState,
     enumerate_actions,
+    gaussian_factor,
     norm,
     step_target,
 )
@@ -17,6 +18,37 @@ from oracles import enumerate_actions_reference, noise_gain
 
 MODEL = MotionModel(1.0, (2.0, 2.0, 2.0))
 GRID = ActionGrid((1.0, 3.0, 5.0), 2, 4)
+
+
+class TestTargetState:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("component", range(6))
+    def test_refuses_a_non_finite_component(self, component, value):
+        vec = [1.0, -2.0, 3.0, 0.5, 0.0, -0.5]
+        vec[component] = value
+        with pytest.raises(ValueError, match="state components must be finite"):
+            TargetState(vec[:3], vec[3:])
+        with pytest.raises(ValueError, match="state components must be finite"):
+            TargetState.from_vector(vec)
+
+    def test_accepts_the_largest_finite_components(self):
+        big = np.finfo(float).max
+        assert TargetState.from_vector([big, -big, 0.0, -0.0, big, -big]).as_vector()[0] == big
+
+
+class TestGaussianFactor:
+    def test_signed_zero_variances_share_one_factor_whichever_comes_first(self):
+        # the cache keys -0.0 as +0.0, so both must get the factor of +0.0
+        factors = []
+        for first in ((-0.0, 2.0, 0.5), (0.0, 2.0, 0.5)):
+            gaussian_factor.cache_clear()
+            factors.append(gaussian_factor(first))
+        assert factors[0].tobytes() == factors[1].tobytes()
+
+    def test_factor_is_read_only_and_shared(self):
+        factor = MotionModel(0.5, (0.5, 2.0, 0.0))._noise_factor
+        assert not factor.flags.writeable
+        assert MotionModel(2.0, [0.5, 2.0, 0.0])._noise_factor is factor
 
 
 class TestStepTarget:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -434,6 +435,37 @@ class TestMeasurementMajorLikelihood:
         assert dens.sum() != folded
         sums = estimation._detectable_density_sums(delta, dist, p_d, meas, SENSING)
         assert sums.tobytes() == np.where(p_d > 0.0, folded, 0.0).tobytes()
+
+    @pytest.mark.parametrize("columns", [2, 3, 2000])
+    @pytest.mark.parametrize("m", [0, 8, 17, 40])
+    def test_density_sums_add_each_particles_returns_in_order(self, m, columns):
+        # a grid of two or more detectable particles is summed over its
+        # returns by numpy; each S must still be its particle's returns
+        # added one at a time, in the set's order, byte for byte
+        rng = np.random.default_rng([9, m, columns])
+        s_pos = rng.uniform(0.0, 100.0, 3)
+        center = s_pos + [20.0, 5.0, 3.0]
+        detectable = center + rng.normal(scale=1.0, size=(columns, 3))
+        # detectable, but opposite every return: a column of zero densities
+        detectable[2::7] = 2.0 * s_pos - center
+        directions = rng.normal(size=(columns // 2 + 1, 3))
+        undetectable = s_pos + 1.5 * _P_D_ZERO_M * directions / norm(directions)[:, None]
+        positions = np.concatenate([detectable, undetectable])[rng.permutation(columns + len(undetectable))]
+        meas = np.column_stack(spherical_coords(center + rng.normal(scale=1.0, size=(m, 3)) - s_pos))
+        delta = positions - s_pos
+        dist = norm(delta)
+        p_d = detection_prob_at_distance(dist, SENSING)
+        assert (p_d > 0.0).sum() == columns
+        dens = np.exp(likelihood_referee._log_measurement_densities(delta, dist, meas, SENSING))
+        folded = [functools.reduce(operator.add, row.tolist(), 0.0) for row in dens]
+        expected = np.where(p_d > 0.0, folded, 0.0)
+        if m:
+            assert (dens[p_d > 0.0] == 0.0).all(axis=1).sum() == len(detectable[2::7])
+        if m >= 8:
+            # numpy's pairwise sum of a particle's returns gives other bits
+            assert np.any(dens[p_d > 0.0].sum(axis=1) != expected[p_d > 0.0])
+        sums = estimation._detectable_density_sums(delta, dist, p_d, meas, SENSING)
+        assert sums.tobytes() == expected.tobytes()
 
     def test_cases_reach_the_edges(self):
         states, meas, s_pos = _referee_case(2000, 9, seed=9002)

@@ -107,7 +107,37 @@ class TestAngleForms:
         assert fold_inclination(math.pi + 0.5) == pytest.approx(math.pi - 0.5)
 
 
+def _piecewise_detection_prob(distance, p: SensingParams):
+    """The detection curve as a ``where`` over r0, the package's earlier form, kept verbatim as a referee."""
+    decayed = np.maximum(0.0, p.p_d_max - p.eta_per_m * (distance - p.r0_m))
+    return np.where(distance < p.r0_m, p.p_d_max, decayed)
+
+
 class TestDetectionProb:
+    @pytest.mark.parametrize(
+        "p",
+        [
+            DEFAULTS,
+            dataclasses.replace(DEFAULTS, eta_per_m=0.0),
+            dataclasses.replace(DEFAULTS, p_d_max=0.0),
+            dataclasses.replace(DEFAULTS, p_d_max=1.0),
+        ],
+        ids=["defaults", "eta_0", "p_d_max_0", "p_d_max_1"],
+    )
+    def test_matches_piecewise_form_bit_for_bit(self, p):
+        r0 = p.r0_m
+        edge = r0 + p.p_d_max / p.eta_per_m if p.eta_per_m else math.inf  # where the decay reaches 0
+        distances = [0.0, np.nextafter(r0, 0.0), r0, np.nextafter(r0, math.inf), 1e300, math.inf, math.nan]
+        distances += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf)]
+        # an infinite distance times eta = 0 is NaN, in both forms
+        with np.errstate(invalid="ignore"):
+            for d in distances:
+                got = detection_prob_at_distance(float(d), p)
+                assert type(got) is np.float64
+                assert got.tobytes() == _piecewise_detection_prob(float(d), p).tobytes()
+            got = detection_prob_at_distance(np.array(distances), p)
+            assert got.tobytes() == _piecewise_detection_prob(np.array(distances), p).tobytes()
+
     def test_inside_full_detection_radius(self):
         assert _detection_prob([1.0, 0, 0]) == 0.99
 

@@ -38,6 +38,10 @@ matrix: no other package code adds a value to its own ``.T`` or
 Only the records convert input to float arrays: ``asarray`` and
 ``asanyarray`` appear only in a ``__post_init__`` and in ``_CONVERTERS``;
 every other function takes the float arrays its callers give.
+
+Only ``dynamics.gaussian_factor`` factorises a covariance for Gaussian
+draws: no package code refers to ``multivariate_normal``, which repeats the
+SVD on every call, and only that helper refers to ``svd``.
 """
 
 import ast
@@ -498,3 +502,37 @@ def test_guard_sees_a_conversion(tmp_path):
         encoding="utf-8",
     )
     assert sorted(conversions(package)) == ["a:10", "a:10", "a:13", "a:6", "dynamics:13"]
+
+
+def gaussian_factorisations(package: Path = PACKAGE) -> list[str]:
+    """``module:line`` of each ``multivariate_normal`` reference, and of each ``svd`` one outside ``gaussian_factor``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owned = _owned(tree, lambda name: (path.stem, name) == ("dynamics", "gaussian_factor"))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name == "multivariate_normal" or (name == "svd" and id(node) not in owned):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_one_svd_factors_the_gaussian_draws():
+    assert gaussian_factorisations() == []
+
+
+def test_guard_sees_a_gaussian_factorisation(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "dynamics.py").write_text(
+        "import numpy as np\n\n\n"
+        "def gaussian_factor(v):\n    return np.linalg.svd(np.diag(v))\n\n\n"
+        "def init(rng, v):\n    return rng.multivariate_normal(np.zeros(3), np.diag(v))\n",
+        encoding="utf-8",
+    )
+    (package / "a.py").write_text(
+        "from numpy.linalg import svd\n\n\n"
+        "def gaussian_factor(v):\n    return svd(v)\n",
+        encoding="utf-8",
+    )
+    assert sorted(gaussian_factorisations(package)) == ["a:5", "dynamics:9"]
