@@ -91,8 +91,7 @@ class TargetState:
 def gaussian_factor(variances: tuple) -> np.ndarray:
     """Read-only ``(u * sqrt(s)).T`` of the SVD of ``np.diag(variances)``, ``Generator.multivariate_normal``'s factor.
 
-    Normals times it are that method's draws bit for bit. A -0.0 variance
-    counts as +0.0, so the cached factor does not depend on call order.
+    A -0.0 variance counts as +0.0, so the cached factor does not depend on call order.
     """
     u, s, _ = np.linalg.svd(np.diag(variances) + 0.0)
     factor = (u * np.sqrt(s)).T

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MotionModel, TargetState, float_tuple, gaussian_factor, norm
+from .dynamics import MotionModel, TargetState, gaussian_factor, norm
 from .geometry_rf import sender_sum
 from .sensing import SensingParams, detection_prob_at_distance, spherical_angles, wrap_difference
 
@@ -64,13 +64,12 @@ class Estimate:
 def init_particles(prior_mean: TargetState, prior_sigma, n: int, rng: np.random.Generator) -> ParticleSet:
     """Draw n i.i.d. particles, with uniform weights, from the prior of standard deviations ``prior_sigma``.
 
-    The draws are ``rng.multivariate_normal``'s of the diagonal of their squares,
-    bit for bit, by its SVD factor (``gaussian_factor``), which orders the axes
-    by variance: not ``mean + z * prior_sigma``.
+    The draws are ``rng.multivariate_normal``'s of the diagonal of their squares, by its
+    SVD factor (``gaussian_factor``), which orders the axes by variance, not ``mean + z * prior_sigma``.
     """
     if n < 1:
         raise ValueError("particle count must be >= 1")
-    factor = gaussian_factor(float_tuple("prior_sigma", np.square(prior_sigma), 6))
+    factor = gaussian_factor(tuple(s * s for s in prior_sigma))
     states = prior_mean.as_vector() + rng.standard_normal((n, 6)) @ factor
     return ParticleSet(states, np.full(n, 1.0 / n))
 
@@ -175,10 +174,8 @@ def _detectable_density_sums(delta, dist, p_d, meas, p: SensingParams):
     zero that ``exp`` rounds them to 0.0, slowly; ``_exp_live`` takes
     ``exp`` of the rest only. Each particle's S adds its returns' densities
     one at a time, in the set's order, into 0.0, which leaves every
-    density's bits as they are; an empty set gives S = 0.0. numpy's sum over
-    the returns is that fold, a row at a time, on two or more columns; a lone
-    column (one detectable particle) it sums pairwise from 8 terms on, so
-    ``sender_sum`` adds that one.
+    density's bits as they are; an empty set gives S = 0.0. ``sender_sum``
+    is that fold; numpy's sum would add a lone column pairwise.
     """
     live = p_d.nonzero()[0]
     gather = len(live) < len(dist)
@@ -186,7 +183,7 @@ def _detectable_density_sums(delta, dist, p_d, meas, p: SensingParams):
         delta, dist = delta.take(live, axis=0), dist.take(live)
     azimuth, inclination = spherical_angles(delta)
     densities = _exp_live(_log_measurement_densities(dist, azimuth, inclination, meas, p))
-    sums = sender_sum(densities) if len(dist) == 1 else densities.sum(axis=0)
+    sums = sender_sum(densities)
     if not gather:
         return sums
     all_sums = np.zeros(len(p_d))
@@ -244,8 +241,7 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator, count: i
     return np.minimum(indices, len(weights) - 1)
 
 
-_COV_JITTER = 1e-9 * np.eye(6)  # added to a covariance before it is factorised or inverted
-_COV_JITTER.setflags(write=False)
+_COV_JITTER = 1e-9  # added to a covariance's diagonal before it is factorised or inverted
 
 # proposal of the degenerate update branch (see ``update``)
 _GATE_D2 = 16.27  # chi-square(3) 0.999 quantile
@@ -303,7 +299,7 @@ def _mixture_resample(ps: ParticleSet, log_w, meas, sensor_pos, p: SensingParams
     n = len(ps)
     mean, cov = _moments(ps)
     try:
-        chol = np.linalg.cholesky(cov + _COV_JITTER)
+        chol = np.linalg.cholesky(cov + _COV_JITTER * np.eye(6))
     except np.linalg.LinAlgError:
         return None
     gated = _gated_returns(meas, sensor_pos, mean, cov, p)
@@ -407,11 +403,11 @@ def _information_matrices(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The covariances of a (k, 6, 6) stack as inverted, and their symmetrised inverses, by one batched inverse.
 
     Each covariance must be exactly symmetric, as ``Estimate`` makes every
-    one it holds. Each is inverted plus ``_COV_JITTER``, 1e-9 I, so a zero one (a
+    one it holds. Each is inverted plus ``_COV_JITTER`` I, so a zero one (a
     one-particle filter's) has a finite inverse; a singular shifted
     covariance, or a NaN entry, raises a ``ValueError``.
     """
-    covs = covs + _COV_JITTER
+    covs = covs + _COV_JITTER * np.eye(covs.shape[-1])
     try:
         infos = np.linalg.inv(covs)
     except np.linalg.LinAlgError:
@@ -430,7 +426,7 @@ def ci_fuse(estimates) -> Estimate:
     covariance is inv(I) and the fused mean inv(I) (I m). Any weights on
     the simplex keep the result consistent; fast CI takes
     w_i = (1 / tr(C_i)) / sum_j (1 / tr(C_j)), where C_i is the covariance
-    whose inverse is I_i, the input plus ``_COV_JITTER``, so a zero
+    whose inverse is I_i, the input plus ``_COV_JITTER`` I, so a zero
     covariance gets a finite weight. tr(inv(I)) is then at most the
     harmonic mean of the tr(C_i). Both sums add the estimates' terms one at
     a time, in input order (numpy's sum over the stack's leading axis), so

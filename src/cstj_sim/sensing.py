@@ -109,8 +109,7 @@ def detection_prob_at_distance(distance, p: SensingParams) -> np.ndarray:
     """Detection probability at sensor-target distance: p_d_max up to r0, then falling linearly to 0.
 
     ``distance`` is a float array, giving an array of its shape, or a float, giving a numpy float:
-    ``dynamics.norm`` of offsets. Below r0 the decay is at least p_d_max and from r0 on at most, so
-    capping it equals the piecewise form bit for bit, NaN included.
+    ``dynamics.norm`` of offsets.
     """
     return np.minimum(p.p_d_max, np.maximum(0.0, p.p_d_max - p.eta_per_m * (distance - p.r0_m)))
 
