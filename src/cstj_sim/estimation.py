@@ -174,8 +174,9 @@ def _detectable_density_sums(delta, dist, p_d, meas, p: SensingParams):
     zero that ``exp`` rounds them to 0.0, slowly; ``_exp_live`` takes
     ``exp`` of the rest only. Each particle's S adds its returns' densities
     one at a time, in the set's order, into 0.0, which leaves every
-    density's bits as they are; an empty set gives S = 0.0. ``sender_sum``
-    is that fold; numpy's sum would add a lone column pairwise.
+    density's bits as they are; an empty set gives S = 0.0. numpy's sum over
+    the returns is that fold on two or more columns, but it adds a lone
+    column, the fast axis in memory, pairwise, so ``sender_sum`` adds that.
     """
     live = p_d.nonzero()[0]
     gather = len(live) < len(dist)
@@ -183,7 +184,7 @@ def _detectable_density_sums(delta, dist, p_d, meas, p: SensingParams):
         delta, dist = delta.take(live, axis=0), dist.take(live)
     azimuth, inclination = spherical_angles(delta)
     densities = _exp_live(_log_measurement_densities(dist, azimuth, inclination, meas, p))
-    sums = sender_sum(densities)
+    sums = sender_sum(densities) if len(dist) == 1 else densities.sum(axis=0)
     if not gather:
         return sums
     all_sums = np.zeros(len(p_d))

@@ -439,8 +439,9 @@ class TestMeasurementMajorLikelihood:
     @pytest.mark.parametrize("columns", [2, 3, 2000])
     @pytest.mark.parametrize("m", [0, 8, 17, 40])
     def test_density_sums_add_each_particles_returns_in_order(self, m, columns):
-        # each S must be its particle's returns added one at a time, in the
-        # set's order, byte for byte, on grids of two or more columns too
+        # a grid of two or more detectable particles is summed over its
+        # returns by numpy; each S must still be its particle's returns
+        # added one at a time, in the set's order, byte for byte
         rng = np.random.default_rng([9, m, columns])
         s_pos = rng.uniform(0.0, 100.0, 3)
         center = s_pos + [20.0, 5.0, 3.0]
