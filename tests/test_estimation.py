@@ -34,6 +34,7 @@ from cstj_sim.sensing import (
     wrap_azimuth,
 )
 import likelihood_referee
+import mixture_referee
 from oracles import fast_ci_weights, likelihood_by_hypotheses, noise_gain, transition_matrix
 
 MODEL = MotionModel(1.0, (2.0, 2.0, 2.0))
@@ -584,6 +585,63 @@ class TestMeasurementMajorLikelihood:
         assert columns[4:] == [0, 0]
 
 
+def _layouts(array):
+    """``array`` as given, as an F-ordered copy and as a strided view into a larger array."""
+    big = np.full((2 * len(array), array.shape[1] + 1), np.nan)
+    big[::2, 1:] = array
+    return [array, np.asfortranarray(array), big[::2, 1:]]
+
+
+def _lone_detectable_case(seed, n=200):
+    """A cloud beyond detection range but for row 7, 20 m from the sensor, and returns about that row."""
+    rng = np.random.default_rng(seed)
+    s_pos = rng.uniform(0.0, 100.0, 3)
+    directions = rng.normal(size=(n, 3))
+    positions = s_pos + 1.5 * _P_D_ZERO_M * directions / norm(directions)[:, None]
+    positions[7] = s_pos + [20.0, 5.0, 3.0]
+    meas = np.column_stack(spherical_coords(positions[7] + rng.normal(scale=1.0, size=(9, 3)) - s_pos))
+    return np.concatenate([positions, rng.normal(size=(n, 3))], axis=1), meas, s_pos
+
+
+class TestOffsetLayouts:
+    """The likelihood's offsets give the same bytes whatever the memory layout of the states or offsets."""
+
+    @pytest.mark.parametrize("case", ["referee", "edge", "inside", "lone"])
+    @pytest.mark.parametrize("lam", [SENSING.clutter_rate, 0.0])
+    def test_log_set_likelihood_of_any_state_layout(self, case, lam):
+        if case == "referee":
+            states, meas, s_pos = _referee_case(200, 9, seed=9010)
+        elif case == "lone":
+            states, meas, s_pos = _lone_detectable_case(9011)
+        else:
+            states, meas, s_pos = _undetectable_case(case, 9, seed=9012)
+        returns = meas if lam else meas[:1]
+        expected = _log_set_likelihood(states, returns, s_pos, _with_clutter(lam))
+        layouts = _layouts(states)
+        assert states.flags.c_contiguous and not layouts[1].flags.c_contiguous and not layouts[2].flags.c_contiguous
+        for layout in layouts[1:]:
+            got = _log_set_likelihood(layout, returns, s_pos, _with_clutter(lam))
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", ["all", "some", "one"])
+    def test_density_sums_of_any_offset_layout(self, case):
+        if case == "one":
+            states, meas, s_pos = _lone_detectable_case(9013)
+        else:
+            states, meas, s_pos = _undetectable_case("inside" if case == "all" else "edge", 17, seed=9014)
+        delta = np.ascontiguousarray(states[:, :3] - s_pos)
+        dist = norm(delta)
+        p_d = detection_prob_at_distance(dist, SENSING)
+        detectable = int((p_d > 0.0).sum())
+        assert {"all": detectable == len(p_d), "some": 1 < detectable < len(p_d), "one": detectable == 1}[case]
+        expected = estimation._detectable_density_sums(delta, dist, p_d, meas, SENSING)
+        offsets = [np.ascontiguousarray(delta.T).T, _layouts(delta)[2]]
+        assert offsets[0].flags.f_contiguous and not offsets[1].flags.c_contiguous
+        for layout in offsets:
+            got = estimation._detectable_density_sums(layout, dist, p_d, meas, SENSING)
+            assert got.tobytes() == expected.tobytes()
+
+
 class TestExpCutOff:
     """The numpy in use rounds ``exp`` to exactly 0.0 below the kernel's cut-off."""
 
@@ -764,6 +822,101 @@ class TestUpdate:
         # the draws around the returns halve the error of resampling the cloud alone
         mse = lambda means: ((means - posterior_mean) ** 2).sum(axis=1).mean()
         assert mse(mixed) < 0.75 * mse(plain)
+
+
+# returns about particles of the cloud, which pass the gate; two far ones never do
+_GATED = {"none": 0, "one": 1, "many": 9}
+
+
+def _mixture_case(n, gated, seed):
+    """A seeded update of a 2 m cloud 5 m from the sensor, with velocity tied to position.
+
+    The set holds ``_GATED[gated]`` returns drawn about random particles and
+    two returns far off, shuffled; the prior weights are random. From 200
+    particles on, a return that passes the gate makes the update degenerate.
+    """
+    rng = np.random.default_rng(seed)
+    s_pos = rng.uniform(0.0, 100.0, 3)
+    center = np.concatenate([s_pos + [4.0, 3.0, 2.0], rng.normal(size=3)])
+    gain = 2.0 * np.eye(6)
+    gain[3:, :3] = 0.5 * np.eye(3)
+    states = center + rng.normal(size=(n, 6)) @ gain.T
+    near = states[rng.integers(n, size=_GATED[gated]), :3] + rng.normal(scale=0.1, size=(_GATED[gated], 3))
+    far = s_pos + [[120.0, -40.0, 30.0], [-90.0, 80.0, -20.0]] + rng.normal(size=(2, 3))
+    positions = np.concatenate([near, far])[rng.permutation(_GATED[gated] + 2)]
+    meas = np.array([sample_measurement(spherical_coords(x - s_pos), SENSING, rng) for x in positions])
+    weights = rng.random(n)
+    ps = ParticleSet(states, weights / weights.sum())
+    log_w = np.log(ps.weights) + _log_set_likelihood(ps.states, meas, s_pos, SENSING)
+    return ps, log_w, meas, s_pos
+
+
+def _singular_case(n):
+    """n (a power of two) equally weighted particles whose x and y are equal and +-2**30: an exactly singular fit.
+
+    Every sum and product of the fit is exact in any order: the mean is 0,
+    the x, y block is 2**60 in all four entries, and 1e-9 is below half its
+    ulp, so the Cholesky factor's second pivot is exactly 0.
+    """
+    states = np.zeros((n, 6))
+    states[:, :2] = np.where(np.arange(n) % 2, 2.0**30, -(2.0**30))[:, None]
+    return ParticleSet(states, np.full(n, 1.0 / n))
+
+
+class TestMixtureReferee:
+    """``_mixture_resample`` against its verbatim referee, byte for byte, with the same draws.
+
+    A last-bit change in the balance weights seldom moves a systematic
+    draw, so the weights each one is handed (the components' and the final
+    ones) must match byte for byte too.
+    """
+
+    @staticmethod
+    def _assert_matches(monkeypatch, ps, log_w, meas, s_pos):
+        handed = {estimation: [], mixture_referee: []}
+
+        def spy(calls):
+            def resample(weights, *args):
+                calls.append(weights.tobytes())
+                return _systematic_resample(weights, *args)
+
+            return resample
+
+        for module, calls in handed.items():
+            monkeypatch.setattr(module, "_systematic_resample", spy(calls))
+        got_rng, want_rng = np.random.default_rng(19), np.random.default_rng(19)
+        got = estimation._mixture_resample(ps, log_w, meas, s_pos, SENSING, got_rng)
+        expected = mixture_referee._mixture_resample(ps, log_w, meas, s_pos, SENSING, want_rng)
+        if expected is None:
+            assert got is None
+        else:
+            assert got.flags.c_contiguous and got.tobytes() == expected.tobytes()
+        assert handed[estimation] == handed[mixture_referee]
+        assert got_rng.random() == want_rng.random()
+        return got
+
+    @pytest.mark.parametrize("gated", list(_GATED))
+    @pytest.mark.parametrize("n", [1, 2, 200, 2000])
+    def test_matches_referee(self, monkeypatch, n, gated):
+        ps, log_w, meas, s_pos = _mixture_case(n, gated, seed=[n, _GATED[gated]])
+        passed = estimation._gated_returns(meas, s_pos, *estimation._moments(ps), SENSING)
+        if gated == "none":
+            assert passed is None
+        else:
+            assert len(passed[3]) == 1 if gated == "one" else len(passed[3]) >= 8
+        if n >= 200 and gated != "none":
+            weights = np.exp(log_w - log_w.max())
+            assert effective_sample_size(weights / weights.sum()) < n / 2
+        got = self._assert_matches(monkeypatch, ps, log_w, meas, s_pos)
+        assert (got is None) == (gated == "none")
+
+    @pytest.mark.parametrize("n", [2, 256, 2048])
+    def test_singular_fit_matches_referee(self, monkeypatch, n):
+        ps = _singular_case(n)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(estimation._moments(ps)[1] + estimation._COV_JITTER * np.eye(6))
+        _, log_w, meas, s_pos = _mixture_case(n, "many", seed=[n, 99])
+        assert self._assert_matches(monkeypatch, ps, log_w, meas, s_pos) is None
 
 
 def _read_only_set(states, weights) -> ParticleSet:
