@@ -87,18 +87,6 @@ class TargetState:
         return cls(vec[:3].copy(), vec[3:].copy())
 
 
-@lru_cache(maxsize=None)
-def gaussian_factor(variances: tuple) -> np.ndarray:
-    """Read-only ``(u * sqrt(s)).T`` of the SVD of ``np.diag(variances)``, ``Generator.multivariate_normal``'s factor.
-
-    A -0.0 variance counts as +0.0, so the cached factor does not depend on call order.
-    """
-    u, s, _ = np.linalg.svd(np.diag(variances) + 0.0)
-    factor = (u * np.sqrt(s)).T
-    factor.setflags(write=False)
-    return factor
-
-
 @dataclass(frozen=True)
 class MotionModel:
     """Constant-velocity dynamics driven by white acceleration noise.
@@ -109,7 +97,7 @@ class MotionModel:
 
     dt: float
     accel_var: tuple  # held as floats so that models compare and hash
-    _noise_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    _noise_sd: np.ndarray = field(init=False, repr=False, compare=False)  # sqrt(accel_var), read-only
     _transition: np.ndarray = field(init=False, repr=False, compare=False)  # F: position += dt * velocity
     _gain: np.ndarray = field(init=False, repr=False, compare=False)  # G: acceleration into the state
 
@@ -121,7 +109,9 @@ class MotionModel:
         if not all(0 <= v < math.inf for v in var):
             raise ValueError("accel_var must be finite and >= 0 on every axis")
         object.__setattr__(self, "accel_var", var)
-        object.__setattr__(self, "_noise_factor", gaussian_factor(var))
+        noise_sd = np.sqrt(var)
+        noise_sd.setflags(write=False)
+        object.__setattr__(self, "_noise_sd", noise_sd)
         object.__setattr__(self, "_transition", np.eye(6) + self.dt * np.eye(6, k=3))
         object.__setattr__(self, "_gain", 0.5 * self.dt**2 * np.eye(6, 3) + self.dt * np.eye(6, 3, k=-3))
 
@@ -135,15 +125,8 @@ class MotionModel:
         return states @ self._transition.T + nu @ self._gain.T
 
     def accel_noise(self, rng: np.random.Generator, shape=()) -> np.ndarray:
-        """Acceleration draws of shape (*shape, 3).
-
-        They equal ``rng.multivariate_normal(0, np.diag(accel_var), shape)``
-        bit for bit (the same normals times the same SVD factor, cached by
-        ``gaussian_factor``) without its per-call SVD and validity check.
-        The SVD orders the axes by variance, so unequal variances take their
-        normals in that order, not as ``z * sqrt(accel_var)`` would.
-        """
-        return rng.standard_normal((*shape, 3)) @ self._noise_factor
+        """Acceleration draws of shape (*shape, 3): ``z * sqrt(accel_var)``, one standard normal per axis, in axis order."""
+        return rng.standard_normal((*shape, 3)) * self._noise_sd
 
 
 @dataclass

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MotionModel, TargetState, gaussian_factor, norm
+from .dynamics import MotionModel, TargetState, norm
 from .geometry_rf import sender_sum
 from .sensing import SensingParams, detection_prob_at_distance, spherical_angles, wrap_difference
 
@@ -62,15 +62,10 @@ class Estimate:
 
 
 def init_particles(prior_mean: TargetState, prior_sigma, n: int, rng: np.random.Generator) -> ParticleSet:
-    """Draw n i.i.d. particles, with uniform weights, from the prior of standard deviations ``prior_sigma``.
-
-    The draws are ``rng.multivariate_normal``'s of the diagonal of their squares, by its
-    SVD factor (``gaussian_factor``), which orders the axes by variance, not ``mean + z * prior_sigma``.
-    """
+    """Draw n i.i.d. particles, with uniform weights, as ``mean + z * prior_sigma``: one standard normal per axis, in axis order."""
     if n < 1:
         raise ValueError("particle count must be >= 1")
-    factor = gaussian_factor(tuple(s * s for s in prior_sigma))
-    states = prior_mean.as_vector() + rng.standard_normal((n, 6)) @ factor
+    states = prior_mean.as_vector() + rng.standard_normal((n, 6)) * prior_sigma
     return ParticleSet(states, np.full(n, 1.0 / n))
 
 
@@ -220,7 +215,7 @@ def _log_set_likelihood(states, meas, sensor_pos, p: SensingParams):
     array, so every per-particle pass runs along a contiguous row.
     """
     n_meas = len(meas)
-    delta = np.subtract(states[:, :3].T, np.reshape(sensor_pos, (3, 1)), out=np.empty((3, len(states)))).T
+    delta = np.subtract(states[:, :3].T, sensor_pos[:, None], out=np.empty((3, len(states)))).T
     dist = norm(delta)
     p_d = detection_prob_at_distance(dist, p)
     lam = p.clutter_rate

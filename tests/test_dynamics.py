@@ -10,7 +10,6 @@ from cstj_sim.dynamics import (
     MotionModel,
     TargetState,
     enumerate_actions,
-    gaussian_factor,
     norm,
     step_target,
 )
@@ -34,21 +33,6 @@ class TestTargetState:
     def test_accepts_the_largest_finite_components(self):
         big = np.finfo(float).max
         assert TargetState.from_vector([big, -big, 0.0, -0.0, big, -big]).as_vector()[0] == big
-
-
-class TestGaussianFactor:
-    def test_signed_zero_variances_share_one_factor_whichever_comes_first(self):
-        # the cache keys -0.0 as +0.0, so both must get the factor of +0.0
-        factors = []
-        for first in ((-0.0, 2.0, 0.5), (0.0, 2.0, 0.5)):
-            gaussian_factor.cache_clear()
-            factors.append(gaussian_factor(first))
-        assert factors[0].tobytes() == factors[1].tobytes()
-
-    def test_factor_is_read_only_and_shared(self):
-        factor = MotionModel(0.5, (0.5, 2.0, 0.0))._noise_factor
-        assert not factor.flags.writeable
-        assert MotionModel(2.0, [0.5, 2.0, 0.0])._noise_factor is factor
 
 
 class TestStepTarget:
@@ -76,14 +60,26 @@ class TestStepTarget:
         assert np.all(np.abs(positions.mean(axis=0) - expected) < 3 * std_err)
 
     def test_noise_covariance_converges(self):
-        rng = np.random.default_rng(7)
-        n = 100_000
-        nu = rng.multivariate_normal(np.zeros(3), np.diag(MODEL.accel_var), size=n)
-        draws = MODEL.advance(np.zeros((n, 6)), nu)
-        sample_cov = np.cov(draws.T, bias=True)
-        gain = noise_gain(MODEL.dt)
-        expected = gain @ np.diag(MODEL.accel_var) @ gain.T
+        # unequal, unsorted variances with a zero: each axis keeps its own, in axis order
+        model = MotionModel(1.0, (0.5, 2.0, 0.0))
+        n = 20_000
+        nu = model.accel_noise(np.random.default_rng(7), (n,))
+        var = np.array(model.accel_var)
+        assert np.all(np.abs(nu.var(axis=0) - var) <= 4 * var * math.sqrt(2 / n))
+        assert np.all(nu[:, 2] == 0.0)
+        sample_cov = np.cov(model.advance(np.zeros((n, 6)), nu).T, bias=True)
+        gain = noise_gain(model.dt)
+        expected = gain @ np.diag(var) @ gain.T
         assert np.abs(sample_cov - expected).max() < 0.05 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 5)])
+    def test_accel_noise_is_z_times_sd_bit_for_bit(self, shape):
+        model = MotionModel(0.5, (0.5, 2.0, 0.0))
+        ours, ref = np.random.default_rng(9), np.random.default_rng(9)
+        got = model.accel_noise(ours, shape)
+        assert got.shape == (*shape, 3)
+        assert got.tobytes() == (ref.standard_normal((*shape, 3)) * np.sqrt(model.accel_var)).tobytes()
+        assert ours.random() == ref.random()
 
     def test_transition_matrix_composition(self):
         # without noise, a step of 0.5 s then one of 1.5 s is one step of 2 s

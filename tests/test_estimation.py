@@ -100,14 +100,25 @@ class TestInitParticles:
         assert np.all(np.abs(ps.states.mean(axis=0) - mean.as_vector()) < 3 * std_err)
 
     @pytest.mark.parametrize("n", [1, 200, 2000])
-    def test_draws_are_multivariate_normal_bit_for_bit(self, n):
-        # unequal sigmas with zeros: the SVD factor permutes the axes, which mean + z * sigma would not
+    def test_draws_are_mean_plus_z_times_sigma_bit_for_bit(self, n):
+        # unequal, unsorted sigmas with zeros: each axis takes its own normal, in axis order
         mean = TargetState([1.0, -2.0, 3.0], [0.5, 0.0, -0.5])
         for seed in range(10):
             sigma = np.random.default_rng(seed).uniform(0.0, 10.0, 6) * (np.arange(6) % 3 != seed % 3)
-            ps = init_particles(mean, sigma, n, np.random.default_rng([n, seed]))
-            want = np.random.default_rng([n, seed]).multivariate_normal(mean.as_vector(), np.diag(sigma**2), n)
+            ours, ref = np.random.default_rng([n, seed]), np.random.default_rng([n, seed])
+            ps = init_particles(mean, sigma, n, ours)
+            want = mean.as_vector() + ref.standard_normal((n, 6)) * sigma
             assert ps.states.tobytes() == want.tobytes()
+            assert ours.random() == ref.random()  # the stream advanced alike
+
+    def test_each_axis_has_its_own_variance(self):
+        sigma = np.array([0.5, 3.0, 1.0, 2.0, 0.0, 4.0])
+        mean = TargetState([1.0, -2.0, 3.0], [0.5, -7.0, -0.5])
+        n = 20_000
+        states = init_particles(mean, sigma, n, np.random.default_rng(21)).states
+        var = sigma**2
+        assert np.all(np.abs(states.var(axis=0) - var) <= 4 * var * math.sqrt(2 / n))
+        assert np.all(states[:, 4] == -7.0)
 
 
 class TestPredict:
@@ -133,22 +144,22 @@ class TestPredict:
         # noise and prior spread both contribute Monte-Carlo error
         assert np.abs(out.weights @ out.states - expected).max() < 0.05
 
-    def test_noise_is_multivariate_normal_bit_for_bit(self):
-        # unequal variances with a zero: the SVD factor permutes the axes, which z * sqrt(var) would not
+    def test_noise_is_z_times_sd_bit_for_bit(self):
+        # unequal, unsorted variances with a zero: each axis takes its own normal, in axis order
         rng = np.random.default_rng(14)
         model = MotionModel(0.5, (0.5, 2.0, 0.0))
-        cov = np.diag(model.accel_var)
+        sd = np.sqrt(model.accel_var)
         ps = ParticleSet(rng.normal(size=(50, 6)), np.full(50, 1 / 50))
         ours, ref = np.random.default_rng(15), np.random.default_rng(15)
-        nu = ref.multivariate_normal(np.zeros(3), cov, size=50)
+        nu = ref.standard_normal((50, 3)) * sd
         expected = ps.states @ transition_matrix(model.dt).T + nu @ noise_gain(model.dt).T
         np.testing.assert_array_equal(predict(ps, model, ours).states, expected)
         assert ours.random() == ref.random()  # the stream advanced alike
 
-        # the drone's own step draws through the same factor
+        # the drone's own step draws the same way
         truth = TargetState.from_vector(ps.states[0])
         for _ in range(5):
-            nu = ref.multivariate_normal(np.zeros(3), cov)
+            nu = ref.standard_normal(3) * sd
             expected = np.concatenate(
                 [
                     truth.position + model.dt * truth.velocity + 0.5 * model.dt**2 * nu,
@@ -185,7 +196,7 @@ class TestLikelihood:
         x = TargetState([10.0, 0, 0], [0, 0, 0])
         p_d = 0.99  # inside full-detection radius is 0.99 only within 11.5 m; here d=10
         expected = (1 - (SENSING.p_d_max - SENSING.eta_per_m * (10 - 2))) * math.exp(-15.0)
-        got = np.exp(_log_set_likelihood(x.as_vector()[None, :], np.empty((0, 3)), [0, 0, 0], SENSING))[0]
+        got = np.exp(_log_set_likelihood(x.as_vector()[None, :], np.empty((0, 3)), np.zeros(3), SENSING))[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_blind_sensor_clutter_only(self):
@@ -194,7 +205,7 @@ class TestLikelihood:
         measurements = _random_measurements(rng, 3)
         expected = math.exp(-15.0) * (15.0 * blind.clutter_density) ** 3
         x = TargetState([5.0, 0, 0], [0, 0, 0])
-        got = np.exp(_log_set_likelihood(x.as_vector()[None, :], measurements, [0, 0, 0], blind))[0]
+        got = np.exp(_log_set_likelihood(x.as_vector()[None, :], measurements, np.zeros(3), blind))[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_matches_hypothesis_enumeration(self):
@@ -691,7 +702,7 @@ class TestUpdate:
         weights = rng.random(100)
         weights /= weights.sum()
         ps = ParticleSet(states, weights)
-        out, uninformative = update(ps, np.empty((0, 3)), [0, 0, 0], flat, rng)
+        out, uninformative = update(ps, np.empty((0, 3)), np.zeros(3), flat, rng)
         assert not uninformative
         np.testing.assert_allclose(out.weights, weights, rtol=1e-12)
 
@@ -718,7 +729,7 @@ class TestUpdate:
         states = rng.normal(size=(50, 6))
         ps = ParticleSet(states, np.full(50, 1 / 50))
         # two measurements cannot both be explained with the clutter process off
-        out, uninformative = update(ps, _random_measurements(rng, 2), [0, 0, 0], silent, rng)
+        out, uninformative = update(ps, _random_measurements(rng, 2), np.zeros(3), silent, rng)
         assert uninformative
         np.testing.assert_array_equal(out.weights, ps.weights)
 
@@ -738,11 +749,12 @@ class TestUpdate:
         rng = np.random.default_rng(10)
         truth = TargetState([30.0, 30, 30], [0, 0, 0])
         ps = init_particles(truth, (5.0, 5.0, 5.0, 1.0, 1.0, 1.0), 500, rng)
+        sensor = np.array([25.0, 25, 25])
         for _ in range(10):
             ps = predict(ps, MODEL, rng)
             truth = step_target(truth, MODEL, rng)
-            measurements = collect(truth, [25.0, 25, 25], SENSING, rng)
-            ps, _ = update(ps, measurements, [25.0, 25, 25], SENSING, rng)
+            measurements = collect(truth, sensor, SENSING, rng)
+            ps, _ = update(ps, measurements, sensor, SENSING, rng)
             assert abs(ps.weights.sum() - 1.0) <= 1e-9
 
     def test_resampling_preserves_mean_in_expectation(self):
@@ -755,7 +767,7 @@ class TestUpdate:
         spread = states.std(axis=0).max()
         for _ in range(1000):
             ps = ParticleSet(states, weights)
-            out, _ = update(ps, np.empty((0, 3)), [0, 0, 0], _flat_sensing(), rng)
+            out, _ = update(ps, np.empty((0, 3)), np.zeros(3), _flat_sensing(), rng)
             assert np.allclose(out.weights, 1 / 200)  # ESS of peaked weights triggers resample
             means.append(out.weights @ out.states)
         std_err = spread / math.sqrt(1000 * effective_sample_size(weights))
@@ -768,12 +780,12 @@ class TestUpdate:
         near, far = rng.normal(size=(150, 6)) + [5.0, 0, 0, 0, 0, 0], rng.normal(size=(50, 6)) + [200.0, 0, 0, 0, 0, 0]
         ps = ParticleSet(np.concatenate([near, far]), np.full(200, 1 / 200))
         empty = np.empty((0, 3))
-        log_w = np.log(ps.weights) + _log_set_likelihood(ps.states, empty, [0, 0, 0], SENSING)
+        log_w = np.log(ps.weights) + _log_set_likelihood(ps.states, empty, np.zeros(3), SENSING)
         weights = np.exp(log_w - log_w.max())
         weights /= weights.sum()
         assert effective_sample_size(weights) < 100  # the missed detections near the sensor make it degenerate
         got_rng, want_rng = np.random.default_rng(17), np.random.default_rng(17)
-        out, uninformative = update(ps, empty, [0, 0, 0], SENSING, got_rng)
+        out, uninformative = update(ps, empty, np.zeros(3), SENSING, got_rng)
         assert not uninformative
         assert out.states.tobytes() == ps.states[_systematic_resample(weights, want_rng, 200)].tobytes()
         assert got_rng.random() == want_rng.random()

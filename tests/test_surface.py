@@ -39,9 +39,9 @@ Only the records convert input to float arrays: ``asarray`` and
 ``asanyarray`` appear only in a ``__post_init__`` and in ``_CONVERTERS``;
 every other function takes the float arrays its callers give.
 
-Only ``dynamics.gaussian_factor`` factorises a covariance for Gaussian
-draws: no package code refers to ``multivariate_normal``, which repeats the
-SVD on every call, and only that helper refers to ``svd``.
+No package code factorises a covariance for Gaussian draws: every draw is
+diagonal, ``z * sigma`` in axis order, so no package code refers to
+``multivariate_normal`` (an SVD on every call) or to ``svd``.
 """
 
 import ast
@@ -505,19 +505,16 @@ def test_guard_sees_a_conversion(tmp_path):
 
 
 def gaussian_factorisations(package: Path = PACKAGE) -> list[str]:
-    """``module:line`` of each ``multivariate_normal`` reference, and of each ``svd`` one outside ``gaussian_factor``."""
+    """``module:line`` of each ``multivariate_normal`` or ``svd`` reference."""
     found = []
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        owned = _owned(tree, lambda name: (path.stem, name) == ("dynamics", "gaussian_factor"))
-        for node in ast.walk(tree):
-            name = getattr(node, "id", getattr(node, "attr", None))
-            if name == "multivariate_normal" or (name == "svd" and id(node) not in owned):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if getattr(node, "id", getattr(node, "attr", None)) in ("multivariate_normal", "svd"):
                 found.append(f"{path.stem}:{node.lineno}")
     return found
 
 
-def test_one_svd_factors_the_gaussian_draws():
+def test_no_gaussian_draw_factorises_a_covariance():
     assert gaussian_factorisations() == []
 
 
@@ -535,4 +532,4 @@ def test_guard_sees_a_gaussian_factorisation(tmp_path):
         "def gaussian_factor(v):\n    return svd(v)\n",
         encoding="utf-8",
     )
-    assert sorted(gaussian_factorisations(package)) == ["a:5", "dynamics:9"]
+    assert sorted(gaussian_factorisations(package)) == ["a:5", "dynamics:5", "dynamics:9"]
