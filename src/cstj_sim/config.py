@@ -5,20 +5,19 @@ metres, seconds, radians, and dB. Every key is written back in the one text
 form it is read in, so an emitted config parses back to an equal one.
 
 This module only parses: it turns text into values and builds the parameter
-records from them. Each range rule lives in the record that holds the value
+records from them. Each rule on a value lives in the record that holds it
 (``ScenarioConfig``, ``MotionModel``, ``ActionGrid``, ``SensingParams``,
-``AntennaParams``, ``RfParams``), whose ``ValueError`` message starts with
-the fields it refuses; the parser reports it under the keys of those fields.
-The only rules here are those of the text: number syntax, finiteness, the
-count of comma-separated values, and the leading ``off`` of the power levels.
+``AntennaParams``, ``RfParams``): its range, finiteness, count of values and
+the leading ``off`` of the power levels. A record's ``ValueError`` message
+starts with the fields it refuses, and the parser reports it under the keys
+of those fields. The parser's only rule is number syntax.
 """
 
 from __future__ import annotations
 
-import math
 import re
 
-from .dynamics import ActionGrid, MotionModel, TargetState
+from .dynamics import ActionGrid, MotionModel, TargetState, float_tuple
 from .geometry_rf import AntennaParams, RfParams
 from .sensing import SensingParams
 from .sim import ScenarioConfig
@@ -30,12 +29,9 @@ class ConfigError(ValueError):
 
 def _parse_float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ConfigError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"value must be finite: {text!r}")
-    return value
 
 
 def _parse_int(text: str) -> int:
@@ -45,18 +41,14 @@ def _parse_int(text: str) -> int:
         raise ConfigError(f"not an integer: {text!r}") from None
 
 
-def _parse_floats(text: str, expect: int | None = None) -> list[float]:
-    parts = [p.strip() for p in text.split(",")]
-    if expect is not None and len(parts) != expect:
-        raise ConfigError(f"expected {expect} comma-separated values, got {len(parts)}")
-    return [_parse_float(p) for p in parts]
+def _parse_floats(text: str) -> list[float]:
+    return [_parse_float(p.strip()) for p in text.split(",")]
 
 
 def _parse_levels(text: str) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    if parts[0].lower() != "off":
-        raise ConfigError("power levels must start with 'off'")
-    return (None, *[_parse_float(p) for p in parts[1:]])
+    """A leading ``off`` becomes None; ``RfParams`` refuses levels that lack it."""
+    head, *rest = [p.strip() for p in text.split(",")]
+    return (None if head.lower() == "off" else _parse_float(head), *map(_parse_float, rest))
 
 
 def _fmt_float(value: float) -> str:
@@ -67,16 +59,13 @@ def _fmt_floats(values) -> str:
     return ",".join(_fmt_float(v) for v in values)
 
 
-def _floats(expect: int | None = None):
-    return (lambda text: _parse_floats(text, expect), _fmt_floats)
-
-
 # (parse, format) pairs
 _TEXT = (str, str)
 _INT = (_parse_int, str)
 _FLOAT = (_parse_float, _fmt_float)
+_FLOATS = (_parse_floats, _fmt_floats)
 _TARGET = (
-    lambda text: TargetState.from_vector(_parse_floats(text, 6)) if text else None,
+    lambda text: TargetState.from_vector(float_tuple("target_init", _parse_floats(text), 6)) if text else None,
     lambda state: "" if state is None else _fmt_floats(state.as_vector()),
 )
 _LEVELS = (_parse_levels, lambda levels: ",".join(["off", *map(_fmt_float, levels[1:])]))
@@ -99,14 +88,14 @@ _KEYS = {
     "sim.agents": (None, "n_agents", _INT, "number of pursuing UAVs, >= 1"),
     "sim.steps": (None, "n_steps", _INT, "steps per trial, >= 1"),
     "sim.trials": (None, "n_trials", _INT, "Monte-Carlo trials, >= 1"),
-    "arena.min_m": (None, "arena_min", _floats(3), "arena lower corner, metres (x,y,z)"),
-    "arena.max_m": (None, "arena_max", _floats(3), "arena upper corner, metres (x,y,z)"),
+    "arena.min_m": (None, "arena_min", _FLOATS, "arena lower corner, metres (x,y,z)"),
+    "arena.max_m": (None, "arena_max", _FLOATS, "arena upper corner, metres (x,y,z)"),
     "target.init_state": (None, "target_init", _TARGET, "fixed drone start (x,y,z,vx,vy,vz); empty = random per trial"),
-    "prior.sigma": (None, "prior_sigma", _floats(6), "initial-prior std devs (m,m,m,m/s,m/s,m/s)"),
+    "prior.sigma": (None, "prior_sigma", _FLOATS, "initial-prior std devs (m,m,m,m/s,m/s,m/s)"),
     "spawn.radius_m": (None, "spawn_radius_m", _FLOAT, "agent spawn sphere radius around the drone, metres"),
     "motion.dt_s": ("motion", "dt", _FLOAT, "step length, seconds"),
-    "motion.accel_var": ("motion", "accel_var", _floats(3), "acceleration-noise variances, (m/s^2)^2 (x,y,z)"),
-    "actions.radial_steps_m": ("actions", "radial_steps_m", _floats(), "move radii, metres"),
+    "motion.accel_var": ("motion", "accel_var", _FLOATS, "acceleration-noise variances, (m/s^2)^2 (x,y,z)"),
+    "actions.radial_steps_m": ("actions", "radial_steps_m", _FLOATS, "move radii, metres"),
     "actions.n_phi": ("actions", "n_phi", _INT, "polar divisions of the move lattice, >= 1"),
     "actions.n_theta": ("actions", "n_theta", _INT, "azimuthal divisions of the move lattice, >= 1"),
     "sensing.p_d_max": ("sensing", "p_d_max", _FLOAT, "peak detection probability, [0, 1]"),

@@ -44,6 +44,18 @@ def check_count(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}")
 
 
+def check_range(name: str, *values, low=-math.inf, high=math.inf, low_in=False, high_in=False) -> None:
+    """Raise a ``ValueError`` that names ``name`` unless every value lies between ``low`` and ``high``.
+
+    Each end is open unless ``low_in`` or ``high_in`` closes it, so the
+    default bounds mean "finite". Every comparison is False for NaN, so NaN
+    never passes.
+    """
+    for value in values:
+        if not ((low <= value if low_in else low < value) and (value <= high if high_in else value < high)):
+            raise ValueError(f"{name} must lie in {'[' if low_in else '('}{low}, {high}{']' if high_in else ')'}")
+
+
 def norm(delta: np.ndarray) -> np.ndarray:
     """Euclidean length over the trailing (..., 3) axis of a float array.
 
@@ -102,12 +114,9 @@ class MotionModel:
     _gain: np.ndarray = field(init=False, repr=False, compare=False)  # G: acceleration into the state
 
     def __post_init__(self):
-        # written so that NaN and inf fail them
-        if not 0 < self.dt < math.inf:
-            raise ValueError("dt must be finite and > 0")
+        check_range("dt", self.dt, low=0, high=1e154)  # the gain's dt**2 raises OverflowError above about 1.34e154
         var = float_tuple("accel_var", self.accel_var, 3)
-        if not all(0 <= v < math.inf for v in var):
-            raise ValueError("accel_var must be finite and >= 0 on every axis")
+        check_range("accel_var", *var, low=0, low_in=True)
         object.__setattr__(self, "accel_var", var)
         noise_sd = np.sqrt(var)
         noise_sd.setflags(write=False)
@@ -150,9 +159,9 @@ class ActionGrid:
 
     def __post_init__(self):
         steps = float_tuple("radial_steps_m", self.radial_steps_m)
-        # written so that NaN fails the check
-        if len(steps) == 0 or not all(0 < r < math.inf for r in steps):
-            raise ValueError("radial_steps_m must be nonempty with all steps finite and > 0")
+        if not steps:
+            raise ValueError("radial_steps_m must hold at least one step")
+        check_range("radial_steps_m", *steps, low=0)
         check_count("n_phi", self.n_phi, 1)
         check_count("n_theta", self.n_theta, 1)
         object.__setattr__(self, "radial_steps_m", steps)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import norm
+from .dynamics import check_range, float_tuple, norm
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,8 @@ class AntennaParams:
     opening_angle_rad: float
 
     def __post_init__(self):
-        # written so that NaN and inf fail it
-        if not 0 < self.effective_range_m < math.inf:
-            raise ValueError("effective_range_m must be finite and > 0")
-        if not 0.0 < self.opening_angle_rad < math.pi:
-            raise ValueError("opening_angle_rad must lie in (0, pi)")
+        check_range("effective_range_m", self.effective_range_m, low=0)
+        check_range("opening_angle_rad", self.opening_angle_rad, low=0, high=math.pi)
 
 
 @dataclass(frozen=True)
@@ -52,18 +49,14 @@ class RfParams:
     levels_db: np.ndarray = field(init=False, repr=False, compare=False)  # power_db's read-only table, -inf for off
 
     def __post_init__(self):
-        # written so that NaN and inf fail it
-        if not 0 < self.path_loss_exponent < math.inf:
-            raise ValueError("path_loss_exponent must be finite and > 0")
+        check_range("path_loss_exponent", self.path_loss_exponent, low=0)
         levels = tuple(self.power_levels_db)
         if len(levels) < 1 or levels[0] is not None:
             raise ValueError("power_levels_db must start with the 'off' entry")
-        on = [float(v) for v in levels[1:]]
         for name in ("near_field_loss_db", "attenuation_db", "interference_threshold_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite dB value")
-        if not all(math.isfinite(v) for v in on):
-            raise ValueError("power_levels_db must be finite dB values after 'off'")
+            check_range(name, getattr(self, name))
+        on = float_tuple("power_levels_db", levels[1:])  # a second None becomes NaN, which the check refuses
+        check_range("power_levels_db", *on)
         if any(b <= a for a, b in zip(on, on[1:])):
             raise ValueError("power_levels_db must be strictly increasing after 'off'")
         object.__setattr__(self, "power_levels_db", (None, *on))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TargetState, norm
+from .dynamics import TargetState, check_range, norm
 
 
 # the period of both angle maps, as a Python float so that a float angle stays one
@@ -83,17 +83,13 @@ class SensingParams:
     rho_max_m: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p_d_max <= 1.0:
-            raise ValueError("p_d_max must lie in [0, 1]")
-        # each check is written so that NaN and inf fail it
+        check_range("p_d_max", self.p_d_max, low=0, high=1, low_in=True, high_in=True)
         for name in ("eta_per_m", "r0_m", "beta_rho", "clutter_rate"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+            check_range(name, getattr(self, name), low=0, low_in=True)
         for name in ("sigma_theta_rad", "sigma_phi_rad", "sigma_rho0_m"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
-        if not 0 < self.rho_max_m < math.inf:
-            raise ValueError("rho_max_m must be finite and > 0 (measurement space must have volume)")
+            check_range(name, getattr(self, name), low=0)
+        check_range("rho_max_m", self.rho_max_m, low=0)
+        check_range("rho_max_m's clutter density", self.clutter_density, low=0)  # inf or 0 at the float limits
 
     @property
     def clutter_density(self) -> float:

@@ -34,6 +34,7 @@ from .dynamics import (
     MotionModel,
     TargetState,
     check_count,
+    check_range,
     enumerate_actions,
     float_tuple,
     norm,
@@ -112,18 +113,14 @@ class ScenarioConfig:
             check_count(name, getattr(self, name), 1)
         if not (self.target_init is None or isinstance(self.target_init, TargetState)):
             raise ValueError(f"target_init must be a TargetState or None, got {type(self.target_init).__name__}")
-        # each check is written so that NaN fails it
-        low, high = np.array(self.arena_min), np.array(self.arena_max)
-        if not (np.isfinite(low).all() and np.isfinite(high).all() and (high > low).all()):
-            raise ValueError("arena_min and arena_max must be finite, with arena_max above arena_min on every axis")
-        if not all(0 <= s < np.inf for s in self.prior_sigma):
-            raise ValueError("prior_sigma must be finite and >= 0 on every axis")
-        if not 0 < self.spawn_radius_m < np.inf:
-            raise ValueError("spawn_radius_m must be finite and > 0")
-        if not 0.0 <= self.tracking_threshold <= 1.0:
-            raise ValueError("tracking_threshold must lie in [0, 1]")
-        if not np.isfinite(self.ct_power_db):
-            raise ValueError("ct_power_db must be a finite dB value")
+        check_range("arena_min", *self.arena_min)
+        check_range("arena_max", *self.arena_max)
+        if not all(low < high for low, high in zip(self.arena_min, self.arena_max)):
+            raise ValueError("arena_min and arena_max must bound the arena: arena_max above arena_min on every axis")
+        check_range("prior_sigma", *self.prior_sigma, low=0, low_in=True)
+        check_range("spawn_radius_m", self.spawn_radius_m, low=0)
+        check_range("tracking_threshold", self.tracking_threshold, low=0, high=1, low_in=True, high_in=True)
+        check_range("ct_power_db", self.ct_power_db)
         if self.mode == "ct" and self.ct_power_db not in self.rf.power_levels_db:
             raise ValueError(f"ct_power_db must be one of the transmit levels in ct mode, got {self.ct_power_db}")
 

@@ -250,6 +250,20 @@ def test_unknown_mode_flag_fails_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value", [("motion.dt_s", "1e200"), ("sensing.rho_max_m", "1e308"), ("sensing.rho_max_m", "1e-320")]
+)
+def test_overflowing_scenario_value_fails_before_writing(key, value, tmp_path, capsys):
+    # dt**2 overflows, or the clutter density is 0 or inf: the record refuses it, naming the key
+    path = _config_file(tmp_path)
+    lines = [line for line in path.read_text().splitlines() if not line.startswith(f"{key} ")]
+    path.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not out.exists()
+
+
 def test_run_help_lists_every_key_and_the_seed_priority(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["run", "--help"])

@@ -149,7 +149,7 @@ BAD_VALUES = {
     "target.init_state": ["1,2,3", "1,2,3,4,5,x", "1,2,3,4,5,inf"],
     "prior.sigma": ["1,1,1,1,1", "x,1,1,1,1,1", "1,1,1,1,1,-1"],
     "spawn.radius_m": ["x", "inf", "0"],
-    "motion.dt_s": ["x", "nan", "0", "-1"],
+    "motion.dt_s": ["x", "nan", "0", "-1", "1e200"],
     "motion.accel_var": ["1,1", "1,1,x", "1,1,-1"],
     "actions.radial_steps_m": ["", "1,,2", "1,x", "1,0", "1,-3"],
     "actions.n_phi": ["x", "1.5", "0"],
@@ -162,7 +162,7 @@ BAD_VALUES = {
     "sensing.sigma_rho0_m": ["x", "0"],
     "sensing.beta_rho": ["x", "-0.1"],
     "sensing.lambda_c": ["x", "inf", "-1"],
-    "sensing.rho_max_m": ["x", "0"],
+    "sensing.rho_max_m": ["x", "0", "1e308", "1e-320"],
     "antenna.effective_range_m": ["x", "0"],
     "antenna.opening_angle_rad": ["x", "0", "3.2"],
     "rf.near_field_loss_db": ["x", "inf"],
@@ -265,6 +265,16 @@ _OUT_OF_RANGE = [
     (_DEFAULTS, "n_particles", True),
     (_DEFAULTS.actions, "n_phi", 2.0),
     (_DEFAULTS.actions, "n_theta", True),
+    # open ends: the bound itself is refused
+    (_DEFAULTS.antenna, "opening_angle_rad", math.pi),
+    (_DEFAULTS.sensing, "sigma_phi_rad", 0.0),
+    (_DEFAULTS, "arena_min", [0.0, 100.0, 0.0]),
+    # values the record could not compute with: dt**2 overflows, the clutter density is 0 or inf
+    (_DEFAULTS.motion, "dt", 1e200),
+    (_DEFAULTS.sensing, "rho_max_m", 1e308),
+    (_DEFAULTS.sensing, "rho_max_m", 1e-320),
+    # a second None is no transmit level
+    (_DEFAULTS.rf, "power_levels_db", (None, None, 5.0)),
 ]
 
 
@@ -277,6 +287,26 @@ def test_records_built_in_code_refuse_out_of_range_values(record, field, value):
     # the records hold every range rule, so code that skips the parser is held to them too
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(record, **{field: value})
+
+
+_CLOSED_ENDS = [
+    (_DEFAULTS.sensing, "p_d_max", 0.0),
+    (_DEFAULTS.sensing, "p_d_max", 1.0),
+    (_DEFAULTS, "tracking_threshold", 0.0),
+    (_DEFAULTS, "tracking_threshold", 1.0),
+    *((_DEFAULTS.sensing, name, 0.0) for name in ("eta_per_m", "r0_m", "beta_rho", "clutter_rate")),
+    (_DEFAULTS.motion, "accel_var", (0.0, 0.0, 0.0)),
+    (_DEFAULTS, "prior_sigma", (0.0,) * 6),
+]
+
+
+@pytest.mark.parametrize(
+    "record, field, value",
+    _CLOSED_ENDS,
+    ids=[f"{type(record).__name__}.{field}={value}" for record, field, value in _CLOSED_ENDS],
+)
+def test_records_accept_their_closed_ends(record, field, value):
+    assert getattr(dataclasses.replace(record, **{field: value}), field) == value
 
 
 def test_key_table_maps_once_to_every_field():

@@ -42,6 +42,11 @@ every other function takes the float arrays its callers give.
 No package code factorises a covariance for Gaussian draws: every draw is
 diagonal, ``z * sigma`` in axis order, so no package code refers to
 ``multivariate_normal`` (an SVD on every call) or to ``svd``.
+
+Every range rule on a value goes through ``dynamics.check_range``, whose
+comparisons NaN always fails: no package code writes a chained comparison
+(``a < b < c``, the hand-written range idiom), and ``config`` refers to no
+``isfinite``, since finiteness is a rule of the records, not of the parser.
 """
 
 import ast
@@ -533,3 +538,37 @@ def test_guard_sees_a_gaussian_factorisation(tmp_path):
         encoding="utf-8",
     )
     assert sorted(gaussian_factorisations(package)) == ["a:5", "dynamics:5", "dynamics:9"]
+
+
+def hand_written_ranges(package: Path = PACKAGE) -> list[str]:
+    """``module:line`` of each chained comparison in the package, and of each ``isfinite`` reference in ``config``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            chained = isinstance(node, ast.Compare) and len(node.ops) > 1
+            name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))  # an import's alias too
+            finite = path.stem == "config" and name == "isfinite"
+            if chained or finite:
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_every_range_rule_is_check_range():
+    assert hand_written_ranges() == []
+
+
+def test_guard_sees_a_hand_written_range(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "config.py").write_text(
+        "import math\nfrom math import isfinite\n\n\n"
+        "def parse(text):\n    value = float(text)\n    return value if math.isfinite(value) else None\n",
+        encoding="utf-8",
+    )
+    (package / "sensing.py").write_text(
+        "import math\n\n\n"
+        "def check(p, r):\n    if not 0.0 <= p <= 1.0 or r < 0:\n        raise ValueError(p)\n"
+        "    return math.isfinite(r) and 0 < r < math.inf > 1\n",
+        encoding="utf-8",
+    )
+    assert sorted(hand_written_ranges(package)) == ["config:2", "config:7", "sensing:5", "sensing:7"]
