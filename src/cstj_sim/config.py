@@ -10,7 +10,8 @@ records from them. Each rule on a value lives in the record that holds it
 ``AntennaParams``, ``RfParams``): its range, finiteness, count of values and
 the leading ``off`` of the power levels. A record's ``ValueError`` message
 starts with the fields it refuses, and the parser reports it under the keys
-of those fields. The parser's only rule is number syntax.
+of those fields that the input set, or of all of them if it set none. The
+parser's only rule is number syntax.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def parse_config_text(text: str, overrides: dict | None = None, fallbacks: dict 
     if unknown:
         raise ConfigError("unknown configuration keys: " + ", ".join(unknown))
     values.update(raw)
-    return _build(values)
+    return _build(values, raw)
 
 
 def parse_config(path, overrides: dict | None = None, fallbacks: dict | None = None) -> ScenarioConfig:
@@ -185,8 +186,8 @@ def parse_config(path, overrides: dict | None = None, fallbacks: dict | None = N
     return parse_config_text(text, overrides=overrides, fallbacks=fallbacks)
 
 
-def _build(values: dict[str, str]) -> ScenarioConfig:
-    """Parse each value, naming its key on a parse error, then build the records."""
+def _build(values: dict[str, str], given) -> ScenarioConfig:
+    """Parse each value, naming its key on a parse error, then build the records; ``given`` holds the keys set."""
     args: dict = {record: {} for record in (None, *_RECORDS)}
     for key, (record, name, (parse, _), _) in _KEYS.items():
         if key in values:
@@ -195,22 +196,23 @@ def _build(values: dict[str, str]) -> ScenarioConfig:
             except ValueError as err:  # ConfigError included
                 raise ConfigError(f"{key}: {err}") from None
     for record, cls in _RECORDS.items():
-        args[None][record] = _record(cls, args[record], record, values)
-    return _record(ScenarioConfig, args[None], None, values)
+        args[None][record] = _record(cls, args[record], record, given)
+    return _record(ScenarioConfig, args[None], None, given)
 
 
-def _record(cls, kwargs: dict, record: str | None, keys):
-    """``cls(**kwargs)``; a refusal names each of ``keys`` whose field the record names.
+def _record(cls, kwargs: dict, record: str | None, given):
+    """``cls(**kwargs)``; a refusal names the keys of the fields it refuses, those in ``given`` if there are any.
 
     A record's ``ValueError`` message starts with the fields it refuses,
-    followed by "must".
+    followed by "must". ``ScenarioConfig`` names a field of one of its
+    records by its path, such as ``motion.dt``.
     """
     try:
         return cls(**kwargs)
     except ValueError as err:
-        words = set(re.findall(r"\w+", str(err).partition(" must")[0]))
-        named = [key for key in keys if _KEYS[key][0] == record and _KEYS[key][1] in words]
-        raise ConfigError(f"{', '.join(named)}: {err}") from None
+        paths = set(re.findall(r"[\w.]+", str(err).partition(" must")[0]))
+        named = [key for key, (rec, name, *_) in _KEYS.items() if (name if rec == record else f"{rec}.{name}") in paths]
+        raise ConfigError(f"{', '.join([key for key in named if key in given] or named)}: {err}") from None
 
 
 # the rows of each preset arm, over the rows all arms share; rows equal to a

@@ -111,7 +111,7 @@ def solve_jamming(
     """
     limit_db = rf.interference_threshold_db
     aim = predicted_target.position
-    tx_db = rf.power_db([r.power_index for r in decided])[:, None]
+    tx_db = rf.levels_db[[r.power_index for r in decided]][:, None]
     tx_pos = np.array([r.chosen_position for r in decided]).reshape(-1, 1, 3)
     tx_aim = np.array([r.aim_point for r in decided]).reshape(-1, 1, 3)
 

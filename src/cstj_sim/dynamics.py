@@ -109,7 +109,7 @@ class MotionModel:
 
     dt: float
     accel_var: tuple  # held as floats so that models compare and hash
-    _noise_sd: np.ndarray = field(init=False, repr=False, compare=False)  # sqrt(accel_var), read-only
+    _noise_sd: np.ndarray = field(init=False, repr=False, compare=False)  # sqrt(accel_var)
     _transition: np.ndarray = field(init=False, repr=False, compare=False)  # F: position += dt * velocity
     _gain: np.ndarray = field(init=False, repr=False, compare=False)  # G: acceleration into the state
 
@@ -118,11 +118,13 @@ class MotionModel:
         var = float_tuple("accel_var", self.accel_var, 3)
         check_range("accel_var", *var, low=0, low_in=True)
         object.__setattr__(self, "accel_var", var)
-        noise_sd = np.sqrt(var)
-        noise_sd.setflags(write=False)
-        object.__setattr__(self, "_noise_sd", noise_sd)
-        object.__setattr__(self, "_transition", np.eye(6) + self.dt * np.eye(6, k=3))
-        object.__setattr__(self, "_gain", 0.5 * self.dt**2 * np.eye(6, 3) + self.dt * np.eye(6, 3, k=-3))
+        for name, value in (
+            ("_noise_sd", np.sqrt(var)),
+            ("_transition", np.eye(6) + self.dt * np.eye(6, k=3)),
+            ("_gain", 0.5 * self.dt**2 * np.eye(6, 3) + self.dt * np.eye(6, 3, k=-3)),
+        ):
+            value.setflags(write=False)  # configs share models, so none may be written through
+            object.__setattr__(self, name, value)
 
     def advance(self, states: np.ndarray, nu: np.ndarray) -> np.ndarray:
         """``states @ F.T + nu @ G.T``: (..., 6) states one step on, driven by (..., 3) accelerations.

@@ -46,7 +46,7 @@ class RfParams:
     attenuation_db: float
     power_levels_db: tuple
     interference_threshold_db: float
-    levels_db: np.ndarray = field(init=False, repr=False, compare=False)  # power_db's read-only table, -inf for off
+    levels_db: np.ndarray = field(init=False, repr=False, compare=False)  # read-only dB by level, -inf for off
 
     def __post_init__(self):
         check_range("path_loss_exponent", self.path_loss_exponent, low=0)
@@ -62,10 +62,6 @@ class RfParams:
         object.__setattr__(self, "power_levels_db", (None, *on))
         object.__setattr__(self, "levels_db", np.array([-np.inf, *on]))
         self.levels_db.setflags(write=False)
-
-    def power_db(self, index):
-        """Transmit power in dB of level ``index`` (an int or an int array); -inf for off."""
-        return self.levels_db[index]
 
 
 def received_power_map(tx_power_db: float, tx_pos, tx_aim, ant: AntennaParams, rf: RfParams, rx_pos):

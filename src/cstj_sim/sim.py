@@ -17,7 +17,7 @@ agent runs all its phases in turn changes no draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -71,32 +71,26 @@ class ScenarioConfig:
     target_init: TargetState | None = None  # None: drawn per trial
     prior_sigma: tuple = (5.0, 5.0, 5.0, 1.0, 1.0, 1.0)
     spawn_radius_m: float = 5.0
-    motion: MotionModel = field(default_factory=lambda: MotionModel(1.0, (2.0, 2.0, 2.0)))
-    actions: ActionGrid = field(default_factory=lambda: ActionGrid((1.0, 3.0, 5.0), 2, 4))
-    sensing: SensingParams = field(
-        default_factory=lambda: SensingParams(
-            p_d_max=0.99,
-            eta_per_m=0.02,
-            r0_m=2.0,
-            sigma_theta_rad=np.pi / 50.0,
-            sigma_phi_rad=np.pi / 50.0,
-            sigma_rho0_m=2.0,
-            beta_rho=0.05,
-            clutter_rate=15.0,
-            rho_max_m=100.0 * np.sqrt(3.0),
-        )
+    motion: MotionModel = MotionModel(1.0, (2.0, 2.0, 2.0))
+    actions: ActionGrid = ActionGrid((1.0, 3.0, 5.0), 2, 4)
+    sensing: SensingParams = SensingParams(
+        p_d_max=0.99,
+        eta_per_m=0.02,
+        r0_m=2.0,
+        sigma_theta_rad=np.pi / 50.0,
+        sigma_phi_rad=np.pi / 50.0,
+        sigma_rho0_m=2.0,
+        beta_rho=0.05,
+        clutter_rate=15.0,
+        rho_max_m=100.0 * np.sqrt(3.0),
     )
-    antenna: AntennaParams = field(
-        default_factory=lambda: AntennaParams(effective_range_m=100.0, opening_angle_rad=np.radians(80.0))
-    )
-    rf: RfParams = field(
-        default_factory=lambda: RfParams(
-            near_field_loss_db=32.4,
-            path_loss_exponent=2.5,
-            attenuation_db=6.0206,
-            power_levels_db=(None, -10.0, 0.0, 7.0, 10.0),
-            interference_threshold_db=-50.0,
-        )
+    antenna: AntennaParams = AntennaParams(effective_range_m=100.0, opening_angle_rad=np.radians(80.0))
+    rf: RfParams = RfParams(
+        near_field_loss_db=32.4,
+        path_loss_exponent=2.5,
+        attenuation_db=6.0206,
+        power_levels_db=(None, -10.0, 0.0, 7.0, 10.0),
+        interference_threshold_db=-50.0,
     )
     tracking_threshold: float = 0.8
     ct_power_db: float = 7.0
@@ -118,6 +112,21 @@ class ScenarioConfig:
         if not all(low < high for low, high in zip(self.arena_min, self.arena_max)):
             raise ValueError("arena_min and arena_max must bound the arena: arena_max above arena_min on every axis")
         check_range("prior_sigma", *self.prior_sigma, low=0, low_in=True)
+        # Every filter's covariance holds the square of the drone's spread, and CI inverts it, so that square
+        # must stay below the float range's 1.8e308. Over a trial the spread is of the order of the prior's
+        # position sigma, plus its velocity sigma times n_steps * dt, plus the acceleration noise's position
+        # sigma, about 0.5 dt**2 sqrt(accel_var) n_steps**1.5. Bounding that at 1e100 m keeps its square below
+        # 1e200, 1e108 short of the range's end: room for the cloud's tails, the drone's distance from the
+        # filter's mean and the sums over particles and axes. A finite square is needed but not enough: CI can
+        # still fail on a cloud too ill-conditioned for double precision.
+        dt, n = self.motion.dt, min(self.n_steps, 1e100)  # min compares exactly: a count past float range is capped
+        pos_sd, vel_sd = max(self.prior_sigma[:3]), max(self.prior_sigma[3:])
+        spread = pos_sd + n * dt * vel_sd + 0.5 * dt**2 * max(self.motion.accel_var) ** 0.5 * n**1.5
+        if not spread < 1e100:
+            raise ValueError(
+                "prior_sigma, motion.dt and motion.accel_var must keep the drone's spread over n_steps"
+                f" below 1e100 m, got {spread:.3g} m"
+            )
         check_range("spawn_radius_m", self.spawn_radius_m, low=0)
         check_range("tracking_threshold", self.tracking_threshold, low=0, high=1, low_in=True, high_in=True)
         check_range("ct_power_db", self.ct_power_db)
@@ -176,7 +185,7 @@ def compute_metrics(
     """
     tracking_error = float(norm(fused.mean.position - true_state.position))
 
-    tx_db = rf.power_db([d.power_index for d in decisions])
+    tx_db = rf.levels_db[[d.power_index for d in decisions]]
     positions = np.array([d.chosen_position for d in decisions])
     aims = np.array([d.aim_point for d in decisions])
     # (receiver, sender), the drone as the last receiver; no antenna covers

@@ -264,6 +264,25 @@ def test_overflowing_scenario_value_fails_before_writing(key, value, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        ("sim.steps = 3\nmotion.dt_s = 1e80", "motion.dt_s"),
+        ("sim.steps = 50\nmotion.accel_var = 1e250,1e250,1e250", "motion.accel_var"),
+        ("sim.steps = 3\nprior.sigma = 5,5,5,1e200,1e200,1e200", "prior.sigma"),
+        ("sim.steps = 50\nmotion.dt_s = 1e153\nmotion.accel_var = 0,0,0", "motion.dt_s, motion.accel_var"),
+    ],
+)
+def test_spread_past_the_float_range_fails_naming_the_keys_set(rows, named, tmp_path, capsys):
+    # the drone's spread over the trial would square past the float range; only the keys the file set are named
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"sim.trials = 1\nsim.agents = 2\nfilter.particles = 50\n{rows}\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}: prior_sigma, motion.dt and motion.accel_var must ")
+    assert not out.exists()
+
+
 def test_run_help_lists_every_key_and_the_seed_priority(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["run", "--help"])

@@ -120,6 +120,25 @@ def test_every_config_the_repo_runs_echoes_exactly(cfg):
 
 
 @pytest.mark.parametrize(
+    "cfg", [ScenarioConfig(), *(cfg for _, cfg in _EMITTED)], ids=["default", *(label for label, _ in _EMITTED)]
+)
+def test_parameter_records_hold_only_read_only_arrays(cfg):
+    # configs share their records, so that no config can write through one into another
+    for f in dataclasses.fields(cfg):
+        record = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(record) and type(record).__dataclass_params__.frozen:
+            for g in dataclasses.fields(record):
+                value = getattr(record, g.name)
+                assert not (isinstance(value, np.ndarray) and value.flags.writeable), f"{f.name}.{g.name}"
+
+
+def test_default_configs_share_their_records():
+    first, second = ScenarioConfig(), ScenarioConfig()
+    for name in ("motion", "actions", "sensing", "antenna", "rf"):
+        assert getattr(first, name) is getattr(second, name)
+
+
+@pytest.mark.parametrize(
     "text, key, lines",
     [
         ("sim.agents = 2\nsim.agents = 3\n", "sim.agents", (1, 2)),
@@ -147,10 +166,10 @@ BAD_VALUES = {
     "arena.min_m": ["0,0", "0,,0,0", "0,0,x", "0,0,inf", "200,0,0"],
     "arena.max_m": ["1,1", "nan,1,1", "-5,100,100"],
     "target.init_state": ["1,2,3", "1,2,3,4,5,x", "1,2,3,4,5,inf"],
-    "prior.sigma": ["1,1,1,1,1", "x,1,1,1,1,1", "1,1,1,1,1,-1"],
+    "prior.sigma": ["1,1,1,1,1", "x,1,1,1,1,1", "1,1,1,1,1,-1", "sim.steps = 3 | 5,5,5,1e200,1e200,1e200"],
     "spawn.radius_m": ["x", "inf", "0"],
-    "motion.dt_s": ["x", "nan", "0", "-1", "1e200"],
-    "motion.accel_var": ["1,1", "1,1,x", "1,1,-1"],
+    "motion.dt_s": ["x", "nan", "0", "-1", "1e200", "sim.steps = 3 | 1e80", "motion.accel_var = 0,0,0 | 1e153"],
+    "motion.accel_var": ["1,1", "1,1,x", "1,1,-1", "1e250,1e250,1e250"],
     "actions.radial_steps_m": ["", "1,,2", "1,x", "1,0", "1,-3"],
     "actions.n_phi": ["x", "1.5", "0"],
     "actions.n_theta": ["x", "0"],
@@ -275,6 +294,7 @@ _OUT_OF_RANGE = [
     (_DEFAULTS.sensing, "rho_max_m", 1e-320),
     # a second None is no transmit level
     (_DEFAULTS.rf, "power_levels_db", (None, None, 5.0)),
+    (_DEFAULTS.actions, "radial_steps_m", ()),
 ]
 
 
@@ -287,6 +307,11 @@ def test_records_built_in_code_refuse_out_of_range_values(record, field, value):
     # the records hold every range rule, so code that skips the parser is held to them too
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(record, **{field: value})
+
+
+def test_a_step_count_past_the_float_range_is_refused_not_an_overflow():
+    with pytest.raises(ValueError, match="n_steps"):
+        dataclasses.replace(_DEFAULTS, n_steps=10**400)
 
 
 _CLOSED_ENDS = [

@@ -123,7 +123,7 @@ def _load_db(rx_pos, senders):
     """Total power at ``rx_pos`` in dB: each sender's linear power added in the order given."""
     total = 0.0
     for sender in senders:
-        level = RF.power_db(sender.power_index)
+        level = RF.levels_db[sender.power_index]
         total += received_power_map(level, sender.chosen_position, sender.aim_point, ANT, RF, rx_pos)
     return linear_to_db(total)
 
@@ -403,12 +403,12 @@ def _better_deviations(predictions, action_sets, ant, rf, p, threshold, decision
     off).
     """
     limit = rf.interference_threshold_db
-    tx_db = rf.power_db([d.power_index for d in decisions])[:, None]
+    tx_db = rf.levels_db[[d.power_index for d in decisions]][:, None]
     positions = np.array([d.chosen_position for d in decisions])
     aims = np.array([d.aim_point for d in decisions])
     # (sender, receiver) among the executed decisions
     between = received_power_map(tx_db, positions[:, None], aims[:, None], ant, rf, positions)
-    levels_db = rf.power_db(np.arange(1, len(rf.power_levels_db)))[:, None, None]
+    levels_db = rf.levels_db[np.arange(1, len(rf.power_levels_db))][:, None, None]
     feasible = better = 0
     for j, (predicted, actions, own) in enumerate(zip(predictions, action_sets, decisions)):
         candidates = admissible_set(actions, _probs(predicted, actions, p), threshold)

@@ -89,6 +89,10 @@ class TestInitParticles:
         ps = init_particles(mean, np.zeros(6), 50, np.random.default_rng(0))
         np.testing.assert_allclose(ps.states, np.tile(mean.as_vector(), (50, 1)))
 
+    def test_zero_particles_refused(self):
+        with pytest.raises(ValueError, match="particle count"):
+            init_particles(TargetState([0, 0, 0], [0, 0, 0]), np.ones(6), 0, np.random.default_rng(0))
+
     def test_uniform_weights(self):
         ps = init_particles(TargetState([0, 0, 0], [0, 0, 0]), np.ones(6), 64, np.random.default_rng(0))
         np.testing.assert_allclose(ps.weights, np.full(64, 1 / 64))

@@ -111,8 +111,8 @@ class TestReceivedPower:
         assert received_power_map(10.0, ORIGIN, [0, 0, 10.0], ANT, RF, [0, 0, -5.0]) == 0.0
 
     def test_off_level_is_absent(self):
-        assert RF.power_db(0) == -np.inf
-        assert received_power_map(RF.power_db(0), ORIGIN, [0, 0, 10.0], ANT, RF, [0, 0, 1.0]) == 0.0
+        assert RF.levels_db[0] == -np.inf
+        assert received_power_map(RF.levels_db[0], ORIGIN, [0, 0, 10.0], ANT, RF, [0, 0, 1.0]) == 0.0
 
     def test_strictly_decreasing_along_axis(self):
         distances = np.linspace(0.5, ANT.effective_range_m, 40)
@@ -130,7 +130,7 @@ def _edge_cases():
         ("degenerate_aim", 7.0, ORIGIN, ORIGIN, [[1.0, 0, 0], [0, 0, 1.0], [0, -1.0, 0]]),
         ("cone_surface", 7.0, ORIGIN, [0.0, 0.0, 10.0], 10.0 * np.array([math.sin(half), 0.0, math.cos(half)])),
         ("axial_range_end", 7.0, ORIGIN, [0.0, 0.0, 10.0], [0.0, 0.0, ANT.effective_range_m]),
-        ("off_level", RF.power_db(0), ORIGIN, [0.0, 0.0, 10.0], [0.0, 0.0, 1.0]),
+        ("off_level", RF.levels_db[0], ORIGIN, [0.0, 0.0, 10.0], [0.0, 0.0, 1.0]),
     ]
 
 
@@ -141,8 +141,8 @@ def _broadcast_cases():
     aims = senders + rng.uniform(-30.0, 30.0, (4, 3))
     candidates = rng.uniform(0.0, 100.0, (25, 3))
     drone = rng.uniform(0.0, 100.0, 3)
-    tx_db = np.array([RF.power_db(0), -10.0, 7.0, 10.0])
-    levels = RF.power_db(np.arange(len(RF.power_levels_db)))
+    tx_db = np.array([RF.levels_db[0], -10.0, 7.0, 10.0])
+    levels = RF.levels_db[np.arange(len(RF.power_levels_db))]
     return [
         # (sender, receiver): teammates (own apex included) and the drone
         ("sender_by_receiver", tx_db, senders, aims, np.vstack([senders, drone])[:, None]),

@@ -337,7 +337,7 @@ class TestComputeMetrics:
         aims = np.array([d.aim_point for d in decisions])
         receivers = np.vstack([positions, truth.position])
         received = received_power_map(
-            cfg.rf.power_db([0] * 4), positions, aims, cfg.antenna, cfg.rf, receivers[:, None]
+            cfg.rf.levels_db[[0] * 4], positions, aims, cfg.antenna, cfg.rf, receivers[:, None]
         )
         metrics = compute_metrics(truth, self._estimate(truth.position), decisions, cfg.antenna, cfg.rf)
         # the map gives zero everywhere, so every total is zero (None) and
@@ -401,7 +401,7 @@ class TestComputeMetrics:
 
             def power(sender, rx_pos):
                 """Linear power at ``rx_pos``; 0.0 when off or outside the cone."""
-                level = cfg.rf.power_db(sender.power_index)
+                level = cfg.rf.levels_db[sender.power_index]
                 return received_power_map(level, sender.chosen_position, sender.aim_point, cfg.antenna, cfg.rf, rx_pos)
 
             def logged(total):
@@ -512,3 +512,5 @@ class TestMonteCarlo:
             assert value is None
         else:
             assert value == pytest.approx(expected, rel=1e-12)
+        # no trial-step at all
+        assert mean_target_power_db([]) is None
