@@ -30,7 +30,7 @@ from .config import (
     parse_config,
     preset,
 )
-from .sim import ScenarioConfig, StepLog, run_trials, step_means
+from .sim import ScenarioConfig, StepLog, TrialError, run_trials, step_means
 
 
 def _fmt(value: float) -> str:
@@ -204,7 +204,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_preset(args)
-    except (ConfigError, OSError) as err:
+    except (ConfigError, OSError, TrialError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

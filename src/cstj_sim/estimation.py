@@ -61,11 +61,11 @@ class Estimate:
         self.covariance = 0.5 * (cov + cov.T)
 
 
-def init_particles(prior_mean: TargetState, prior_sigma, n: int, rng: np.random.Generator) -> ParticleSet:
-    """Draw n i.i.d. particles, with uniform weights, as ``mean + z * prior_sigma``: one standard normal per axis, in axis order."""
+def init_particles(prior_mean: np.ndarray, prior_sigma, n: int, rng: np.random.Generator) -> ParticleSet:
+    """Draw n i.i.d. particles, with uniform weights, as the (6,) ``prior_mean + z * prior_sigma``: one standard normal per axis."""
     if n < 1:
         raise ValueError("particle count must be >= 1")
-    states = prior_mean.as_vector() + rng.standard_normal((n, 6)) * prior_sigma
+    states = prior_mean + rng.standard_normal((n, 6)) * prior_sigma
     return ParticleSet(states, np.full(n, 1.0 / n))
 
 
@@ -75,9 +75,9 @@ def predict(ps: ParticleSet, model: MotionModel, rng: np.random.Generator) -> Pa
     return ParticleSet(states, ps.weights)
 
 
-def predicted_state(ps: ParticleSet) -> TargetState:
-    """Weighted particle mean, used as the expected predicted drone state."""
-    return TargetState.from_vector(ps.weights @ ps.states)
+def predicted_state(ps: ParticleSet) -> np.ndarray:
+    """Weighted particle mean (6,), the expected predicted drone state; its position is the agent's aim point."""
+    return ps.weights @ ps.states
 
 
 def _moments(ps: ParticleSet) -> tuple[np.ndarray, np.ndarray]:
@@ -276,10 +276,14 @@ def _gated_returns(meas, sensor_pos, mean, cov, p: SensingParams):
     ``sensor_pos`` is the sensor's float (3,) position. Returns their
     offsets from the cloud's mean position, bases, scales and mixture
     weights (each return's predictive density under the fit), or None when
-    no return passes.
+    no return passes or a sum of the fit's and a return's covariance fails
+    to factorise.
     """
     offsets, basis, scales = _return_gaussians(meas, sensor_pos - mean[:3], p)
-    s_chol = np.linalg.cholesky(cov[:3, :3] + (basis * scales[:, None, :] ** 2) @ basis.transpose(0, 2, 1))
+    try:
+        s_chol = np.linalg.cholesky(cov[:3, :3] + (basis * scales[:, None, :] ** 2) @ basis.transpose(0, 2, 1))
+    except np.linalg.LinAlgError:  # rounding can leave a sum indefinite, as where a return's variances span 1e18
+        return None
     innov = np.linalg.solve(s_chol, offsets[..., None])
     d2 = (innov * innov).sum(axis=(1, 2))
     gated = d2 <= _GATE_D2
@@ -295,7 +299,8 @@ def _mixture_resample(ps: ParticleSet, log_w, meas, sensor_pos, p: SensingParams
 
     ``log_w`` holds the predicted particles' unnormalised log posterior
     weights. Returns None, leaving plain resampling to the caller, when no
-    return passes the gate or the cloud's Gaussian fit is singular.
+    return passes the gate, the gate fails to factorise, or the cloud's
+    Gaussian fit is singular.
     """
     n = len(ps)
     mean, cov = _moments(ps)
@@ -380,9 +385,10 @@ def update(
       and c = n times the prior weight for a predicted particle, 1 for a
       drawn one; the n + m particles are then resampled systematically.
 
-    When no return passes the gate, as when the set is empty, the cloud
-    alone is resampled. Draws come from ``rng`` only. Above the threshold
-    the result is the exact reweighting of the predicted particles.
+    When no return passes the gate, as when the set is empty, or the gate's
+    covariances fail to factorise, the cloud alone is resampled. Draws come
+    from ``rng`` only. Above the threshold the result is the exact
+    reweighting of the predicted particles.
 
     Returns the new particle set and an "uninformative update" flag: when the
     likelihood underflows to zero for every particle, ``ps`` itself comes
@@ -409,21 +415,27 @@ def eap(ps: ParticleSet) -> Estimate:
     return Estimate(TargetState.from_vector(mean), cov)
 
 
+def _finite_inverse(matrices: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv`` of a matrix or a stack; a singular matrix, or a non-finite inverse, raises a ``ValueError``."""
+    try:
+        inverse = np.linalg.inv(matrices)
+    except np.linalg.LinAlgError:
+        inverse = np.full_like(matrices, np.nan)
+    if not np.isfinite(inverse).all():
+        raise ValueError("singular covariance after regularization")
+    return inverse
+
+
 def _information_matrices(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The covariances of a (k, 6, 6) stack as inverted, and their symmetrised inverses, by one batched inverse.
 
     Each covariance must be exactly symmetric, as ``Estimate`` makes every
     one it holds. Each is inverted plus ``_COV_JITTER`` I, so a zero one (a
     one-particle filter's) has a finite inverse; a singular shifted
-    covariance, or a NaN entry, raises a ``ValueError``.
+    covariance, or a NaN entry, raises ``_finite_inverse``'s ``ValueError``.
     """
     covs = covs + _COV_JITTER * np.eye(covs.shape[-1])
-    try:
-        infos = np.linalg.inv(covs)
-    except np.linalg.LinAlgError:
-        infos = np.full_like(covs, np.nan)
-    if not np.isfinite(infos).all():
-        raise ValueError("singular covariance after regularization")
+    infos = _finite_inverse(covs)
     return covs, 0.5 * (infos + infos.transpose(0, 2, 1))
 
 
@@ -441,7 +453,8 @@ def ci_fuse(estimates) -> Estimate:
     harmonic mean of the tr(C_i). Both sums add the estimates' terms one at
     a time, in input order (numpy's sum over the stack's leading axis), so
     reordering the inputs changes only the rounding. A single estimate is
-    returned unchanged.
+    returned unchanged. A singular or non-finite inverse, of an input or of
+    the fused information, raises ``_finite_inverse``'s ``ValueError``.
     """
     estimates = list(estimates)
     if not estimates:
@@ -453,6 +466,6 @@ def ci_fuse(estimates) -> Estimate:
     weights /= weights.sum()
     weighted = weights[:, None, None] * infos
     means = np.array([e.mean.as_vector() for e in estimates])
-    cov = np.linalg.inv(weighted.sum(axis=0))
+    cov = _finite_inverse(weighted.sum(axis=0))
     vec = (weighted @ means[:, :, None]).sum(axis=0)
     return Estimate(TargetState.from_vector(cov @ vec[:, 0]), cov)

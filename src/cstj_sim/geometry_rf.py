@@ -64,7 +64,7 @@ class RfParams:
         self.levels_db.setflags(write=False)
 
 
-def received_power_map(tx_power_db: float, tx_pos, tx_aim, ant: AntennaParams, rf: RfParams, rx_pos):
+def received_power_map(tx_power_db: np.ndarray, tx_pos, tx_aim, ant: AntennaParams, rf: RfParams, rx_pos):
     """Received linear power with cone gating; 0.0 where the receiver is uncovered.
 
     A receiver is covered when its angle off the aim axis is at most half
@@ -73,8 +73,9 @@ def received_power_map(tx_power_db: float, tx_pos, tx_aim, ant: AntennaParams, r
     whose aim coincides with its own position covers nothing. One offset
     from the transmitter and its norm serve both the cone test and the path
     loss. Transmitter, aim and receiver positions are float (..., 3) arrays,
-    over whose leading axes the result broadcasts. The off level (-inf dB)
-    gives 0.0 too.
+    over whose leading axes the result broadcasts, and the transmit levels
+    ``tx_power_db`` a float array that broadcasts with those axes. The off
+    level (-inf dB) gives 0.0 too.
     """
     axis = tx_aim - tx_pos
     axis_norm = norm(axis)

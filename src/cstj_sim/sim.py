@@ -1,7 +1,7 @@
 """Scenario runner: full pursuit trials, step metrics, and Monte-Carlo sweeps.
 
 Every step runs its phases in order, each over the whole team before the
-next begins: predict and predicted-state extraction, one detection grid over
+next begins: predict and the team's aim points, one detection grid over
 the team's moves, then thresholding and the sequential jamming decisions (or
 the tracking-only baseline), simultaneous agent moves, the drone's advance,
 measurement collection, filter update and EAP, fast covariance-intersection
@@ -202,6 +202,10 @@ def compute_metrics(
     return StepMetrics(tracking_error, target_power, per_agent, pair, max_interference, violation)
 
 
+class TrialError(ValueError):
+    """A trial that failed within a step; the message starts ``trial <t>, step <s>:``."""
+
+
 def _spawn_in_sphere(center, radius, rng) -> np.ndarray:
     direction = rng.normal(size=3)
     direction /= norm(direction)
@@ -209,7 +213,11 @@ def _spawn_in_sphere(center, radius, rng) -> np.ndarray:
 
 
 def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
-    """Run one seeded trial and return its per-step logs."""
+    """Run one seeded trial and return its per-step logs.
+
+    A ``ValueError`` raised within a step comes out as a ``TrialError`` that
+    names the trial and the step.
+    """
     scen_rng = _rng(cfg.seed, trial_index, _STREAM_SCENARIO)
     truth = cfg.target_init
     if truth is None:
@@ -217,7 +225,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
             scen_rng.uniform(cfg.arena_min, cfg.arena_max),
             scen_rng.uniform(-2.0, 2.0, size=3),
         )
-    prior_mean = TargetState.from_vector(truth.as_vector() + scen_rng.normal(size=6) * cfg.prior_sigma)
+    prior_mean = truth.as_vector() + scen_rng.normal(size=6) * cfg.prior_sigma
     agents = [
         AgentState(j, _spawn_in_sphere(truth.position, cfg.spawn_radius_m, scen_rng))
         for j in range(cfg.n_agents)
@@ -230,52 +238,57 @@ def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
     ct_index = cfg.rf.power_levels_db.index(cfg.ct_power_db) if cfg.mode == "ct" else 0
 
     logs: list[StepLog] = []
-    for step in range(1, cfg.n_steps + 1):
-        particles = [predict(ps, cfg.motion, rng) for ps, rng in zip(particles, filter_rngs)]
-        predictions = [predicted_state(ps) for ps in particles]
-        action_sets = [enumerate_actions(agent, cfg.actions) for agent in agents]
-        if cfg.mode == "ct":
-            decisions = ct_decide(agents, predictions, action_sets, cfg.sensing, ct_index)
-        else:
-            decisions = sequential_decide(
-                agents, predictions, action_sets, cfg.antenna, cfg.rf, cfg.sensing, cfg.tracking_threshold
-            )
-        for agent, decision in zip(agents, decisions):
-            agent.position = decision.chosen_position
+    try:
+        for step in range(1, cfg.n_steps + 1):
+            particles = [predict(ps, cfg.motion, rng) for ps, rng in zip(particles, filter_rngs)]
+            aims = np.array([predicted_state(ps)[:3] for ps in particles])
+            action_sets = [enumerate_actions(agent, cfg.actions) for agent in agents]
+            if cfg.mode == "ct":
+                decisions = ct_decide(agents, aims, action_sets, cfg.sensing, ct_index)
+            else:
+                decisions = sequential_decide(
+                    agents, aims, action_sets, cfg.antenna, cfg.rf, cfg.sensing, cfg.tracking_threshold
+                )
+            for agent, decision in zip(agents, decisions):
+                agent.position = decision.chosen_position
 
-        truth = step_target(truth, cfg.motion, target_rng)
+            truth = step_target(truth, cfg.motion, target_rng)
 
-        measurements = [collect(truth, agent.position, cfg.sensing, rng) for agent, rng in zip(agents, sense_rngs)]
-        particles, uninformative = zip(
-            *[
-                update(ps, meas, agent.position, cfg.sensing, rng)
-                for ps, meas, agent, rng in zip(particles, measurements, agents, filter_rngs)
+            measurements = [
+                collect(truth, agent.position, cfg.sensing, rng) for agent, rng in zip(agents, sense_rngs)
             ]
-        )
-        estimates = [eap(ps) for ps in particles]
-        fused = ci_fuse(estimates)
-        metrics = compute_metrics(truth, fused, decisions, cfg.antenna, cfg.rf)
+            particles, uninformative = zip(
+                *[
+                    update(ps, meas, agent.position, cfg.sensing, rng)
+                    for ps, meas, agent, rng in zip(particles, measurements, agents, filter_rngs)
+                ]
+            )
+            estimates = [eap(ps) for ps in particles]
+            fused = ci_fuse(estimates)
+            metrics = compute_metrics(truth, fused, decisions, cfg.antenna, cfg.rf)
 
-        agent_logs = [
-            AgentStepLog(agent.id, estimate, decision, len(meas), interference, flag)
-            for agent, estimate, decision, meas, interference, flag in zip(
-                agents, estimates, decisions, measurements, metrics.agent_interference_db, uninformative
+            agent_logs = [
+                AgentStepLog(agent.id, estimate, decision, len(meas), interference, flag)
+                for agent, estimate, decision, meas, interference, flag in zip(
+                    agents, estimates, decisions, measurements, metrics.agent_interference_db, uninformative
+                )
+            ]
+            logs.append(
+                StepLog(
+                    step=step,
+                    true_state=truth,
+                    fused=fused,
+                    agents=agent_logs,
+                    tracking_error_m=metrics.tracking_error_m,
+                    target_power_db=metrics.target_power_db,
+                    max_interference_db=metrics.max_interference_db,
+                    pair_interference_db=metrics.pair_interference_db,
+                    any_fallback=any(d.fallback_used is not Fallback.NONE for d in decisions),
+                    violation=metrics.violation,
+                )
             )
-        ]
-        logs.append(
-            StepLog(
-                step=step,
-                true_state=truth,
-                fused=fused,
-                agents=agent_logs,
-                tracking_error_m=metrics.tracking_error_m,
-                target_power_db=metrics.target_power_db,
-                max_interference_db=metrics.max_interference_db,
-                pair_interference_db=metrics.pair_interference_db,
-                any_fallback=any(d.fallback_used is not Fallback.NONE for d in decisions),
-                violation=metrics.violation,
-            )
-        )
+    except ValueError as err:  # numpy's LinAlgError included
+        raise TrialError(f"trial {trial_index}, step {step}: {err}") from err
     return logs
 
 

@@ -103,11 +103,11 @@ def agg_below(contribs_db, limit_db) -> bool:
     return 10.0 * math.log10(total) < limit_db
 
 
-def solve_jamming_reference(agent_id, candidates, predicted, decided, ant, rf, sensing) -> DecisionRecord:
+def solve_jamming_reference(agent_id, candidates, aim_point, decided, ant, rf, sensing) -> DecisionRecord:
     """Literal exhaustive enumeration over (candidate, level) pairs."""
     levels = rf.power_levels_db
     limit = rf.interference_threshold_db
-    aim = list(predicted.position)
+    aim = list(aim_point)
 
     def inbound_ok(k):
         vals = []

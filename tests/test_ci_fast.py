@@ -166,3 +166,37 @@ def test_nan_covariance_raises(diagonal_only):
     estimates = [_estimate(rng, _cov(rng, 10.0)), _estimate(rng, bad), _estimate(rng, _cov(rng, 10.0))]
     with pytest.raises(ValueError, match="singular covariance after regularization"):
         ci_fuse(estimates)
+
+
+def test_singular_fused_information_raises():
+    # the two filters of a 2-agent run with prior.sigma = 9.5,6.9e-6,0.017,9.6e4,3.6e6,5.1e7 (seed 4) at step 3:
+    # each covariance, with spreads up to 1e16, inverts, but their weighted information sum is singular
+    pinned = [
+        (
+            [-292179.09581082896, -24269222.616695106, 225606778.8273487, -97417.33000012157, -8089747.723149681, 75202245.1423136],
+            [
+                [88536448584.96985, -173114943614.52023, 5198297929427.713, 29512109118.925365, -57705095197.791794, 1732765943393.539],
+                [-173114943614.52023, 108678129548211.83, 434491963665402.75, -57698473901.49252, 36226041019611.54, 144830659600690.53],
+                [5198297929427.713, 434491963665402.75, 3.05984472649399e16, 1732733544508.8865, 144830623295731.44, 1.0199482379632752e16],
+                [29512109118.925365, -57698473901.49252, 1732733544508.8865, 9837356247.620138, -19232862630.78067, 577577837142.7302],
+                [-57705095197.791794, 36226041019611.54, 144830623295731.44, -19232862630.78067, 12075346285496.873, 48276876113762.625],
+                [1732765943393.539, 144830659600690.53, 1.0199482379632752e16, 577577837142.7302, 48276876113762.625, 3399827445872958.0],
+            ],
+        ),
+        (
+            [-242024.14310793387, -24225886.96307801, 207286888.70181188, -80698.73094232538, -8075302.238270551, 69095615.1855328],
+            [
+                [66862454128.86448, 474287153033.2853, -6066113656740.389, 22287421691.699287, 158095734779.02936, -2022037831570.0786],
+                [474287153033.2853, 140559564900043.05, 404901358452750.0, 158095166357.914, 46853184932960.86, 134967118637656.1],
+                [-6066113656740.389, 404901358452750.0, 2.510024811149111e16, -2022050243398.3752, 134967121416974.05, 8366749336398651.0],
+                [22287421691.699287, 158095166357.914, -2022050243398.3752, 7429119574.534143, 52698394486.33011, -674016729793.6692],
+                [158095734779.02936, 46853184932960.86, 134967121416974.05, 52698394486.33011, 15617727188637.748, 44989040190126.9],
+                [-2022037831570.0786, 134967118637656.1, 8366749336398651.0, -674016729793.6692, 44989040190126.9, 2788916434100088.0],
+            ],
+        ),
+    ]
+    estimates = [Estimate(TargetState.from_vector(mean), np.array(cov)) for mean, cov in pinned]
+    _, infos = _information_matrices(np.array([e.covariance for e in estimates]))
+    assert np.isfinite(infos).all()  # each input inverts; the fused inverse is what fails
+    with pytest.raises(ValueError, match="singular covariance after regularization"):
+        ci_fuse(estimates)

@@ -283,6 +283,35 @@ def test_spread_past_the_float_range_fails_naming_the_keys_set(rows, named, tmp_
     assert not out.exists()
 
 
+# sensing whose far clutter returns leave the filter's gate covariance indefinite in rounding
+_FAR_CLUTTER = (
+    "sim.trials = 1\nsim.agents = 2\nfilter.particles = 50\nsensing.sigma_theta_rad = 5e-11\nsensing.rho_max_m = 1e27\n"
+)
+
+
+def test_gate_that_fails_to_factorise_runs(tmp_path, capsys):
+    # the update resamples the cloud alone, as when no return passes the gate
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"{_FAR_CLUTTER}sim.steps = 5\n")
+    for seed in range(6):
+        out = tmp_path / f"out{seed}"
+        assert cli.main(["run", "--config", str(path), "--out", str(out), "--seed", str(seed)]) == 0, seed
+        assert (out / "steps.csv").exists()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("flags", [[], ["--trials", "2", "--jobs", "2"]], ids=["serial", "pool"])
+def test_failing_trial_exits_2_naming_its_trial_and_step(flags, tmp_path, capsys):
+    # velocity sigmas of 1e12 m/s leave a filter covariance that CI cannot invert
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"{_FAR_CLUTTER}sim.steps = 3\nprior.sigma = 5,5,5,1e12,1e12,1e12\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out), "--seed", "0", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trial 0, step ") and err.endswith(": singular covariance after regularization\n")
+    assert not (out / "steps.csv").exists()
+
+
 def test_run_help_lists_every_key_and_the_seed_priority(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["run", "--help"])

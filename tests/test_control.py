@@ -39,18 +39,19 @@ SENSING = SensingParams(
 GRID = ActionGrid((1.0, 3.0, 5.0), 2, 4)
 
 
-def _pred(position) -> TargetState:
-    return TargetState(position, [0.0, 0.0, 0.0])
+def _pred(position) -> np.ndarray:
+    """An aim point: a predicted drone position as the float (3,) array the deciders take."""
+    return np.array(position, dtype=float)
 
 
-def _probs(target: TargetState, moves, p: SensingParams = SENSING) -> np.ndarray:
-    """Each move's detection probability of the predicted drone, as the deciders' grid scores it."""
-    return detection_prob_at_distance(norm(target.position - np.array(moves, dtype=float)), p)
+def _probs(target: np.ndarray, moves, p: SensingParams = SENSING) -> np.ndarray:
+    """Each move's detection probability of the aim point, as the deciders' grid scores it."""
+    return detection_prob_at_distance(norm(target - np.array(moves, dtype=float)), p)
 
 
-def _assert_tracking_record(rec: DecisionRecord, target: TargetState, power_index: int, fallback: Fallback):
+def _assert_tracking_record(rec: DecisionRecord, target: np.ndarray, power_index: int, fallback: Fallback):
     """A best-tracking decision aims at the predicted drone and records no objective."""
-    np.testing.assert_array_equal(rec.aim_point, target.position)
+    np.testing.assert_array_equal(rec.aim_point, target)
     assert rec.objective_value_db is None
     assert rec.power_index == power_index
     assert rec.fallback_used is fallback
@@ -70,9 +71,9 @@ class TestTrackingObjective:
         for _ in range(50):
             target = _pred(rng.uniform(0, 40, 3))
             actions = enumerate_actions(AgentState(0, rng.uniform(0, 40, 3)), GRID)
-            scores = [detection_prob(target.position, a, SENSING) for a in actions]
+            scores = [detection_prob(target, a, SENSING) for a in actions]
             best = _tracking_decision(0, target, actions, _probs(target, actions), 0, Fallback.NONE).chosen_position
-            assert detection_prob(target.position, best, SENSING) == max(scores)
+            assert detection_prob(target, best, SENSING) == max(scores)
 
 
 class TestAdmissibleSet:
@@ -155,7 +156,7 @@ class TestSolveJamming:
         _assert_tracking_record(rec, target, 0, Fallback.TRACKING)
         received = received_power_db(10.0, jammer_pos, [0.0, 0.0, 10.0], ANT, RF, rec.chosen_position)
         assert received == pytest.approx(10.0 - 38.4206)  # indeed above the -50 dB limit
-        scores = [detection_prob(target.position, c, SENSING) for c in candidates]
+        scores = [detection_prob(target, c, SENSING) for c in candidates]
         np.testing.assert_array_equal(rec.chosen_position, candidates[int(np.argmax(scores))])
 
     def test_power_off_fallback_keeps_inbound_safe_candidates(self):
@@ -314,7 +315,7 @@ class TestSequentialDecide:
         actions = enumerate_actions(agent, GRID)
         candidates = admissible_set(actions, _probs(target, actions), 0.8)
         direct = solve_jamming(0, candidates, target, [], ANT, RF, _probs(target, candidates))
-        seq = sequential_decide([agent], [target], [actions], ANT, RF, SENSING, 0.8)
+        seq = sequential_decide([agent], np.array([target]), [actions], ANT, RF, SENSING, 0.8)
         assert len(seq) == 1
         assert seq[0].power_index == direct.power_index
         np.testing.assert_array_equal(seq[0].chosen_position, direct.chosen_position)
@@ -323,7 +324,7 @@ class TestSequentialDecide:
         rng = np.random.default_rng(5)
         positions = rng.uniform(20, 40, (4, 3))
         agents = self._agents(positions)
-        targets = [_pred(rng.uniform(20, 40, 3)) for _ in agents]
+        targets = rng.uniform(20, 40, (len(agents), 3))
         actions = [enumerate_actions(a, GRID) for a in agents]
         first = sequential_decide(agents, targets, actions, ANT, RF, SENSING, 0.8)
         second = sequential_decide(agents, targets, actions, ANT, RF, SENSING, 0.8)
@@ -338,7 +339,7 @@ class TestSequentialDecide:
             spot = rng.uniform(20, 60, 3)
             agents = self._agents(spot + rng.uniform(-4, 4, (4, 3)))
             target = _pred(spot + rng.uniform(-3, 3, 3))
-            targets = [target] * 4
+            targets = np.array([target] * 4)
             actions = [enumerate_actions(a, GRID) for a in agents]
             decisions = sequential_decide(agents, targets, actions, ANT, RF, SENSING, 0.8)
             if any(d.fallback_used is not Fallback.NONE for d in decisions):
@@ -353,9 +354,9 @@ class TestSequentialDecide:
         agent = AgentState(0, np.array([0.0, 0.0, 0.0]))
         far_target = _pred([40.0, 0.0, 0.0])  # unreachable above threshold: best is 5 m closer
         actions = enumerate_actions(agent, GRID)
-        decisions = sequential_decide([agent], [far_target], [actions], ANT, RF, SENSING, 0.8)
+        decisions = sequential_decide([agent], np.array([far_target]), [actions], ANT, RF, SENSING, 0.8)
         _assert_tracking_record(decisions[0], far_target, 0, Fallback.TRACKING)
-        scores = [detection_prob(far_target.position, a, SENSING) for a in actions]
+        scores = [detection_prob(far_target, a, SENSING) for a in actions]
         np.testing.assert_array_equal(decisions[0].chosen_position, actions[int(np.argmax(scores))])
 
     def test_all_off_causes_no_interference(self):
@@ -372,16 +373,16 @@ class TestSequentialDecide:
     def test_unsorted_agents_rejected(self):
         agents = [AgentState(1, [0.0, 0, 0]), AgentState(0, [1.0, 0, 0])]
         with pytest.raises(ValueError, match="increasing id"):
-            sequential_decide(agents, [_pred([5.0, 0, 0])] * 2, [np.zeros((1, 3))] * 2, ANT, RF, SENSING, 0.8)
+            sequential_decide(agents, np.array([[5.0, 0, 0]] * 2), [np.zeros((1, 3))] * 2, ANT, RF, SENSING, 0.8)
 
 
 def _trial_decisions(monkeypatch, cfg, trials):
     """Inputs and output of every ``sequential_decide`` call the trials make, caught by a spy."""
     calls = []
 
-    def spy(agents, predicted_targets, action_sets, ant, rf, p, threshold):
-        decisions = sequential_decide(agents, predicted_targets, action_sets, ant, rf, p, threshold)
-        calls.append((predicted_targets, action_sets, ant, rf, p, threshold, decisions))
+    def spy(agents, aims, action_sets, ant, rf, p, threshold):
+        decisions = sequential_decide(agents, aims, action_sets, ant, rf, p, threshold)
+        calls.append((aims, action_sets, ant, rf, p, threshold, decisions))
         return decisions
 
     monkeypatch.setattr(sim, "sequential_decide", spy)
@@ -390,7 +391,7 @@ def _trial_decisions(monkeypatch, cfg, trials):
     return calls
 
 
-def _better_deviations(predictions, action_sets, ant, rf, p, threshold, decisions) -> tuple[int, int]:
+def _better_deviations(predicted_aims, action_sets, ant, rf, p, threshold, decisions) -> tuple[int, int]:
     """(feasible, better) counts of unilateral deviations from executed decisions.
 
     A deviation of agent j is any (admissible candidate, level >= 1) pair.
@@ -410,14 +411,13 @@ def _better_deviations(predictions, action_sets, ant, rf, p, threshold, decision
     between = received_power_map(tx_db, positions[:, None], aims[:, None], ant, rf, positions)
     levels_db = rf.levels_db[np.arange(1, len(rf.power_levels_db))][:, None, None]
     feasible = better = 0
-    for j, (predicted, actions, own) in enumerate(zip(predictions, action_sets, decisions)):
-        candidates = admissible_set(actions, _probs(predicted, actions, p), threshold)
+    for j, (aim, actions, own) in enumerate(zip(predicted_aims, action_sets, decisions)):
+        candidates = admissible_set(actions, _probs(aim, actions, p), threshold)
         if len(candidates) == 0:
             continue
         others = [i for i in range(len(decisions)) if i != j]
         inbound = received_power_map(tx_db[others], positions[others, None], aims[others, None], ant, rf, candidates)
         inbound_ok = linear_to_db(sender_sum(inbound)) < limit
-        aim = predicted.position
         # (level, other agent + aim point, candidate + own position)
         senders = np.vstack([candidates, own.chosen_position])
         sent = received_power_map(levels_db, senders, aim, ant, rf, np.vstack([positions[others], aim])[:, None])
@@ -456,34 +456,34 @@ class TestGreedyIsAUnilateralBestResponse:
         assert feasible >= 500
 
 
-def _per_agent_decisions(agent_ids, predictions, action_sets, ant, rf, p, threshold, ct_index=None):
+def _per_agent_decisions(agent_ids, aims, action_sets, ant, rf, p, threshold, ct_index=None):
     """Each agent's decision rebuilt alone, in id order, from the oracle's scalar detection probabilities.
 
     With ``ct_index`` the agent takes the tracking-only decision at that level.
     """
     decided = []
-    for agent_id, predicted, actions in zip(agent_ids, predictions, action_sets):
-        scores = np.array([detection_prob(predicted.position, a, p) for a in actions])
+    for agent_id, aim, actions in zip(agent_ids, aims, action_sets):
+        scores = np.array([detection_prob(aim, a, p) for a in actions])
         kept = scores > threshold
         if ct_index is not None:
-            record = _tracking_decision(agent_id, predicted, actions, scores, ct_index, Fallback.NONE)
+            record = _tracking_decision(agent_id, aim, actions, scores, ct_index, Fallback.NONE)
         elif not kept.any():
-            record = _tracking_decision(agent_id, predicted, actions, scores, 0, Fallback.TRACKING)
+            record = _tracking_decision(agent_id, aim, actions, scores, 0, Fallback.TRACKING)
         else:
-            record = solve_jamming(agent_id, actions[kept], predicted, decided, ant, rf, scores[kept])
+            record = solve_jamming(agent_id, actions[kept], aim, decided, ant, rf, scores[kept])
         decided.append(record)
     return decided
 
 
 def _decider_calls(monkeypatch, cfg, trials):
-    """(agent ids, predictions, action sets, decisions) of every decider call the trials make."""
+    """(agent ids, aims, action sets, decisions) of every decider call the trials make."""
     name = "sequential_decide" if cfg.mode == "cstj" else "ct_decide"
     decide = getattr(sim, name)
     calls = []
 
-    def spy(agents, predictions, action_sets, *rest):
-        decisions = decide(agents, predictions, action_sets, *rest)
-        calls.append(([a.id for a in agents], predictions, action_sets, decisions))
+    def spy(agents, aims, action_sets, *rest):
+        decisions = decide(agents, aims, action_sets, *rest)
+        calls.append(([a.id for a in agents], aims, action_sets, decisions))
         return decisions
 
     monkeypatch.setattr(sim, name, spy)
@@ -504,9 +504,9 @@ class TestTeamGrid:
             cfg = dataclasses.replace(dict(preset("figure3_compare", seed=3))["ct"], n_particles=300, n_steps=20)
             ct_index = cfg.rf.power_levels_db.index(cfg.ct_power_db)
         seen = Counter()
-        for ids, predictions, action_sets, decisions in _decider_calls(monkeypatch, cfg, range(4)):
+        for ids, aims, action_sets, decisions in _decider_calls(monkeypatch, cfg, range(4)):
             rebuilt = _per_agent_decisions(
-                ids, predictions, action_sets, cfg.antenna, cfg.rf, cfg.sensing, cfg.tracking_threshold, ct_index
+                ids, aims, action_sets, cfg.antenna, cfg.rf, cfg.sensing, cfg.tracking_threshold, ct_index
             )
             assert len(decisions) == len(rebuilt) == len(ids)
             for got, want in zip(decisions, rebuilt):
@@ -554,15 +554,15 @@ class TestCtDecide:
         agent = AgentState(0, np.array([0.0, 0.0, 0.0]))
         target = _pred([40.0, 0.0, 0.0])
         actions = enumerate_actions(agent, GRID)
-        decisions = ct_decide([agent], [target], [actions], SENSING, 3)
+        decisions = ct_decide([agent], np.array([target]), [actions], SENSING, 3)
         _assert_tracking_record(decisions[0], target, 3, Fallback.NONE)
-        scores = [detection_prob(target.position, a, SENSING) for a in actions]
+        scores = [detection_prob(target, a, SENSING) for a in actions]
         np.testing.assert_array_equal(decisions[0].chosen_position, actions[int(np.argmax(scores))])
 
     def test_power_is_always_the_constant(self):
         rng = np.random.default_rng(8)
         agents = [AgentState(i, rng.uniform(0, 50, 3)) for i in range(5)]
-        targets = [_pred(rng.uniform(0, 50, 3)) for _ in agents]
+        targets = rng.uniform(0, 50, (len(agents), 3))
         actions = [enumerate_actions(a, GRID) for a in agents]
         decisions = ct_decide(agents, targets, actions, SENSING, 3)
         assert all(d.power_index == 3 for d in decisions)

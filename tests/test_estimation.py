@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cstj_sim import estimation
+from cstj_sim import estimation, sim
 from cstj_sim.dynamics import MotionModel, TargetState, norm, step_target
 from cstj_sim.estimation import (
     _EXP_ZERO_BELOW,
@@ -33,6 +33,7 @@ from cstj_sim.sensing import (
     spherical_coords,
     wrap_azimuth,
 )
+from cstj_sim.sim import ScenarioConfig
 import likelihood_referee
 import mixture_referee
 from oracles import fast_ci_weights, likelihood_by_hypotheses, noise_gain, transition_matrix
@@ -85,39 +86,39 @@ class TestParticleSet:
 
 class TestInitParticles:
     def test_zero_covariance_collapses(self):
-        mean = TargetState([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
+        mean = np.array([1.0, 2.0, 3.0, 0.1, 0.2, 0.3])
         ps = init_particles(mean, np.zeros(6), 50, np.random.default_rng(0))
-        np.testing.assert_allclose(ps.states, np.tile(mean.as_vector(), (50, 1)))
+        np.testing.assert_allclose(ps.states, np.tile(mean, (50, 1)))
 
     def test_zero_particles_refused(self):
         with pytest.raises(ValueError, match="particle count"):
-            init_particles(TargetState([0, 0, 0], [0, 0, 0]), np.ones(6), 0, np.random.default_rng(0))
+            init_particles(np.zeros(6), np.ones(6), 0, np.random.default_rng(0))
 
     def test_uniform_weights(self):
-        ps = init_particles(TargetState([0, 0, 0], [0, 0, 0]), np.ones(6), 64, np.random.default_rng(0))
+        ps = init_particles(np.zeros(6), np.ones(6), 64, np.random.default_rng(0))
         np.testing.assert_allclose(ps.weights, np.full(64, 1 / 64))
 
     def test_sample_mean_converges(self):
-        mean = TargetState([1.0, -1.0, 2.0], [0.0, 0.5, -0.5])
+        mean = np.array([1.0, -1.0, 2.0, 0.0, 0.5, -0.5])
         ps = init_particles(mean, np.full(6, 2.0), 100_000, np.random.default_rng(1))
         std_err = 2.0 / math.sqrt(100_000)
-        assert np.all(np.abs(ps.states.mean(axis=0) - mean.as_vector()) < 3 * std_err)
+        assert np.all(np.abs(ps.states.mean(axis=0) - mean) < 3 * std_err)
 
     @pytest.mark.parametrize("n", [1, 200, 2000])
     def test_draws_are_mean_plus_z_times_sigma_bit_for_bit(self, n):
         # unequal, unsorted sigmas with zeros: each axis takes its own normal, in axis order
-        mean = TargetState([1.0, -2.0, 3.0], [0.5, 0.0, -0.5])
+        mean = np.array([1.0, -2.0, 3.0, 0.5, 0.0, -0.5])
         for seed in range(10):
             sigma = np.random.default_rng(seed).uniform(0.0, 10.0, 6) * (np.arange(6) % 3 != seed % 3)
             ours, ref = np.random.default_rng([n, seed]), np.random.default_rng([n, seed])
             ps = init_particles(mean, sigma, n, ours)
-            want = mean.as_vector() + ref.standard_normal((n, 6)) * sigma
+            want = mean + ref.standard_normal((n, 6)) * sigma
             assert ps.states.tobytes() == want.tobytes()
             assert ours.random() == ref.random()  # the stream advanced alike
 
     def test_each_axis_has_its_own_variance(self):
         sigma = np.array([0.5, 3.0, 1.0, 2.0, 0.0, 4.0])
-        mean = TargetState([1.0, -2.0, 3.0], [0.5, -7.0, -0.5])
+        mean = np.array([1.0, -2.0, 3.0, 0.5, -7.0, -0.5])
         n = 20_000
         states = init_particles(mean, sigma, n, np.random.default_rng(21)).states
         var = sigma**2
@@ -142,7 +143,7 @@ class TestPredict:
 
     def test_predicted_mean_matches_transition(self):
         rng = np.random.default_rng(2)
-        ps = init_particles(TargetState([5.0, 5, 5], [1.0, -1, 0]), np.ones(6), 50_000, rng)
+        ps = init_particles(np.array([5.0, 5, 5, 1.0, -1, 0]), np.ones(6), 50_000, rng)
         out = predict(ps, MODEL, rng)
         expected = transition_matrix(MODEL.dt) @ (ps.weights @ ps.states)
         # noise and prior spread both contribute Monte-Carlo error
@@ -178,12 +179,12 @@ class TestPredict:
 class TestPredictedState:
     def test_single_particle(self):
         ps = ParticleSet(np.arange(6.0)[None, :], np.array([1.0]))
-        np.testing.assert_allclose(predicted_state(ps).as_vector(), np.arange(6.0))
+        assert np.array_equal(predicted_state(ps), np.arange(6.0))
 
     def test_two_particle_midpoint(self):
         states = np.stack([np.zeros(6), np.ones(6)])
         ps = ParticleSet(states, np.array([0.5, 0.5]))
-        np.testing.assert_allclose(predicted_state(ps).as_vector(), np.full(6, 0.5))
+        assert np.array_equal(predicted_state(ps), np.full(6, 0.5))
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(3)
@@ -192,7 +193,9 @@ class TestPredictedState:
         weights /= weights.sum()
         ps = ParticleSet(states, weights)
         direct = sum(w * s for w, s in zip(weights, states))
-        np.testing.assert_allclose(predicted_state(ps).as_vector(), direct, rtol=1e-12)
+        np.testing.assert_allclose(predicted_state(ps), direct, rtol=1e-12)
+        # the weighted mean itself, bit for bit: the aim points are these bits' first three
+        assert np.array_equal(predicted_state(ps), ps.weights @ ps.states)
 
 
 class TestLikelihood:
@@ -752,7 +755,7 @@ class TestUpdate:
     def test_weights_normalized_after_updates(self):
         rng = np.random.default_rng(10)
         truth = TargetState([30.0, 30, 30], [0, 0, 0])
-        ps = init_particles(truth, (5.0, 5.0, 5.0, 1.0, 1.0, 1.0), 500, rng)
+        ps = init_particles(truth.as_vector(), (5.0, 5.0, 5.0, 1.0, 1.0, 1.0), 500, rng)
         sensor = np.array([25.0, 25, 25])
         for _ in range(10):
             ps = predict(ps, MODEL, rng)
@@ -933,6 +936,67 @@ class TestMixtureReferee:
             np.linalg.cholesky(estimation._moments(ps)[1] + estimation._COV_JITTER * np.eye(6))
         _, log_w, meas, s_pos = _mixture_case(n, "many", seed=[n, 99])
         assert self._assert_matches(monkeypatch, ps, log_w, meas, s_pos) is None
+
+
+# The sensing of a 2-agent, 50-particle run with sigma_theta_rad = 5e-11 and
+# rho_max_m = 1e27 (a default scenario otherwise, seed 0): a clutter return
+# near 1e27 m has range and azimuth variances 1e18 apart, so rounding leaves
+# the gate's covariance sum indefinite.
+_FAR_SENSING = dataclasses.replace(SENSING, sigma_theta_rad=5e-11, rho_max_m=1e27)
+
+
+class TestGateFactorisation:
+    """A gate whose covariance sum fails to factorise falls back as when no return passes."""
+
+    def test_pinned_call_returns_none(self):
+        # captured from that run's first gate that failed to factorise
+        meas = np.array([[8.107976920611445e26, -2.0681212249507572, 2.463649165568073]])
+        s_pos = np.array([49.57256284340853, 93.11139065560626, 43.39789204330213])
+        mean = np.array(
+            [47.105853967161146, 94.7903533359105, 41.87428709810482, -1.3979267742498318, 0.3514955795373054, 0.013154382321423776]
+        )
+        cov = np.array(
+            [
+                [43.25067459740307, -10.62444583286354, -7.808267474252465, 11.274371132481635, 0.25726634782059743, -4.752619808725936],
+                [-10.62444583286354, 91.95014698001178, 9.72832811059714, -8.701753675027234, 14.004488173069038, 1.8513487222950007],
+                [-7.808267474252465, 9.72832811059714, 27.1124963402526, -2.3000896547215315, 0.5930594205386486, 7.177954843804697],
+                [11.274371132481633, -8.701753675027236, -2.300089654721531, 10.577124415197016, 1.1645001913037951, -2.6709520255645494],
+                [0.2572663478205972, 14.004488173069038, 0.5930594205386484, 1.1645001913037953, 7.7878489764168, -0.5982640309038181],
+                [-4.752619808725936, 1.8513487222950014, 7.177954843804697, -2.6709520255645494, -0.5982640309038179, 7.557866917029566],
+            ]
+        )
+        _, basis, scales = estimation._return_gaussians(meas, s_pos - mean[:3], _FAR_SENSING)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov[:3, :3] + (basis * scales[:, None, :] ** 2) @ basis.transpose(0, 2, 1))
+        assert estimation._gated_returns(meas, s_pos, mean, cov, _FAR_SENSING) is None
+
+    def test_update_resamples_the_cloud_alone(self, monkeypatch):
+        # every update of that run whose gate failed to factorise returns its own particles, resampled
+        cfg = ScenarioConfig(n_agents=2, n_steps=5, n_trials=1, n_particles=50, sensing=_FAR_SENSING)
+        cholesky, failed, checked = np.linalg.cholesky, [], []
+
+        def counted(matrices):
+            try:
+                return cholesky(matrices)
+            except np.linalg.LinAlgError:
+                failed.append(matrices.ndim)  # the gate factorises a (k, 3, 3) stack, the fit one 6x6
+                raise
+
+        def spy(ps, meas, s_pos, p, rng):
+            before = len(failed)
+            out, uninformative = update(ps, meas, s_pos, p, rng)
+            if failed[before:] == [3]:
+                checked.append(ps)
+                assert not uninformative
+                assert out.weights.tobytes() == np.full(len(ps), 1.0 / len(ps)).tobytes()
+                rows = {row.tobytes() for row in ps.states}
+                assert all(row.tobytes() in rows for row in out.states)
+            return out, uninformative
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        monkeypatch.setattr(sim, "update", spy)
+        sim.run_trial(cfg, 0)
+        assert checked
 
 
 def _read_only_set(states, weights) -> ParticleSet:
@@ -1139,7 +1203,7 @@ class TestFilterConsistency:
         for trial in range(50):
             rng = np.random.default_rng(1000 + trial)
             truth = TargetState(rng.uniform(20, 80, 3), rng.uniform(-2, 2, 3))
-            prior_mean = TargetState.from_vector(truth.as_vector() + rng.normal(size=6) * prior_sigma)
+            prior_mean = truth.as_vector() + rng.normal(size=6) * prior_sigma
             filters = [
                 init_particles(prior_mean, prior_sigma, 2000, rng) for _ in offsets
             ]

@@ -43,6 +43,10 @@ No package code factorises a covariance for Gaussian draws: every draw is
 diagonal, ``z * sigma`` in axis order, so no package code refers to
 ``multivariate_normal`` (an SVD on every call) or to ``svd``.
 
+The controller takes aim points, the rows of one (agent, 3) array of
+predicted drone positions: ``control`` refers to no ``TargetState``, which
+is kept for the drone's true state and the estimates a step logs.
+
 Every range rule on a value goes through ``dynamics.check_range``, whose
 comparisons NaN always fails: no package code writes a chained comparison
 (``a < b < c``, the hand-written range idiom), and ``config`` refers to no
@@ -572,3 +576,30 @@ def test_guard_sees_a_hand_written_range(tmp_path):
         encoding="utf-8",
     )
     assert sorted(hand_written_ranges(package)) == ["config:2", "config:7", "sensing:5", "sensing:7"]
+
+
+def control_target_states(package: Path = PACKAGE) -> list[str]:
+    """``control:line`` of each ``TargetState`` reference in ``control``, an import's alias included."""
+    tree = ast.parse((package / "control.py").read_text(encoding="utf-8"))
+    return [
+        f"control:{node.lineno}"
+        for node in ast.walk(tree)
+        if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))) == "TargetState"
+    ]
+
+
+def test_the_controller_takes_aim_points():
+    assert control_target_states() == []
+
+
+def test_guard_sees_a_target_state_in_control(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "control.py").write_text(
+        "from .dynamics import TargetState, norm\nfrom . import dynamics\n\n\n"
+        "def aim(predicted: TargetState):\n    return predicted.position\n\n\n"
+        "def wrap(vec):\n    return dynamics.TargetState.from_vector(vec), norm(vec)\n",
+        encoding="utf-8",
+    )
+    (package / "sim.py").write_text("from .dynamics import TargetState\n", encoding="utf-8")
+    assert sorted(control_target_states(package)) == ["control:1", "control:10", "control:5"]
