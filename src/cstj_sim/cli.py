@@ -3,7 +3,8 @@
 Outputs per run directory: steps.csv (one row per trial and step),
 summary.csv (per-step cross-trial means), config_resolved.txt (the exact
 resolved configuration, re-parseable), and manifest.txt (version, seed,
-output paths, wall-clock duration, and an inline config echo).
+output paths, wall-clock duration, and an inline config echo). A run that
+fails removes the output directories it made and left empty.
 
 The summary.csv columns are the per-step means of ``sim.step_means``, which
 says how each is taken; a mean that exists in no trial is left blank.
@@ -16,6 +17,8 @@ import csv
 import os
 import sys
 import time
+from contextlib import contextmanager, suppress
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -99,16 +102,33 @@ def _write_manifest(out_dir: Path, cfg: ScenarioConfig, paths: dict[str, Path], 
     return manifest_path
 
 
+@contextmanager
+def _output_dir(path: Path):
+    """Make ``path`` and its missing parents first, so that an unusable path fails before any trial runs.
+
+    If the body then raises, each directory made here that it left empty is
+    removed, innermost first; a directory that existed before stays.
+    """
+    made = list(takewhile(lambda p: not p.exists(), (path, *path.parents)))
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for directory in made:
+            with suppress(OSError):  # not empty
+                directory.rmdir()
+        raise
+
+
 def _run_one(cfg: ScenarioConfig, out_dir: Path, jobs: int) -> dict[str, Path]:
     start = time.perf_counter()
-    # an unusable output path fails here, before any trial runs
-    out_dir.mkdir(parents=True, exist_ok=True)
-    logs = run_trials(cfg, jobs=jobs)
-    paths = emit_csv(logs, out_dir)
-    resolved = out_dir / "config_resolved.txt"
-    resolved.write_text(format_config(cfg), encoding="utf-8")
-    paths["config_resolved"] = resolved
-    paths["manifest"] = _write_manifest(out_dir, cfg, dict(paths), time.perf_counter() - start)
+    with _output_dir(out_dir):
+        logs = run_trials(cfg, jobs=jobs)
+        paths = emit_csv(logs, out_dir)
+        resolved = out_dir / "config_resolved.txt"
+        resolved.write_text(format_config(cfg), encoding="utf-8")
+        paths["config_resolved"] = resolved
+        paths["manifest"] = _write_manifest(out_dir, cfg, dict(paths), time.perf_counter() - start)
     return paths
 
 
@@ -187,14 +207,14 @@ def cmd_preset(args) -> int:
     seed = args.seed if args.seed is not None else (env_seed if env_seed is not None else 0)
     configs = preset(args.name, seed=seed)
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     lines = [f"manifest.version = {__version__}", f"manifest.seed = {seed}", f"manifest.preset = {args.name}"]
-    for label, cfg in configs:
-        paths = _run_one(cfg, out_root / label, args.jobs)
-        lines += [f"manifest.path.{label}.{name} = {path}" for name, path in sorted(paths.items())]
-    lines.append(f"manifest.duration_s = {time.perf_counter() - start:.3f}")
-    (out_root / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _output_dir(out_root):
+        for label, cfg in configs:
+            paths = _run_one(cfg, out_root / label, args.jobs)
+            lines += [f"manifest.path.{label}.{name} = {path}" for name, path in sorted(paths.items())]
+        lines.append(f"manifest.duration_s = {time.perf_counter() - start:.3f}")
+        (out_root / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 

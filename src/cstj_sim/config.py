@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .dynamics import ActionGrid, MotionModel, TargetState, float_tuple
+from .dynamics import ActionGrid, MotionModel
 from .geometry_rf import AntennaParams, RfParams
 from .sensing import SensingParams
 from .sim import ScenarioConfig
@@ -65,10 +65,7 @@ _TEXT = (str, str)
 _INT = (_parse_int, str)
 _FLOAT = (_parse_float, _fmt_float)
 _FLOATS = (_parse_floats, _fmt_floats)
-_TARGET = (
-    lambda text: TargetState.from_vector(float_tuple("target_init", _parse_floats(text), 6)) if text else None,
-    lambda state: "" if state is None else _fmt_floats(state.as_vector()),
-)
+_TARGET = (lambda text: _parse_floats(text) if text else None, lambda start: "" if start is None else _fmt_floats(start))
 _LEVELS = (_parse_levels, lambda levels: ",".join(["off", *map(_fmt_float, levels[1:])]))
 
 # the ScenarioConfig fields that hold a parameter record

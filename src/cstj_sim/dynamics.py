@@ -29,10 +29,13 @@ def vector3(value) -> np.ndarray:
 def float_tuple(name: str, values, n: int | None = None) -> tuple:
     """``values`` flattened to a tuple of floats, so that records compare and hash by value.
 
-    A count other than ``n``, when given, raises a ``ValueError`` that names
-    ``name``.
+    Values that are not numbers, or a count other than ``n`` when given,
+    raise a ``ValueError`` that names ``name``.
     """
-    flat = np.asarray(values, dtype=float).ravel()
+    try:
+        flat = np.asarray(values, dtype=float).ravel()
+    except (TypeError, ValueError):  # text, or an object such as a TargetState
+        raise ValueError(f"{name} must hold numbers, got {type(values).__name__}") from None
     if n is not None and flat.size != n:
         raise ValueError(f"{name} must hold {n} values, got {flat.size}")
     return tuple(flat.tolist())
@@ -68,7 +71,7 @@ def norm(delta: np.ndarray) -> np.ndarray:
     return np.sqrt((dx * dx + dy * dy) + dz * dz)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class TargetState:
     """Kinematic state of the rogue drone: 3D position and velocity.
 
@@ -84,11 +87,6 @@ class TargetState:
         self.velocity = vector3(self.velocity)
         if not all(map(math.isfinite, (*self.position.tolist(), *self.velocity.tolist()))):
             raise ValueError("state components must be finite")
-
-    def __eq__(self, other):
-        if not isinstance(other, TargetState):
-            return NotImplemented
-        return bool(np.array_equal(self.position, other.position) and np.array_equal(self.velocity, other.velocity))
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.position, self.velocity])

@@ -54,11 +54,22 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
-@dataclass
+# The most float64 densities that one measurement set's likelihood grid may ask for: 2**24, 128 MiB a
+# grid. The grid holds a density per particle and return, and a set holds clutter_rate + 1 returns on
+# average: Poisson clutter and at most the drone's own. The kernel keeps about four grids of that shape
+# alive at once (the quadratic form, its term and the azimuth wrap's two buffers), so one update stays
+# near half a GiB. The budget also keeps the clutter rate below 2**24, far below the about 9.2e18 that
+# numpy's Poisson sampler accepts.
+_DENSITY_BUDGET = 2**24
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one trial needs; ``config._KEYS`` gives the file keys and units.
 
-    The vectors are held as tuples of floats, so that configs compare by value.
+    A config is a value, frozen like its records: every vector is held as a
+    tuple of floats, so that configs compare and hash by value, and a field
+    changes only through ``dataclasses.replace``, which runs every rule.
     """
 
     mode: str = "cstj"  # "cstj" or "ct"
@@ -68,7 +79,7 @@ class ScenarioConfig:
     n_trials: int = 50
     arena_min: tuple = (0.0, 0.0, 0.0)
     arena_max: tuple = (100.0, 100.0, 100.0)
-    target_init: TargetState | None = None  # None: drawn per trial
+    target_init: tuple | None = None  # the drone's start (x, y, z, vx, vy, vz); None: drawn per trial
     prior_sigma: tuple = (5.0, 5.0, 5.0, 1.0, 1.0, 1.0)
     spawn_radius_m: float = 5.0
     motion: MotionModel = MotionModel(1.0, (2.0, 2.0, 2.0))
@@ -97,16 +108,16 @@ class ScenarioConfig:
     n_particles: int = 2000
 
     def __post_init__(self):
-        self.arena_min = float_tuple("arena_min", self.arena_min, 3)
-        self.arena_max = float_tuple("arena_max", self.arena_max, 3)
-        self.prior_sigma = float_tuple("prior_sigma", self.prior_sigma, 6)
+        for name, n in (("arena_min", 3), ("arena_max", 3), ("prior_sigma", 6)):
+            object.__setattr__(self, name, float_tuple(name, getattr(self, name), n))
+        if self.target_init is not None:
+            object.__setattr__(self, "target_init", float_tuple("target_init", self.target_init, 6))
+            check_range("target_init", *self.target_init)
         if self.mode not in ("cstj", "ct"):
             raise ValueError(f"mode must be 'cstj' or 'ct', got {self.mode!r}")
         check_count("seed", self.seed, 0)
         for name in ("n_agents", "n_steps", "n_trials", "n_particles"):
             check_count(name, getattr(self, name), 1)
-        if not (self.target_init is None or isinstance(self.target_init, TargetState)):
-            raise ValueError(f"target_init must be a TargetState or None, got {type(self.target_init).__name__}")
         check_range("arena_min", *self.arena_min)
         check_range("arena_max", *self.arena_max)
         if not all(low < high for low, high in zip(self.arena_min, self.arena_max)):
@@ -126,6 +137,12 @@ class ScenarioConfig:
             raise ValueError(
                 "prior_sigma, motion.dt and motion.accel_var must keep the drone's spread over n_steps"
                 f" below 1e100 m, got {spread:.3g} m"
+            )
+        # a quotient, since a count past the float range cannot multiply a float
+        if not self.n_particles <= _DENSITY_BUDGET / (self.sensing.clutter_rate + 1.0):
+            raise ValueError(
+                f"n_particles and sensing.clutter_rate must keep n_particles * (clutter_rate + 1) at most"
+                f" {_DENSITY_BUDGET} densities, got {self.n_particles} * ({self.sensing.clutter_rate:g} + 1)"
             )
         check_range("spawn_radius_m", self.spawn_radius_m, low=0)
         check_range("tracking_threshold", self.tracking_threshold, low=0, high=1, low_in=True, high_in=True)
@@ -219,12 +236,10 @@ def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
     names the trial and the step.
     """
     scen_rng = _rng(cfg.seed, trial_index, _STREAM_SCENARIO)
-    truth = cfg.target_init
-    if truth is None:
-        truth = TargetState(
-            scen_rng.uniform(cfg.arena_min, cfg.arena_max),
-            scen_rng.uniform(-2.0, 2.0, size=3),
-        )
+    start = cfg.target_init
+    if start is None:
+        start = np.concatenate([scen_rng.uniform(cfg.arena_min, cfg.arena_max), scen_rng.uniform(-2.0, 2.0, size=3)])
+    truth = TargetState.from_vector(start)
     prior_mean = truth.as_vector() + scen_rng.normal(size=6) * cfg.prior_sigma
     agents = [
         AgentState(j, _spawn_in_sphere(truth.position, cfg.spawn_radius_m, scen_rng))

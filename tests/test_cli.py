@@ -300,16 +300,54 @@ def test_gate_that_fails_to_factorise_runs(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+# velocity sigmas of 1e12 m/s leave a filter covariance that CI cannot invert
+_FAILING = f"{_FAR_CLUTTER}sim.steps = 3\nprior.sigma = 5,5,5,1e12,1e12,1e12\n"
+
+
 @pytest.mark.parametrize("flags", [[], ["--trials", "2", "--jobs", "2"]], ids=["serial", "pool"])
 def test_failing_trial_exits_2_naming_its_trial_and_step(flags, tmp_path, capsys):
-    # velocity sigmas of 1e12 m/s leave a filter covariance that CI cannot invert
     path = tmp_path / "scenario.cfg"
-    path.write_text(f"{_FAR_CLUTTER}sim.steps = 3\nprior.sigma = 5,5,5,1e12,1e12,1e12\n")
+    path.write_text(_FAILING)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out", str(out), "--seed", "0", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: trial 0, step ") and err.endswith(": singular covariance after regularization\n")
     assert not (out / "steps.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--trials", "2", "--jobs", "2"]], ids=["serial", "pool"])
+@pytest.mark.parametrize("premade", [False, True], ids=["fresh", "premade"])
+def test_failing_run_leaves_no_directory_it_made(premade, flags, tmp_path, capsys):
+    # the run makes --out and its missing parents before any trial, and removes those it leaves empty
+    path = tmp_path / "scenario.cfg"
+    path.write_text(_FAILING)
+    out = tmp_path / "out" if premade else tmp_path / "new" / "out"
+    if premade:
+        out.mkdir()
+    assert cli.main(["run", "--config", str(path), "--out", str(out), "--seed", "0", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: trial 0, step ")
+    if premade:
+        assert out.is_dir() and not any(out.iterdir())
+    else:
+        assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("arms", [["bad"], ["good", "bad"]])
+def test_failing_preset_leaves_no_directory_it_made_empty(arms, tmp_path, capsys, monkeypatch):
+    configs = {
+        "good": ScenarioConfig(n_agents=1, n_steps=1, n_trials=1, n_particles=10),
+        "bad": config.parse_config_text(_FAILING, overrides={"sim.seed": 0}),
+    }
+    monkeypatch.setattr(cli, "preset", lambda name, seed=0: [(arm, configs[arm]) for arm in arms])
+    monkeypatch.delenv("CSTJ_SIM_SEED", raising=False)
+    out = tmp_path / "out"
+    assert cli.main(["preset", "figure3_compare", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: trial 0, step ")
+    if "good" in arms:
+        # the finished arm keeps its files, and so the root that holds them
+        assert sorted(p.name for p in out.iterdir()) == ["good"]
+    else:
+        assert not out.exists()
 
 
 def test_run_help_lists_every_key_and_the_seed_priority(capsys):

@@ -24,7 +24,7 @@ from cstj_sim.config import (
 from cstj_sim.dynamics import ActionGrid, MotionModel, TargetState
 from cstj_sim.geometry_rf import AntennaParams, RfParams
 from cstj_sim.sensing import SensingParams
-from cstj_sim.sim import ScenarioConfig
+from cstj_sim.sim import _DENSITY_BUDGET, ScenarioConfig
 
 real = st.floats(-1e6, 1e6)
 nonneg = st.floats(0.0, 1e6)
@@ -42,7 +42,7 @@ def valid_configs(draw):
     arena_min = np.array(draw(_vector(real, 3)))
     on_levels = sorted(draw(st.lists(real, max_size=5, unique=True)))
     mode = draw(st.sampled_from(["cstj", "ct"] if on_levels else ["cstj"]))
-    target = draw(st.none() | _vector(real, 6))
+    n_particles = draw(st.integers(1, 100_000))
     return ScenarioConfig(
         mode=mode,
         seed=draw(st.integers(0, 2**63 - 1)),
@@ -51,7 +51,7 @@ def valid_configs(draw):
         n_trials=draw(st.integers(1, 10_000)),
         arena_min=arena_min,
         arena_max=arena_min + np.array(draw(_vector(positive, 3))),
-        target_init=None if target is None else TargetState.from_vector(target),
+        target_init=draw(st.none() | _vector(real, 6)),
         prior_sigma=np.array(draw(_vector(nonneg, 6))),
         spawn_radius_m=draw(positive),
         motion=MotionModel(draw(positive), draw(_vector(nonneg, 3))),
@@ -68,7 +68,8 @@ def valid_configs(draw):
             sigma_phi_rad=draw(positive),
             sigma_rho0_m=draw(positive),
             beta_rho=draw(nonneg),
-            clutter_rate=draw(nonneg),
+            # within the density budget: n_particles * (clutter_rate + 1) <= 2**24
+            clutter_rate=draw(st.floats(0.0, min(1e6, _DENSITY_BUDGET // n_particles - 1))),
             rho_max_m=draw(positive),
         ),
         antenna=AntennaParams(
@@ -84,7 +85,7 @@ def valid_configs(draw):
         ),
         tracking_threshold=draw(unit),
         ct_power_db=draw(st.sampled_from(on_levels)) if mode == "ct" else draw(real),
-        n_particles=draw(st.integers(1, 100_000)),
+        n_particles=n_particles,
     )
 
 
@@ -95,6 +96,7 @@ def test_format_parse_round_trip(cfg):
     assert config_values(parsed) == config_values(cfg)
     # the text carries every value exactly, not only as its own formatting
     assert parsed == cfg
+    assert cfg.target_init is None or type(cfg.target_init) is tuple
 
 
 def _workload_configs():
@@ -180,7 +182,8 @@ BAD_VALUES = {
     "sensing.sigma_phi_rad": ["x", "-1"],
     "sensing.sigma_rho0_m": ["x", "0"],
     "sensing.beta_rho": ["x", "-0.1"],
-    "sensing.lambda_c": ["x", "inf", "-1"],
+    # past the density budget: numpy's Poisson sampler refuses 1e300, and 1e12 asks for terabytes
+    "sensing.lambda_c": ["x", "inf", "-1", "filter.particles = 50 | 1e300", "filter.particles = 50 | 1e12"],
     "sensing.rho_max_m": ["x", "0", "1e308", "1e-320"],
     "antenna.effective_range_m": ["x", "0"],
     "antenna.opening_angle_rad": ["x", "0", "3.2"],
@@ -247,9 +250,9 @@ def test_parameter_records_reject_nan_and_inf(record, field, value):
 
 def test_records_compare_by_value():
     # == between equal configs is a bool, not an elementwise array comparison
-    init = TargetState.from_vector([40.0, 40.0, 40.0, 1.0, 0.0, 0.0])
+    init = (40.0, 40.0, 40.0, 1.0, 0.0, 0.0)
     assert ScenarioConfig() == ScenarioConfig()
-    assert ScenarioConfig(target_init=init) == ScenarioConfig(target_init=TargetState.from_vector(init.as_vector()))
+    assert ScenarioConfig(target_init=init) == ScenarioConfig(target_init=np.array(init))
     assert ScenarioConfig(target_init=init) != ScenarioConfig()
     assert dataclasses.replace(_DEFAULTS, seed=1) != _DEFAULTS
     assert dataclasses.replace(_DEFAULTS, arena_max=[100.0, 100.0, 99.0]) != _DEFAULTS
@@ -257,6 +260,47 @@ def test_records_compare_by_value():
     motion = MotionModel(1.0, [2.0, 2.0, 2.0])
     assert motion == _DEFAULTS.motion and hash(motion) == hash(_DEFAULTS.motion)
     assert dataclasses.replace(motion, dt=0.5) != motion
+
+
+def test_a_config_is_a_frozen_value():
+    # a field set after construction would skip every rule, so none can be set
+    cfg = ScenarioConfig(n_agents=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n_agents = 0
+    assert cfg.n_agents == 3
+    # replace builds a new config and runs every rule
+    with pytest.raises(ValueError, match="n_agents"):
+        dataclasses.replace(cfg, n_agents=0)
+    assert ScenarioConfig(n_agents=3) == cfg and hash(ScenarioConfig(n_agents=3)) == hash(cfg)
+    assert len({cfg, ScenarioConfig(n_agents=3), _DEFAULTS}) == 2
+
+
+def test_a_fixed_start_is_six_floats_and_round_trips():
+    cfg = dataclasses.replace(_DEFAULTS, target_init=np.array([40.5, 41.25, 39, 1.5, -0.25, 0.75]))
+    assert cfg.target_init == (40.5, 41.25, 39.0, 1.5, -0.25, 0.75)
+    assert all(type(value) is float for value in cfg.target_init)
+    text = format_config(cfg)
+    assert "target.init_state = 40.5,41.25,39.0,1.5,-0.25,0.75\n" in text
+    parsed = parse_config_text(text)
+    assert parsed == cfg and hash(parsed) == hash(cfg)
+    assert not any(isinstance(getattr(parsed, f.name), np.ndarray) for f in dataclasses.fields(parsed))
+
+
+def test_density_budget_boundary():
+    # n_particles * (clutter_rate + 1) may reach the budget and not one unit past it
+    for n_particles, rate in ((1, _DENSITY_BUDGET - 1.0), (_DENSITY_BUDGET // 2, 1.0), (_DENSITY_BUDGET, 0.0)):
+        sensing = dataclasses.replace(_DEFAULTS.sensing, clutter_rate=rate)
+        assert ScenarioConfig(n_particles=n_particles, sensing=sensing).n_particles == n_particles
+        with pytest.raises(ValueError, match=r"^n_particles and sensing\.clutter_rate must "):
+            ScenarioConfig(n_particles=n_particles, sensing=dataclasses.replace(sensing, clutter_rate=rate + 1.0))
+        with pytest.raises(ValueError, match="n_particles"):
+            ScenarioConfig(n_particles=n_particles + 1, sensing=sensing)
+    # a count past the float range is refused, not an overflow
+    with pytest.raises(ValueError, match="n_particles"):
+        ScenarioConfig(n_particles=10**400)
+    # the planned calibration and paper-contrast runs go to 20 000 particles at clutter rates up to 30
+    planned = ScenarioConfig(n_particles=20_000, sensing=dataclasses.replace(_DEFAULTS.sensing, clutter_rate=30.0))
+    assert planned.sensing.clutter_rate == 30.0
 
 
 _CT = dataclasses.replace(_DEFAULTS, mode="ct")
@@ -274,8 +318,10 @@ _OUT_OF_RANGE = [
     (_DEFAULTS, "prior_sigma", [5.0, 5.0, 5.0, 1.0, 1.0, -1.0]),
     (_CT, "ct_power_db", 3.0),
     (_DEFAULTS.motion, "accel_var", (1.0, 1.0, -1e-10)),
-    # the drone's start is a TargetState, not its bare vector
-    (_DEFAULTS, "target_init", (50.0, 50.0, 50.0, 0.0, 0.0, 0.0)),
+    # the drone's start is six finite floats, not a TargetState
+    (_DEFAULTS, "target_init", TargetState.from_vector((50.0, 50.0, 50.0, 0.0, 0.0, 0.0))),
+    (_DEFAULTS, "target_init", (50.0, 50.0, 50.0, 0.0, 0.0)),
+    (_DEFAULTS, "target_init", (50.0, 50.0, math.inf, 0.0, 0.0, 0.0)),
     # counts are integers, not floats or bools, so that their echo parses back
     (_DEFAULTS, "seed", 1.5),
     (_DEFAULTS, "n_agents", 2.5),

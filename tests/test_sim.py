@@ -81,7 +81,7 @@ class TestRunTrial:
         assert _logged_digest(run_trial(cfg, 0)) != _logged_digest(run_trial(cfg, 1))
 
     def test_fixed_target_init_is_honoured(self):
-        init = TargetState([40.0, 40.0, 40.0], [1.0, 0.0, 0.0])
+        init = (40.0, 40.0, 40.0, 1.0, 0.0, 0.0)
         cfg = _small_cfg(target_init=init, n_steps=1)
         logs_a = run_trial(cfg, 0)
         logs_b = run_trial(cfg, 1)

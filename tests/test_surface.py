@@ -47,6 +47,10 @@ The controller takes aim points, the rows of one (agent, 3) array of
 predicted drone positions: ``control`` refers to no ``TargetState``, which
 is kept for the drone's true state and the estimates a step logs.
 
+A config is a frozen value: ``ScenarioConfig`` and every parameter record
+it holds (``config._RECORDS``) are frozen dataclasses, so that no field is
+set past the rules of its ``__post_init__``.
+
 Every range rule on a value goes through ``dynamics.check_range``, whose
 comparisons NaN always fails: no package code writes a chained comparison
 (``a < b < c``, the hand-written range idiom), and ``config`` refers to no
@@ -54,10 +58,13 @@ comparisons NaN always fails: no package code writes a chained comparison
 """
 
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
 import cstj_sim
+from cstj_sim.config import _RECORDS
+from cstj_sim.sim import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cstj_sim"
@@ -603,3 +610,27 @@ def test_guard_sees_a_target_state_in_control(tmp_path):
     )
     (package / "sim.py").write_text("from .dynamics import TargetState\n", encoding="utf-8")
     assert sorted(control_target_states(package)) == ["control:1", "control:10", "control:5"]
+
+
+def unfrozen_records(classes) -> list[str]:
+    """The name of each class that is not a frozen dataclass."""
+    return [cls.__name__ for cls in classes if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)]
+
+
+def test_a_config_and_its_records_are_frozen():
+    assert unfrozen_records([ScenarioConfig, *_RECORDS.values()]) == []
+
+
+def test_guard_sees_a_mutable_record():
+    @dataclasses.dataclass
+    class Mutable:
+        dt: float
+
+    @dataclasses.dataclass(frozen=True)
+    class Frozen:
+        dt: float
+
+    class Plain:
+        dt = 1.0
+
+    assert unfrozen_records([Mutable, Frozen, Plain]) == ["Mutable", "Plain"]
