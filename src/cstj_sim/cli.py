@@ -54,7 +54,7 @@ def emit_csv(logs_by_trial: list[list[StepLog]], out_dir) -> dict[str, Path]:
         "trial", "step",
         "truth_x", "truth_y", "truth_z",
         "fused_x", "fused_y", "fused_z",
-        "tracking_error_m", "target_power_db", "max_pair_interference_db",
+        "tracking_error_m", "target_power_db", "max_agent_interference_db",
     ]
     for j in range(n_agents):
         header += [f"agent{j}_power_index", f"agent{j}_fallback"]
@@ -81,7 +81,7 @@ def emit_csv(logs_by_trial: list[list[StepLog]], out_dir) -> dict[str, Path]:
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
-            ["step", "mean_tracking_error_m", "mean_target_power_db", "mean_max_pair_interference_db"]
+            ["step", "mean_tracking_error_m", "mean_target_power_db", "mean_max_agent_interference_db"]
         )
         if logs_by_trial:
             for log, error, power, interference in zip(logs_by_trial[0], *step_means(logs_by_trial)):

@@ -8,12 +8,13 @@ position, above a threshold and picks the (move, power level) pair that
 maximizes power delivered there subject to two interference limits: what
 the agent itself would receive from already-committed teammates, and what
 its transmission would add at each committed teammate. Agents decide
-sequentially in id order, so later agents see all earlier commitments.
+sequentially in row order, so later agents see all earlier commitments; an
+agent's id is its row in the team's arrays.
 
 Every pair is scored at once in linear power, one power map per sender set:
 the committed senders' reaches the candidates and teammates, the candidates'
 reaches the teammates and the aim point. Loads are summed over senders
-in id order and compared with the dB threshold as ``10 log10(total) < limit``.
+in row order and compared with the dB threshold as ``10 log10(total) < limit``.
 An off transmitter, or a receiver outside a cone, contributes exactly zero,
 so a zero total (-inf dB) is always below the limit.
 """
@@ -58,13 +59,12 @@ class DecisionRecord:
         self.aim_point = vector3(self.aim_point)
 
 
-def _detection_grid(aims: np.ndarray, action_sets, p: SensingParams) -> tuple[np.ndarray, np.ndarray]:
-    """Every agent's moves as one (agent, move, 3) array, and each move's detection probability of its agent's aim.
+def _detection_grid(aims: np.ndarray, actions: np.ndarray, p: SensingParams) -> np.ndarray:
+    """The (agent, move) detection probability of each agent's aim from each of its moves.
 
-    ``aims`` is (agent, 3); every agent has as many moves: the one move grid, offset by its position.
+    ``aims`` is (agent, 3) and ``actions`` (agent, move, 3).
     """
-    actions = np.array(action_sets)
-    return actions, detection_prob_at_distance(norm(aims[:, None] - actions), p)
+    return detection_prob_at_distance(norm(aims[:, None] - actions), p)
 
 
 def admissible_set(actions, probs, threshold: float) -> np.ndarray:
@@ -96,7 +96,7 @@ def solve_jamming(
     interference threshold, and (b) for every committed teammate, the
     aggregate of all other committed transmitters plus this agent's new
     contribution stays below it too. Each aggregate is a linear power sum
-    (``sender_sum``), taken in sender (id) order with the new contribution
+    (``sender_sum``), taken in sender (row) order with the new contribution
     last, and compared with the threshold in dB. Delivered power is exactly
     zero when the aim point lies outside the candidate's cone or the
     level is off. Ties break toward the lower power level, then the lower
@@ -136,46 +136,40 @@ def solve_jamming(
 
 
 def sequential_decide(
-    agents,
     aims: np.ndarray,
-    action_sets,
+    actions: np.ndarray,
     ant: AntennaParams,
     rf: RfParams,
     sensing: SensingParams,
     tracking_threshold: float,
 ) -> list[DecisionRecord]:
-    """Decide all agents in ascending id order, each seeing prior commitments.
+    """Decide all agents in row order, each seeing prior commitments; record i is agent i's.
 
-    The whole team's moves are scored in one detection grid first. An agent
-    whose thresholded candidate set comes up empty skips the jamming step
-    entirely: it takes the best-tracking action from its full move set with
-    the antenna off.
+    ``aims`` is the team's (agent, 3) aim points and ``actions`` its
+    (agent, move, 3) moves; an agent's id is its row. The whole team's moves
+    are scored in one detection grid first. An agent whose thresholded
+    candidate set comes up empty skips the jamming step entirely: it takes
+    the best-tracking action from its full move set with the antenna off.
     """
-    ids = [a.id for a in agents]
-    if any(b <= a for a, b in zip(ids, ids[1:])):
-        raise ValueError("agents must be ordered by strictly increasing id")
-    team_actions, team_probs = _detection_grid(aims, action_sets, sensing)
+    team_probs = _detection_grid(aims, actions, sensing)
     decided: list[DecisionRecord] = []
-    for agent, aim, actions, probs in zip(agents, aims, team_actions, team_probs):
-        candidates = admissible_set(actions, probs, tracking_threshold)
+    for agent_id, (aim, moves, probs) in enumerate(zip(aims, actions, team_probs)):
+        candidates = admissible_set(moves, probs, tracking_threshold)
         if len(candidates) == 0:
-            record = _tracking_decision(agent.id, aim, actions, probs, 0, Fallback.TRACKING)
+            record = _tracking_decision(agent_id, aim, moves, probs, 0, Fallback.TRACKING)
         else:
-            record = solve_jamming(agent.id, candidates, aim, decided, ant, rf, probs[probs > tracking_threshold])
+            record = solve_jamming(agent_id, candidates, aim, decided, ant, rf, probs[probs > tracking_threshold])
         decided.append(record)
     return decided
 
 
-def ct_decide(
-    agents,
-    aims: np.ndarray,
-    action_sets,
-    sensing: SensingParams,
-    power_index: int,
-) -> list[DecisionRecord]:
-    """Tracking-only baseline: best-tracking move, fixed power, no constraints; one detection grid for the team."""
-    team_actions, team_probs = _detection_grid(aims, action_sets, sensing)
+def ct_decide(aims: np.ndarray, actions: np.ndarray, sensing: SensingParams, power_index: int) -> list[DecisionRecord]:
+    """Tracking-only baseline: best-tracking move, fixed power, no constraints; record i is agent i's.
+
+    Takes the arrays of ``sequential_decide`` and scores them in one detection grid.
+    """
+    team_probs = _detection_grid(aims, actions, sensing)
     return [
-        _tracking_decision(agent.id, aim, actions, probs, power_index, Fallback.NONE)
-        for agent, aim, actions, probs in zip(agents, aims, team_actions, team_probs)
+        _tracking_decision(agent_id, aim, moves, probs, power_index, Fallback.NONE)
+        for agent_id, (aim, moves, probs) in enumerate(zip(aims, actions, team_probs))
     ]

@@ -167,9 +167,9 @@ class ActionGrid:
         object.__setattr__(self, "radial_steps_m", steps)
 
 
-def step_target(state: TargetState, model: MotionModel, rng: np.random.Generator) -> TargetState:
-    """Advance the drone one step with a fresh acceleration-noise draw."""
-    return TargetState.from_vector(model.advance(state.as_vector(), model.accel_noise(rng)))
+def step_target(state: np.ndarray, model: MotionModel, rng: np.random.Generator) -> np.ndarray:
+    """Advance the drone's (6,) state one step with a fresh acceleration-noise draw."""
+    return model.advance(state, model.accel_noise(rng))
 
 
 @lru_cache(maxsize=None)

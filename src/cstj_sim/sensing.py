@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TargetState, check_range, norm
+from .dynamics import check_range, norm
 
 
 # the period of both angle maps, as a Python float so that a float angle stays one
@@ -153,17 +153,17 @@ def sample_clutter(p: SensingParams, rng: np.random.Generator) -> np.ndarray:
     return np.column_stack([ranges, wrap_azimuth(azimuths), inclinations])
 
 
-def collect(x: TargetState, s_pos, p: SensingParams, rng: np.random.Generator) -> np.ndarray:
+def collect(target_pos, s_pos, p: SensingParams, rng: np.random.Generator) -> np.ndarray:
     """One step's measurement set: maybe the target return, plus clutter, shuffled.
 
-    ``s_pos`` is the sensor's float (3,) position. Returns an (n, 3) array
-    of (range [m], azimuth in (-pi, pi], inclination in [0, pi]) rows. The
-    drone's offset from the sensor and its spherical coordinates are built
-    once and serve both the detection draw and the return. The draws come
-    in a fixed order: the detection draw, the target return's noise, the
-    clutter, then the shuffle.
+    ``target_pos`` is the drone's float (3,) position and ``s_pos`` the
+    sensor's. Returns an (n, 3) array of (range [m], azimuth in (-pi, pi],
+    inclination in [0, pi]) rows. The drone's offset from the sensor and its
+    spherical coordinates are built once and serve both the detection draw
+    and the return. The draws come in a fixed order: the detection draw, the
+    target return's noise, the clutter, then the shuffle.
     """
-    coords = spherical_coords(x.position - s_pos)
+    coords = spherical_coords(target_pos - s_pos)
     detected = rng.random() < detection_prob_at_distance(coords[0], p)
     target = [sample_measurement(coords, p, rng)] if detected else []
     rows = np.concatenate([np.reshape(target, (-1, 3)), sample_clutter(p, rng)])

@@ -22,12 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .control import (
-    DecisionRecord,
-    Fallback,
-    ct_decide,
-    sequential_decide,
-)
+from .control import DecisionRecord, Fallback, ct_decide, sequential_decide
 from .dynamics import (
     ActionGrid,
     AgentState,
@@ -120,8 +115,29 @@ class ScenarioConfig:
             check_count(name, getattr(self, name), 1)
         check_range("arena_min", *self.arena_min)
         check_range("arena_max", *self.arena_max)
-        if not all(low < high for low, high in zip(self.arena_min, self.arena_max)):
-            raise ValueError("arena_min and arena_max must bound the arena: arena_max above arena_min on every axis")
+        # a finite width too: the drone's start is drawn as low + width * u
+        if not all(low < high and high - low < np.inf for low, high in zip(self.arena_min, self.arena_max)):
+            raise ValueError(
+                "arena_min and arena_max must bound the arena: arena_max above arena_min on every axis,"
+                " by a finite width"
+            )
+        # Every move must stay resolved where the team flies. Positions start within M, the largest corner (or
+        # fixed start) coordinate, but the drone can drift past the arena and the agents follow it. Allowing one
+        # binade of drift, to 2M, doubles the spacing s = np.spacing(M); a drift further than the arena's own
+        # largest coordinate is not covered. Each coordinate rounds to within s there, so an agent-to-drone
+        # offset, the difference of two rounded positions, errs by at most 2 s per axis and 2 sqrt(3) s in
+        # length. Asking that to be at most 2**-10 of the smallest move step gives the rule below: with 1 m
+        # steps, M below 2**41 m (2.2e12). A step under half a spacing cannot leave the drone's coordinates at
+        # all (16 m spacing at 1e17), and a range of 0 follows. Every agent moves at least that step before its
+        # first measurement, so the spawn radius needs no rule of its own.
+        reach = max(map(abs, (*self.arena_min, *self.arena_max, *(self.target_init or ())[:3])))
+        step = min(self.actions.radial_steps_m)
+        if not 2**11 * 3**0.5 * np.spacing(reach) <= step:
+            raise ValueError(
+                "arena_max, arena_min, target_init and actions.radial_steps_m must keep every move resolved: the"
+                f" smallest step, {step:g} m, at least 2**11 sqrt(3) float spacings at the largest coordinate,"
+                f" {reach:.3g} m"
+            )
         check_range("prior_sigma", *self.prior_sigma, low=0, low_in=True)
         # Every filter's covariance holds the square of the drone's spread, and CI inverts it, so that square
         # must stay below the float range's 1.8e308. Over a trial the spread is of the order of the prior's
@@ -239,12 +255,9 @@ def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
     start = cfg.target_init
     if start is None:
         start = np.concatenate([scen_rng.uniform(cfg.arena_min, cfg.arena_max), scen_rng.uniform(-2.0, 2.0, size=3)])
-    truth = TargetState.from_vector(start)
-    prior_mean = truth.as_vector() + scen_rng.normal(size=6) * cfg.prior_sigma
-    agents = [
-        AgentState(j, _spawn_in_sphere(truth.position, cfg.spawn_radius_m, scen_rng))
-        for j in range(cfg.n_agents)
-    ]
+    truth = np.array(start)  # the drone's (6,) state; a TargetState only in the step log
+    prior_mean = truth + scen_rng.normal(size=6) * cfg.prior_sigma
+    agents = [AgentState(j, _spawn_in_sphere(truth[:3], cfg.spawn_radius_m, scen_rng)) for j in range(cfg.n_agents)]
 
     target_rng = _rng(cfg.seed, trial_index, _STREAM_TARGET)
     sense_rngs = [_rng(cfg.seed, trial_index, _STREAM_SENSE, j) for j in range(cfg.n_agents)]
@@ -257,20 +270,19 @@ def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
         for step in range(1, cfg.n_steps + 1):
             particles = [predict(ps, cfg.motion, rng) for ps, rng in zip(particles, filter_rngs)]
             aims = np.array([predicted_state(ps)[:3] for ps in particles])
-            action_sets = [enumerate_actions(agent, cfg.actions) for agent in agents]
+            actions = np.array([enumerate_actions(agent, cfg.actions) for agent in agents])
             if cfg.mode == "ct":
-                decisions = ct_decide(agents, aims, action_sets, cfg.sensing, ct_index)
+                decisions = ct_decide(aims, actions, cfg.sensing, ct_index)
             else:
-                decisions = sequential_decide(
-                    agents, aims, action_sets, cfg.antenna, cfg.rf, cfg.sensing, cfg.tracking_threshold
-                )
+                decisions = sequential_decide(aims, actions, cfg.antenna, cfg.rf, cfg.sensing, cfg.tracking_threshold)
             for agent, decision in zip(agents, decisions):
                 agent.position = decision.chosen_position
 
             truth = step_target(truth, cfg.motion, target_rng)
+            true_state = TargetState.from_vector(truth)  # refuses a non-finite state before any measurement
 
             measurements = [
-                collect(truth, agent.position, cfg.sensing, rng) for agent, rng in zip(agents, sense_rngs)
+                collect(truth[:3], agent.position, cfg.sensing, rng) for agent, rng in zip(agents, sense_rngs)
             ]
             particles, uninformative = zip(
                 *[
@@ -280,7 +292,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
             )
             estimates = [eap(ps) for ps in particles]
             fused = ci_fuse(estimates)
-            metrics = compute_metrics(truth, fused, decisions, cfg.antenna, cfg.rf)
+            metrics = compute_metrics(true_state, fused, decisions, cfg.antenna, cfg.rf)
 
             agent_logs = [
                 AgentStepLog(agent.id, estimate, decision, len(meas), interference, flag)
@@ -291,7 +303,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int = 0) -> list[StepLog]:
             logs.append(
                 StepLog(
                     step=step,
-                    true_state=truth,
+                    true_state=true_state,
                     fused=fused,
                     agents=agent_logs,
                     tracking_error_m=metrics.tracking_error_m,

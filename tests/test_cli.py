@@ -20,18 +20,21 @@ def _golden_configs():
 # sha256 of the steps.csv and summary.csv bytes of each seeded run. Any
 # change to the simulated numbers, the decisions or the CSV format changes
 # these; a refactor that claims to keep behaviour must leave them as they are.
+# Restated when the interference columns took the names of what they hold, the
+# largest per-agent total (max_agent_interference_db and its mean): every byte
+# below the header lines is unchanged.
 GOLDEN_SHA256 = {
     "cstj_4": (
-        "4c6c9dcc5d29e6063da9b6d66227d8d0667db826e82ea9eb0025023579535651",
-        "15c9567d765d67c61b848bbceca2299724f71f681ece88427ce09cfbe0054558",
+        "ba5ea2ba650218ffce4fafdf095392d0eb533c9cb032b98c70982ea866cdf176",
+        "b19dd604dfc28f2dd83d5266d365ef2ee3c375ae4d5fe82dfee2efa2291ce176",
     ),
     "ct_4": (
-        "9879f6ae6a4f77d842c02f677c4d3a0e85cb75e69a15f0bcec0b75485202c3e7",
-        "2bf990427e3d20f3eed9e19f274a24eba2a3097f63f0db18c99fb4d738eb419c",
+        "c5a39aeb984f182e0d8a3681df400e3b0a01e09e297367e89cabc9612f2c45db",
+        "84a1f1ed6bc2119f1ee4348ad6d1b52a958af82288f8d5367db1381307bfac11",
     ),
     "agents_12": (
-        "08720d94f36aa5259ab445e983ca25a6a37cc825491baf440846c1b769d9b763",
-        "42ab1aa1675223143ea3a57125a69cd3bb2a0f37e56b0b0afd4d2d90ceda8ea0",
+        "61f72493a040a616bc7da1de92c0c6c5c27616a1a408d9526b7830e12a5b26ef",
+        "f7bf5c6aeccc9069bd06d5608f703a1fe56ba2fd93a9278f5ea486158d794a76",
     ),
 }
 
@@ -280,6 +283,22 @@ def test_spread_past_the_float_range_fails_naming_the_keys_set(rows, named, tmp_
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {named}: prior_sigma, motion.dt and motion.accel_var must ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1e17", "1e18"])
+def test_arena_too_large_to_resolve_a_move_fails_before_any_trial(value, tmp_path, capsys, monkeypatch):
+    # a 1 m move is below half the float spacing of a coordinate near 1e17, so a run used to fail mid-trial
+    # with "coincident sensor and target"; the config refuses it, naming the key the file set
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran on a refused config")
+
+    monkeypatch.setattr(cli, "run_trials", no_trials)
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"sim.trials = 1\nsim.agents = 2\nsim.steps = 5\narena.max_m = {value},{value},{value}\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out), "--seed", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: arena.max_m: arena_max, arena_min, target_init and ")
     assert not out.exists()
 
 

@@ -165,14 +165,15 @@ BAD_VALUES = {
     "sim.agents": ["x", "0"],
     "sim.steps": ["x", "0"],
     "sim.trials": ["x", "-2"],
-    "arena.min_m": ["0,0", "0,,0,0", "0,0,x", "0,0,inf", "200,0,0"],
-    "arena.max_m": ["1,1", "nan,1,1", "-5,100,100"],
-    "target.init_state": ["1,2,3", "1,2,3,4,5,x", "1,2,3,4,5,inf"],
+    # a width past the float range; corners whose float spacing swallows a 1 m move
+    "arena.min_m": ["0,0", "0,,0,0", "0,0,x", "0,0,inf", "200,0,0", "arena.max_m = 1e308,100,100 | -1e308,0,0"],
+    "arena.max_m": ["1,1", "nan,1,1", "-5,100,100", "1e17,1e17,1e17", "1e18,1e18,1e18"],
+    "target.init_state": ["1,2,3", "1,2,3,4,5,x", "1,2,3,4,5,inf", "1e18,0,0,0,0,0"],
     "prior.sigma": ["1,1,1,1,1", "x,1,1,1,1,1", "1,1,1,1,1,-1", "sim.steps = 3 | 5,5,5,1e200,1e200,1e200"],
     "spawn.radius_m": ["x", "inf", "0"],
     "motion.dt_s": ["x", "nan", "0", "-1", "1e200", "sim.steps = 3 | 1e80", "motion.accel_var = 0,0,0 | 1e153"],
     "motion.accel_var": ["1,1", "1,1,x", "1,1,-1", "1e250,1e250,1e250"],
-    "actions.radial_steps_m": ["", "1,,2", "1,x", "1,0", "1,-3"],
+    "actions.radial_steps_m": ["", "1,,2", "1,x", "1,0", "1,-3", "1e-11,1"],
     "actions.n_phi": ["x", "1.5", "0"],
     "actions.n_theta": ["x", "0"],
     "sensing.p_d_max": ["x", "nan", "1.5", "-0.1"],
@@ -301,6 +302,22 @@ def test_density_budget_boundary():
     # the planned calibration and paper-contrast runs go to 20 000 particles at clutter rates up to 30
     planned = ScenarioConfig(n_particles=20_000, sensing=dataclasses.replace(_DEFAULTS.sensing, clutter_rate=30.0))
     assert planned.sensing.clutter_rate == 30.0
+
+
+@pytest.mark.parametrize("field", ["arena_min", "arena_max", "target_init"])
+@pytest.mark.parametrize("reach", [100.0, 2.0**40, 1e15, 1e200])
+def test_move_resolution_boundary(field, reach):
+    # the smallest step may be 2**11 sqrt(3) float spacings of the largest coordinate, and not one ulp less
+    step = 2**11 * 3**0.5 * np.spacing(reach)
+    placed = {
+        "arena_min": {"arena_min": (0.0, -reach, 0.0)},
+        "arena_max": {"arena_max": (100.0, 100.0, reach)},
+        "target_init": {"target_init": (reach, 0.0, 0.0, 0.0, 0.0, 0.0)},
+    }[field]
+    grid = ActionGrid((2 * step, step), 2, 4)
+    assert ScenarioConfig(actions=grid, **placed).actions == grid
+    with pytest.raises(ValueError, match=rf"^arena_max, arena_min, target_init and actions\.radial_steps_m must "):
+        ScenarioConfig(actions=ActionGrid((2 * step, np.nextafter(step, 0.0)), 2, 4), **placed)
 
 
 _CT = dataclasses.replace(_DEFAULTS, mode="ct")

@@ -315,7 +315,7 @@ class TestSequentialDecide:
         actions = enumerate_actions(agent, GRID)
         candidates = admissible_set(actions, _probs(target, actions), 0.8)
         direct = solve_jamming(0, candidates, target, [], ANT, RF, _probs(target, candidates))
-        seq = sequential_decide([agent], np.array([target]), [actions], ANT, RF, SENSING, 0.8)
+        seq = sequential_decide(np.array([target]), actions[None], ANT, RF, SENSING, 0.8)
         assert len(seq) == 1
         assert seq[0].power_index == direct.power_index
         np.testing.assert_array_equal(seq[0].chosen_position, direct.chosen_position)
@@ -325,9 +325,9 @@ class TestSequentialDecide:
         positions = rng.uniform(20, 40, (4, 3))
         agents = self._agents(positions)
         targets = rng.uniform(20, 40, (len(agents), 3))
-        actions = [enumerate_actions(a, GRID) for a in agents]
-        first = sequential_decide(agents, targets, actions, ANT, RF, SENSING, 0.8)
-        second = sequential_decide(agents, targets, actions, ANT, RF, SENSING, 0.8)
+        actions = np.array([enumerate_actions(a, GRID) for a in agents])
+        first = sequential_decide(targets, actions, ANT, RF, SENSING, 0.8)
+        second = sequential_decide(targets, actions, ANT, RF, SENSING, 0.8)
         for a, b in zip(first, second):
             assert a.power_index == b.power_index
             np.testing.assert_array_equal(a.chosen_position, b.chosen_position)
@@ -340,8 +340,8 @@ class TestSequentialDecide:
             agents = self._agents(spot + rng.uniform(-4, 4, (4, 3)))
             target = _pred(spot + rng.uniform(-3, 3, 3))
             targets = np.array([target] * 4)
-            actions = [enumerate_actions(a, GRID) for a in agents]
-            decisions = sequential_decide(agents, targets, actions, ANT, RF, SENSING, 0.8)
+            actions = np.array([enumerate_actions(a, GRID) for a in agents])
+            decisions = sequential_decide(targets, actions, ANT, RF, SENSING, 0.8)
             if any(d.fallback_used is not Fallback.NONE for d in decisions):
                 continue
             audited += 1
@@ -354,7 +354,7 @@ class TestSequentialDecide:
         agent = AgentState(0, np.array([0.0, 0.0, 0.0]))
         far_target = _pred([40.0, 0.0, 0.0])  # unreachable above threshold: best is 5 m closer
         actions = enumerate_actions(agent, GRID)
-        decisions = sequential_decide([agent], np.array([far_target]), [actions], ANT, RF, SENSING, 0.8)
+        decisions = sequential_decide(np.array([far_target]), actions[None], ANT, RF, SENSING, 0.8)
         _assert_tracking_record(decisions[0], far_target, 0, Fallback.TRACKING)
         scores = [detection_prob(far_target, a, SENSING) for a in actions]
         np.testing.assert_array_equal(decisions[0].chosen_position, actions[int(np.argmax(scores))])
@@ -370,19 +370,14 @@ class TestSequentialDecide:
             senders = [s for s in decisions if s.agent_id != receiver.agent_id]
             assert _load_db(receiver.chosen_position, senders) == -np.inf
 
-    def test_unsorted_agents_rejected(self):
-        agents = [AgentState(1, [0.0, 0, 0]), AgentState(0, [1.0, 0, 0])]
-        with pytest.raises(ValueError, match="increasing id"):
-            sequential_decide(agents, np.array([[5.0, 0, 0]] * 2), [np.zeros((1, 3))] * 2, ANT, RF, SENSING, 0.8)
-
 
 def _trial_decisions(monkeypatch, cfg, trials):
     """Inputs and output of every ``sequential_decide`` call the trials make, caught by a spy."""
     calls = []
 
-    def spy(agents, aims, action_sets, ant, rf, p, threshold):
-        decisions = sequential_decide(agents, aims, action_sets, ant, rf, p, threshold)
-        calls.append((aims, action_sets, ant, rf, p, threshold, decisions))
+    def spy(aims, actions, ant, rf, p, threshold):
+        decisions = sequential_decide(aims, actions, ant, rf, p, threshold)
+        calls.append((aims, actions, ant, rf, p, threshold, decisions))
         return decisions
 
     monkeypatch.setattr(sim, "sequential_decide", spy)
@@ -456,13 +451,13 @@ class TestGreedyIsAUnilateralBestResponse:
         assert feasible >= 500
 
 
-def _per_agent_decisions(agent_ids, aims, action_sets, ant, rf, p, threshold, ct_index=None):
-    """Each agent's decision rebuilt alone, in id order, from the oracle's scalar detection probabilities.
+def _per_agent_decisions(aims, action_sets, ant, rf, p, threshold, ct_index=None):
+    """Each agent's decision rebuilt alone, in row order, from the oracle's scalar detection probabilities.
 
-    With ``ct_index`` the agent takes the tracking-only decision at that level.
+    An agent's id is its row. With ``ct_index`` the agent takes the tracking-only decision at that level.
     """
     decided = []
-    for agent_id, aim, actions in zip(agent_ids, aims, action_sets):
+    for agent_id, (aim, actions) in enumerate(zip(aims, action_sets)):
         scores = np.array([detection_prob(aim, a, p) for a in actions])
         kept = scores > threshold
         if ct_index is not None:
@@ -476,14 +471,14 @@ def _per_agent_decisions(agent_ids, aims, action_sets, ant, rf, p, threshold, ct
 
 
 def _decider_calls(monkeypatch, cfg, trials):
-    """(agent ids, aims, action sets, decisions) of every decider call the trials make."""
+    """(aims, actions, decisions) of every decider call the trials make."""
     name = "sequential_decide" if cfg.mode == "cstj" else "ct_decide"
     decide = getattr(sim, name)
     calls = []
 
-    def spy(agents, aims, action_sets, *rest):
-        decisions = decide(agents, aims, action_sets, *rest)
-        calls.append(([a.id for a in agents], aims, action_sets, decisions))
+    def spy(aims, actions, *rest):
+        decisions = decide(aims, actions, *rest)
+        calls.append((aims, actions, decisions))
         return decisions
 
     monkeypatch.setattr(sim, name, spy)
@@ -504,11 +499,11 @@ class TestTeamGrid:
             cfg = dataclasses.replace(dict(preset("figure3_compare", seed=3))["ct"], n_particles=300, n_steps=20)
             ct_index = cfg.rf.power_levels_db.index(cfg.ct_power_db)
         seen = Counter()
-        for ids, aims, action_sets, decisions in _decider_calls(monkeypatch, cfg, range(4)):
+        for aims, actions, decisions in _decider_calls(monkeypatch, cfg, range(4)):
             rebuilt = _per_agent_decisions(
-                ids, aims, action_sets, cfg.antenna, cfg.rf, cfg.sensing, cfg.tracking_threshold, ct_index
+                aims, actions, cfg.antenna, cfg.rf, cfg.sensing, cfg.tracking_threshold, ct_index
             )
-            assert len(decisions) == len(rebuilt) == len(ids)
+            assert len(decisions) == len(rebuilt) == cfg.n_agents
             for got, want in zip(decisions, rebuilt):
                 assert got.agent_id == want.agent_id
                 assert got.chosen_position.tobytes() == want.chosen_position.tobytes()
@@ -549,12 +544,30 @@ class TestTeamGrid:
         assert counts["admissible_set"] == (cfg.n_agents * cfg.n_steps if mode == "cstj" else 0)
 
 
+    @pytest.mark.parametrize("mode", ["cstj", "ct"])
+    def test_record_i_is_row_i(self, mode):
+        # an agent's id is its row: record i holds row i's aim and one of row i's moves, in any row order
+        rng = np.random.default_rng(12)
+        agents = [AgentState(i, rng.uniform(20, 40, 3)) for i in range(5)]
+        aims = rng.uniform(20, 40, (5, 3))
+        actions = np.array([enumerate_actions(a, GRID) for a in agents])
+        for order in (np.arange(5), np.array([3, 0, 4, 1, 2])):
+            if mode == "cstj":
+                records = sequential_decide(aims[order], actions[order], ANT, RF, SENSING, 0.8)
+            else:
+                records = ct_decide(aims[order], actions[order], SENSING, 3)
+            assert [r.agent_id for r in records] == list(range(5))
+            for record, row in zip(records, order):
+                assert record.aim_point.tobytes() == aims[row].tobytes()
+                assert (actions[row] == record.chosen_position).all(axis=1).any()
+
+
 class TestCtDecide:
     def test_single_agent_best_tracking_position(self):
         agent = AgentState(0, np.array([0.0, 0.0, 0.0]))
         target = _pred([40.0, 0.0, 0.0])
         actions = enumerate_actions(agent, GRID)
-        decisions = ct_decide([agent], np.array([target]), [actions], SENSING, 3)
+        decisions = ct_decide(np.array([target]), actions[None], SENSING, 3)
         _assert_tracking_record(decisions[0], target, 3, Fallback.NONE)
         scores = [detection_prob(target, a, SENSING) for a in actions]
         np.testing.assert_array_equal(decisions[0].chosen_position, actions[int(np.argmax(scores))])
@@ -563,7 +576,7 @@ class TestCtDecide:
         rng = np.random.default_rng(8)
         agents = [AgentState(i, rng.uniform(0, 50, 3)) for i in range(5)]
         targets = rng.uniform(0, 50, (len(agents), 3))
-        actions = [enumerate_actions(a, GRID) for a in agents]
-        decisions = ct_decide(agents, targets, actions, SENSING, 3)
+        actions = np.array([enumerate_actions(a, GRID) for a in agents])
+        decisions = ct_decide(targets, actions, SENSING, 3)
         assert all(d.power_index == 3 for d in decisions)
         assert all(d.fallback_used is Fallback.NONE for d in decisions)

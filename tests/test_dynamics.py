@@ -38,24 +38,25 @@ class TestTargetState:
 class TestStepTarget:
     def test_noiseless_is_affine(self):
         model = MotionModel(1.0, (0.0, 0.0, 0.0))
-        state = TargetState([1.0, 2.0, 3.0], [0.5, -0.5, 1.0])
+        state = np.array([1.0, 2.0, 3.0, 0.5, -0.5, 1.0])
         out = step_target(state, model, np.random.default_rng(0))
-        np.testing.assert_allclose(out.position, [1.5, 1.5, 4.0])
-        np.testing.assert_allclose(out.velocity, state.velocity)
+        assert out.shape == (6,)
+        np.testing.assert_allclose(out[:3], [1.5, 1.5, 4.0])
+        np.testing.assert_allclose(out[3:], state[3:])
 
     def test_zero_velocity_fixed_point(self):
         model = MotionModel(1.0, (0.0, 0.0, 0.0))
-        state = TargetState([4.0, 4.0, 4.0], [0.0, 0.0, 0.0])
+        state = np.array([4.0, 4.0, 4.0, 0.0, 0.0, 0.0])
         out = step_target(state, model, np.random.default_rng(0))
-        np.testing.assert_allclose(out.position, state.position)
+        np.testing.assert_allclose(out[:3], state[:3])
 
     def test_mean_position_matches_noiseless_propagation(self):
         # Monte-Carlo moment check: mean of p + dt v + 0.5 dt^2 nu is p + dt v
         rng = np.random.default_rng(123)
-        state = TargetState([1.0, 2.0, 3.0], [1.0, -1.0, 0.5])
+        state = np.array([1.0, 2.0, 3.0, 1.0, -1.0, 0.5])
         n = 100_000
-        positions = np.array([step_target(state, MODEL, rng).position for _ in range(n)])
-        expected = state.position + MODEL.dt * state.velocity
+        positions = np.array([step_target(state, MODEL, rng)[:3] for _ in range(n)])
+        expected = state[:3] + MODEL.dt * state[3:]
         std_err = math.sqrt(0.25 * 2.0 / n)
         assert np.all(np.abs(positions.mean(axis=0) - expected) < 3 * std_err)
 

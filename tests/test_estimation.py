@@ -162,17 +162,17 @@ class TestPredict:
         assert ours.random() == ref.random()  # the stream advanced alike
 
         # the drone's own step draws the same way
-        truth = TargetState.from_vector(ps.states[0])
+        truth = ps.states[0]
         for _ in range(5):
             nu = ref.standard_normal(3) * sd
             expected = np.concatenate(
                 [
-                    truth.position + model.dt * truth.velocity + 0.5 * model.dt**2 * nu,
-                    truth.velocity + model.dt * nu,
+                    truth[:3] + model.dt * truth[3:] + 0.5 * model.dt**2 * nu,
+                    truth[3:] + model.dt * nu,
                 ]
             )
             truth = step_target(truth, model, ours)
-            assert truth.as_vector().tobytes() == expected.tobytes()
+            assert truth.tobytes() == expected.tobytes()
         assert ours.random() == ref.random()
 
 
@@ -251,12 +251,11 @@ class TestLikelihood:
         x = np.array([62.0, 44.0, 53.0, 0.0, 0.0, 0.0])
         shifts = np.array([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, 0.6]])
         states = x + np.pad(shifts, ((0, 0), (0, 3)))
-        truth = TargetState.from_vector(x)
         rates = [dataclasses.replace(SENSING, clutter_rate=f * SENSING.clutter_rate) for f in (0.8, 1.2)]
         sets = 20_000
         ratios = np.empty((sets, 5))
         for i in range(sets):
-            meas = collect(truth, s_pos, SENSING, rng)
+            meas = collect(x[:3], s_pos, SENSING, rng)
             log_l = _log_set_likelihood(states, meas, s_pos, SENSING)
             log_rates = [_log_set_likelihood(states[:1], meas, s_pos, q)[0] for q in rates]
             ratios[i] = np.exp(np.append(log_l[1:], log_rates) - log_l[0])
@@ -754,13 +753,13 @@ class TestUpdate:
 
     def test_weights_normalized_after_updates(self):
         rng = np.random.default_rng(10)
-        truth = TargetState([30.0, 30, 30], [0, 0, 0])
-        ps = init_particles(truth.as_vector(), (5.0, 5.0, 5.0, 1.0, 1.0, 1.0), 500, rng)
+        truth = np.array([30.0, 30, 30, 0, 0, 0])
+        ps = init_particles(truth, (5.0, 5.0, 5.0, 1.0, 1.0, 1.0), 500, rng)
         sensor = np.array([25.0, 25, 25])
         for _ in range(10):
             ps = predict(ps, MODEL, rng)
             truth = step_target(truth, MODEL, rng)
-            measurements = collect(truth, sensor, SENSING, rng)
+            measurements = collect(truth[:3], sensor, SENSING, rng)
             ps, _ = update(ps, measurements, sensor, SENSING, rng)
             assert abs(ps.weights.sum() - 1.0) <= 1e-9
 
@@ -1202,8 +1201,8 @@ class TestFilterConsistency:
         successes = 0
         for trial in range(50):
             rng = np.random.default_rng(1000 + trial)
-            truth = TargetState(rng.uniform(20, 80, 3), rng.uniform(-2, 2, 3))
-            prior_mean = truth.as_vector() + rng.normal(size=6) * prior_sigma
+            truth = np.concatenate([rng.uniform(20, 80, 3), rng.uniform(-2, 2, 3)])
+            prior_mean = truth + rng.normal(size=6) * prior_sigma
             filters = [
                 init_particles(prior_mean, prior_sigma, 2000, rng) for _ in offsets
             ]
@@ -1213,13 +1212,13 @@ class TestFilterConsistency:
                 estimates = []
                 for j, offset in enumerate(offsets):
                     filters[j] = predict(filters[j], MODEL, rng)
-                    s_pos = truth.position + offset
-                    measurements = collect(truth, s_pos, forced, rng)
+                    s_pos = truth[:3] + offset
+                    measurements = collect(truth[:3], s_pos, forced, rng)
                     filters[j], _ = update(filters[j], measurements, s_pos, forced, rng)
                     estimates.append(eap(filters[j]))
                 fused = ci_fuse(estimates)
                 if step >= 20:
-                    errors.append(np.linalg.norm(fused.mean.position - truth.position))
+                    errors.append(np.linalg.norm(fused.mean.position - truth[:3]))
             rmse = math.sqrt(np.mean(np.square(errors)))
             successes += rmse < 2 * forced.sigma_rho0_m
         assert successes >= 45

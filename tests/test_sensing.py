@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from cstj_sim.dynamics import TargetState, norm
+from cstj_sim.dynamics import norm
 from cstj_sim.sensing import (
     SensingParams,
     collect,
@@ -34,8 +34,9 @@ DEFAULTS = SensingParams(
 )
 
 
-def _at(position) -> TargetState:
-    return TargetState(position, [0.0, 0.0, 0.0])
+def _at(position) -> np.ndarray:
+    """The drone's float (3,) position, as ``collect`` takes it."""
+    return np.array(position, dtype=float)
 
 
 def _detection_prob(offset):
@@ -220,7 +221,7 @@ class TestSampleMeasurement:
         target = _at([10.0, 0.0, 0.0])
         n = 100_000
         residuals = np.array(
-            [sample_measurement(_observe(target.position), DEFAULTS, rng)[0] - 10.0 for _ in range(n)]
+            [sample_measurement(_observe(target), DEFAULTS, rng)[0] - 10.0 for _ in range(n)]
         )
         expected = DEFAULTS.sigma_rho0_m + DEFAULTS.beta_rho * 10.0  # 2.5 m
         assert residuals.std() == pytest.approx(expected, rel=0.02)
@@ -228,11 +229,11 @@ class TestSampleMeasurement:
     def test_azimuth_residual_unbiased(self):
         rng = np.random.default_rng(12)
         target = _at([10.0, 10.0, 0.0])
-        truth = _observe(target.position)[1]
+        truth = _observe(target)[1]
         n = 100_000
         residuals = np.array(
             [
-                wrap_azimuth(sample_measurement(_observe(target.position), DEFAULTS, rng)[1] - truth)
+                wrap_azimuth(sample_measurement(_observe(target), DEFAULTS, rng)[1] - truth)
                 for _ in range(n)
             ]
         )

@@ -43,9 +43,12 @@ No package code factorises a covariance for Gaussian draws: every draw is
 diagonal, ``z * sigma`` in axis order, so no package code refers to
 ``multivariate_normal`` (an SVD on every call) or to ``svd``.
 
-The controller takes aim points, the rows of one (agent, 3) array of
-predicted drone positions: ``control`` refers to no ``TargetState``, which
-is kept for the drone's true state and the estimates a step logs.
+Phases pass arrays, and records appear only in the log. The controller
+takes aim points, the rows of one (agent, 3) array of predicted drone
+positions, and the team's moves, one (agent, move, 3) array; an agent's id
+is its row, so ``control`` reads no ``.id``. ``collect`` takes the drone's
+position. ``control`` and ``sensing`` refer to no ``TargetState``, which is
+kept for the drone's true state and the estimates a step logs.
 
 A config is a frozen value: ``ScenarioConfig`` and every parameter record
 it holds (``config._RECORDS``) are frozen dataclasses, so that no field is
@@ -585,31 +588,44 @@ def test_guard_sees_a_hand_written_range(tmp_path):
     assert sorted(hand_written_ranges(package)) == ["config:2", "config:7", "sensing:5", "sensing:7"]
 
 
-def control_target_states(package: Path = PACKAGE) -> list[str]:
-    """``control:line`` of each ``TargetState`` reference in ``control``, an import's alias included."""
-    tree = ast.parse((package / "control.py").read_text(encoding="utf-8"))
-    return [
-        f"control:{node.lineno}"
-        for node in ast.walk(tree)
-        if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))) == "TargetState"
-    ]
+def phase_records(package: Path = PACKAGE) -> list[str]:
+    """``module:line`` of each ``TargetState`` in ``control`` and ``sensing``, and each ``.id`` in ``control``.
+
+    An import's alias counts as a reference.
+    """
+    found = []
+    for module in ("control", "sensing"):
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        found += [
+            f"{module}:{node.lineno}"
+            for node in ast.walk(tree)
+            if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))) == "TargetState"
+            or (module == "control" and isinstance(node, ast.Attribute) and node.attr == "id")
+        ]
+    return found
 
 
-def test_the_controller_takes_aim_points():
-    assert control_target_states() == []
+def test_phases_pass_arrays():
+    assert phase_records() == []
 
 
-def test_guard_sees_a_target_state_in_control(tmp_path):
+def test_guard_sees_a_record_in_a_phase(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "control.py").write_text(
         "from .dynamics import TargetState, norm\nfrom . import dynamics\n\n\n"
         "def aim(predicted: TargetState):\n    return predicted.position\n\n\n"
-        "def wrap(vec):\n    return dynamics.TargetState.from_vector(vec), norm(vec)\n",
+        "def wrap(vec):\n    return dynamics.TargetState.from_vector(vec), norm(vec)\n\n\n"
+        "def ids(agents, records):\n    return [a.id for a in agents], [r.agent_id for r in records]\n",
+        encoding="utf-8",
+    )
+    (package / "sensing.py").write_text(
+        "from .dynamics import TargetState, check_range\n\n\n"
+        "def collect(x, s_pos):\n    return x.position - s_pos, x.id\n",
         encoding="utf-8",
     )
     (package / "sim.py").write_text("from .dynamics import TargetState\n", encoding="utf-8")
-    assert sorted(control_target_states(package)) == ["control:1", "control:10", "control:5"]
+    assert sorted(phase_records(package)) == ["control:1", "control:10", "control:14", "control:5", "sensing:1"]
 
 
 def unfrozen_records(classes) -> list[str]:
